@@ -126,9 +126,11 @@ struct FlowResult
     /// was cut (see run_control.hpp). Stages appear in execution order.
     FlowDiagnostics diagnostics;
 
+    /// A verified layout whose dot-accurate SiDB layout (the `.sqd`) exists.
     [[nodiscard]] bool success() const noexcept
     {
-        return layout.has_value() && equivalence == layout::EquivalenceResult::equivalent;
+        return layout.has_value() && equivalence == layout::EquivalenceResult::equivalent &&
+               sidb.has_value();
     }
 };
 

@@ -6,8 +6,12 @@
 #include "sat/proof_check.hpp"
 #include "sat/backend.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <charconv>
+#include <iterator>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 namespace bestagon::logic
@@ -21,6 +25,41 @@ using sat::Result;
 using sat::SatBackend;
 using sat::neg;
 using sat::pos;
+
+/// One row of the committed NPN table: input count, canonical truth table
+/// (hex, MSB first) and the implementation as encode_network text.
+struct NpnTableRow
+{
+    unsigned num_vars;
+    const char* function;
+    const char* nodes;
+};
+
+constexpr NpnTableRow npn_table_rows[] = {
+#include "logic/npn_table.inc"
+};
+static_assert(std::size(npn_table_rows) == 4 + 14 + 222,
+              "one row per canonical NPN class of 2, 3 and 4 inputs");
+
+/// Table order (the generator writes the rows in it; lookup bisects it):
+/// by input count, then by truth table.
+bool table_precedes(const TruthTable& a, const TruthTable& b)
+{
+    return a.num_vars() != b.num_vars() ? a.num_vars() < b.num_vars() : a.compare(b) < 0;
+}
+
+GateType gate_type_from_name(std::string_view name)
+{
+    for (auto t = static_cast<unsigned>(GateType::none); t <= static_cast<unsigned>(GateType::fanout); ++t)
+    {
+        const auto type = static_cast<GateType>(t);
+        if (name == gate_type_name(type))
+        {
+            return type;
+        }
+    }
+    throw std::invalid_argument{"decode_network: unknown gate type '" + std::string{name} + "'"};
+}
 
 /// One synthesis attempt with exactly \p r two-input steps. \p verdict
 /// reports the solver outcome so callers can tell a refuted gate count
@@ -292,19 +331,157 @@ std::optional<LogicNetwork> exact_synthesize(const TruthTable& f, unsigned max_g
     return std::nullopt;
 }
 
+std::string encode_network(const LogicNetwork& network)
+{
+    std::string text;
+    for (LogicNetwork::NodeId id = 0; id < network.size(); ++id)
+    {
+        const auto& node = network.node(id);
+        if (node.type == GateType::none)
+        {
+            throw std::invalid_argument{"encode_network: deleted node " + std::to_string(id)};
+        }
+        if (node.name.find_first_of(" \t\n(=") != std::string::npos)
+        {
+            throw std::invalid_argument{"encode_network: unencodable name '" + node.name + "'"};
+        }
+        if (id > 0)
+        {
+            text += ' ';
+        }
+        text += gate_type_name(node.type);
+        for (unsigned i = 0; i < gate_arity(node.type); ++i)
+        {
+            text += i == 0 ? '(' : ',';
+            text += std::to_string(node.fanin[i]);
+        }
+        if (gate_arity(node.type) > 0)
+        {
+            text += ')';
+        }
+        if (!node.name.empty())
+        {
+            text += '=';
+            text += node.name;
+        }
+    }
+    return text;
+}
+
+LogicNetwork decode_network(std::string_view text)
+{
+    LogicNetwork net;
+    const auto malformed = [&](std::string_view token) {
+        return std::invalid_argument{"decode_network: malformed node '" + std::string{token} + "'"};
+    };
+    while (!text.empty())
+    {
+        const auto end = std::min(text.find(' '), text.size());
+        const auto token = text.substr(0, end);
+        text.remove_prefix(std::min(end + 1, text.size()));
+        if (token.empty())
+        {
+            continue;
+        }
+
+        auto head = token;
+        std::string name;
+        if (const auto eq = head.find('='); eq != std::string_view::npos)
+        {
+            name = head.substr(eq + 1);
+            head = head.substr(0, eq);
+        }
+        std::vector<LogicNetwork::NodeId> fanins;
+        if (const auto open = head.find('('); open != std::string_view::npos)
+        {
+            if (head.back() != ')')
+            {
+                throw malformed(token);
+            }
+            auto list = head.substr(open + 1, head.size() - open - 2);
+            head = head.substr(0, open);
+            while (true)
+            {
+                LogicNetwork::NodeId fanin = 0;
+                const auto [ptr, ec] = std::from_chars(list.data(), list.data() + list.size(), fanin);
+                if (ec != std::errc{} || fanin >= net.size())
+                {
+                    throw malformed(token);
+                }
+                fanins.push_back(fanin);
+                list.remove_prefix(static_cast<std::size_t>(ptr - list.data()));
+                if (list.empty())
+                {
+                    break;
+                }
+                if (list.front() != ',')
+                {
+                    throw malformed(token);
+                }
+                list.remove_prefix(1);
+            }
+        }
+
+        const auto type = gate_type_from_name(head);
+        const bool nameable = type == GateType::pi || type == GateType::po;
+        if (type == GateType::none || fanins.size() != gate_arity(type) || (!name.empty() && !nameable))
+        {
+            throw malformed(token);
+        }
+        const auto expected = static_cast<LogicNetwork::NodeId>(net.size());
+        LogicNetwork::NodeId id = 0;
+        switch (type)
+        {
+            case GateType::pi: id = net.create_pi(std::move(name)); break;
+            case GateType::po: id = net.create_po(fanins[0], std::move(name)); break;
+            case GateType::const0:
+            case GateType::const1: id = net.create_const(type == GateType::const1); break;
+            default: id = net.create_gate(type, fanins); break;
+        }
+        if (id != expected)  // a repeated constant
+        {
+            throw malformed(token);
+        }
+    }
+    return net;
+}
+
+const std::vector<NpnTableEntry>& npn_table()
+{
+    static const std::vector<NpnTableEntry> table = [] {
+        std::vector<NpnTableEntry> entries;
+        entries.reserve(std::size(npn_table_rows));
+        for (const auto& row : npn_table_rows)
+        {
+            entries.push_back({TruthTable::from_hex(row.num_vars, row.function), decode_network(row.nodes)});
+        }
+        return entries;
+    }();
+    return table;
+}
+
 const LogicNetwork* NpnDatabase::lookup(const TruthTable& canonical)
 {
-    auto it = cache_.find(canonical);
-    if (it == cache_.end())
+    if (canonical.num_vars() > npn_table_max_inputs)
     {
-        auto impl = exact_synthesize(canonical, max_gates_, conflict_budget_);
-        if (!impl)
-        {
-            ++failures_;
-        }
-        it = cache_.emplace(canonical, std::move(impl)).first;
+        throw std::invalid_argument{"NpnDatabase::lookup: the NPN table covers at most " +
+                                    std::to_string(npn_table_max_inputs) + " inputs"};
     }
-    return it->second ? &*it->second : nullptr;
+    if (const auto it = served_.find(canonical); it != served_.end())
+    {
+        return it->second;
+    }
+    const auto& table = npn_table();
+    const auto it = std::lower_bound(
+        table.begin(), table.end(), canonical,
+        [](const NpnTableEntry& entry, const TruthTable& f) { return table_precedes(entry.canonical, f); });
+    const LogicNetwork* impl = it != table.end() && it->canonical == canonical ? &it->implementation : nullptr;
+    if (impl == nullptr)
+    {
+        ++failures_;
+    }
+    served_.emplace(canonical, impl);
+    return impl;
 }
 
 std::size_t count_two_input_gates(const LogicNetwork& network)

@@ -18,6 +18,11 @@ namespace
 
 using NodeId = LogicNetwork::NodeId;
 
+/// Largest cut the rewriter enumerates; every cut function is looked up in
+/// the NPN table, which must therefore cover it.
+constexpr unsigned max_cut_size = 4;
+static_assert(max_cut_size <= npn_table_max_inputs, "every cut function needs an NPN table entry");
+
 /// Copies \p impl (a single-PO network) into \p target, substituting
 /// \p leaf_signals for the PIs. Returns the signal of the implementation root.
 NodeId instantiate(LogicNetwork& target, const LogicNetwork& impl, const std::vector<NodeId>& leaf_signals)
@@ -295,7 +300,7 @@ LogicNetwork rewrite(const LogicNetwork& network, NpnDatabase& database, Rewrite
         {
             ++stats->passes;
         }
-        const CutEnumeration cuts{current, 4, 12};
+        const CutEnumeration cuts{current, max_cut_size, 12};
         const std::size_t base_size = current.num_gates();
 
         LogicNetwork best;

@@ -1308,9 +1308,7 @@ OracleVerdict incremental_pnr_differential(const logic::LogicNetwork& spec,
 OracleVerdict frontend_differential(const logic::LogicNetwork& input, std::uint64_t seed,
                                     unsigned num_patterns, FrontendFault fault)
 {
-    // shared across calls: the database caches exact-synthesis results, and
-    // rebuilding it per case would re-run SAT synthesis for every NPN class
-    static logic::NpnDatabase database;
+    logic::NpnDatabase database;
     const auto rewritten = logic::rewrite(input, database);
     auto mapped = logic::map_to_bestagon(rewritten);
     std::string why;

@@ -99,6 +99,24 @@ TEST(DesignFlow, FallbackReportsEngine)
     EXPECT_TRUE(result.success());
 }
 
+TEST(DesignFlow, NoSiDBLayoutIsNoSuccess)
+{
+    // input b drives nothing: the layout verifies, but the library has no
+    // tile for a PI without fanout, so no .sqd can be emitted
+    logic::LogicNetwork spec;
+    const auto a = spec.create_pi("a");
+    spec.create_pi("b");
+    spec.create_po(spec.create_not(a), "y");
+    const auto result = core::run_design_flow(spec);
+    ASSERT_TRUE(result.layout.has_value());
+    EXPECT_EQ(result.equivalence, layout::EquivalenceResult::equivalent);
+    EXPECT_FALSE(result.sidb.has_value());
+    EXPECT_FALSE(result.success());
+    const auto* apply = result.diagnostics.find("apply_library");
+    ASSERT_NE(apply, nullptr);
+    EXPECT_EQ(apply->status, core::StageStatus::failed);
+}
+
 class FlowBenchmark : public ::testing::TestWithParam<std::string>
 {
 };

@@ -1,13 +1,35 @@
 #include "logic/exact_synthesis.hpp"
+#include "logic/npn.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <random>
+#include <stdexcept>
 
 namespace
 {
 
 using namespace bestagon::logic;
+
+/// Node-for-node equality: same ids, types, fanins and names.
+void expect_same_nodes(const LogicNetwork& a, const LogicNetwork& b, const std::string& what)
+{
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (LogicNetwork::NodeId id = 0; id < a.size(); ++id)
+    {
+        const auto& x = a.node(id);
+        const auto& y = b.node(id);
+        EXPECT_EQ(x.type, y.type) << what << " node " << id;
+        EXPECT_EQ(x.name, y.name) << what << " node " << id;
+        for (unsigned i = 0; i < gate_arity(x.type); ++i)
+        {
+            EXPECT_EQ(x.fanin[i], y.fanin[i]) << what << " node " << id;
+        }
+    }
+    EXPECT_EQ(a.pis(), b.pis()) << what;
+    EXPECT_EQ(a.pos(), b.pos()) << what;
+}
 
 TEST(ExactSynthesis, ConstantFunctions)
 {
@@ -111,10 +133,88 @@ TEST(ExactSynthesis, RandomFunctionsAreRealizedCorrectly)
     }
 }
 
+TEST(NetworkCodec, RoundTripsNodeForNode)
+{
+    LogicNetwork net;
+    const auto a = net.create_pi("x0");
+    const auto b = net.create_pi("x1");
+    const auto c = net.create_const(true);
+    const auto g = net.create_and(a, net.create_not(b));
+    net.create_po(net.create_xor(net.create_buf(g), c), "f");
+    const auto text = encode_network(net);
+    EXPECT_EQ(text, "pi=x0 pi=x1 const1 inv(1) and(0,3) buf(4) xor(5,2) po(6)=f");
+    expect_same_nodes(decode_network(text), net, text);
+}
+
+TEST(NetworkCodec, RejectsMalformedText)
+{
+    for (const char* text : {"frob", "pi=x0 and(0)", "pi=x0 inv(1)", "pi=x0 inv(0", "const0 const0",
+                             "pi=x0 inv(0)=y", "pi=x0 po(0;0)"})
+    {
+        EXPECT_THROW((void)decode_network(text), std::invalid_argument) << text;
+    }
+}
+
+TEST(NpnTable, KeysAreTheCanonicalClassesOfTwoToFourInputs)
+{
+    std::array<unsigned, npn_table_max_inputs + 1> per_inputs{};
+    const auto& table = npn_table();
+    for (std::size_t i = 0; i < table.size(); ++i)
+    {
+        const auto& key = table[i].canonical;
+        ASSERT_GE(key.num_vars(), 2U);
+        ASSERT_LE(key.num_vars(), npn_table_max_inputs);
+        ++per_inputs[key.num_vars()];
+        EXPECT_EQ(canonize_npn(key).canonical, key) << key.to_hex();
+        if (i > 0)
+        {
+            // lookup bisects: ascending by input count, then by truth table
+            const auto& prev = table[i - 1].canonical;
+            EXPECT_TRUE(prev.num_vars() < key.num_vars() ||
+                        (prev.num_vars() == key.num_vars() && prev.compare(key) < 0))
+                << "table order at " << key.to_hex();
+        }
+    }
+    EXPECT_EQ(per_inputs[2], 4U);
+    EXPECT_EQ(per_inputs[3], 14U);
+    EXPECT_EQ(per_inputs[4], 222U);
+}
+
+TEST(NpnTable, EveryEntrySimulatesToItsKey)
+{
+    for (const auto& entry : npn_table())
+    {
+        const auto& impl = entry.implementation;
+        ASSERT_EQ(impl.num_pis(), entry.canonical.num_vars()) << entry.canonical.to_hex();
+        ASSERT_EQ(impl.num_pos(), 1U) << entry.canonical.to_hex();
+        EXPECT_EQ(impl.simulate()[0], entry.canonical) << entry.canonical.to_hex();
+        EXPECT_LE(count_two_input_gates(impl), default_max_gates) << entry.canonical.to_hex();
+    }
+}
+
+TEST(NpnTable, SmallEntriesEqualAFreshSynthesis)
+{
+    // the full comparison over all 240 classes is tools/npn_table --check;
+    // the entries of at most four gates are cheap enough for tier-1
+    unsigned compared = 0;
+    for (const auto& entry : npn_table())
+    {
+        if (count_two_input_gates(entry.implementation) > 4)
+        {
+            continue;
+        }
+        const auto fresh = exact_synthesize(entry.canonical);
+        ASSERT_TRUE(fresh.has_value()) << entry.canonical.to_hex();
+        expect_same_nodes(entry.implementation, *fresh, entry.canonical.to_hex());
+        ++compared;
+    }
+    EXPECT_EQ(compared, 4U + 14U + 63U);
+}
+
 TEST(NpnDatabase, CachesResults)
 {
     NpnDatabase db;
-    const auto canon = TruthTable::from_binary("1000");
+    const auto canon = TruthTable::from_binary("0001");  // canonical AND class
     const auto* first = db.lookup(canon);
     ASSERT_NE(first, nullptr);
     const auto* second = db.lookup(canon);
@@ -128,6 +228,21 @@ TEST(NpnDatabase, ImplementationsAreMinimal)
     const auto* impl = db.lookup(TruthTable::from_binary("0110"));
     ASSERT_NE(impl, nullptr);
     EXPECT_EQ(count_two_input_gates(*impl), 1U);
+}
+
+TEST(NpnDatabase, NonCanonicalFunctionsHaveNoEntry)
+{
+    NpnDatabase db;
+    EXPECT_EQ(db.lookup(TruthTable::from_binary("1000")), nullptr);  // AND, not canonical
+    EXPECT_EQ(db.lookup(TruthTable::nth_var(1, 0)), nullptr);         // below two inputs
+    EXPECT_EQ(db.num_entries(), 2U);
+    EXPECT_EQ(db.num_synthesis_failures(), 2U);
+}
+
+TEST(NpnDatabase, MoreThanFourInputsThrow)
+{
+    NpnDatabase db;
+    EXPECT_THROW((void)db.lookup(TruthTable{5}), std::invalid_argument);
 }
 
 }  // namespace

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <stdexcept>
+#include <string>
+
 namespace
 {
 
@@ -116,6 +120,30 @@ TEST(Rewrite, SubstantiallyReducesMajorityBasedXor)
     NpnDatabase db;
     const auto rewritten = rewrite(xag, db);
     EXPECT_LT(rewritten.num_gates(), xag.num_gates() / 2);
+}
+
+TEST(Rewrite, BuildsNoSatSolver)
+{
+    // an IPASIR library that cannot load makes every solver construction
+    // throw, so rewriting and mapping must get by without one
+    const char* old = std::getenv("BESTAGON_SAT_BACKEND");
+    const std::string saved = old != nullptr ? old : "";
+    ::setenv("BESTAGON_SAT_BACKEND", "ipasir:/nonexistent/libsolver.so", 1);
+    const auto xor3 = TruthTable::nth_var(3, 0) ^ TruthTable::nth_var(3, 1) ^ TruthTable::nth_var(3, 2);
+    EXPECT_THROW((void)exact_synthesize(xor3), std::runtime_error);
+    NpnDatabase db;
+    for (const auto& bm : table1_benchmarks())
+    {
+        EXPECT_NO_THROW((void)map_to_bestagon(rewrite(to_xag(bm.build()), db))) << bm.name;
+    }
+    if (old != nullptr)
+    {
+        ::setenv("BESTAGON_SAT_BACKEND", saved.c_str(), 1);
+    }
+    else
+    {
+        ::unsetenv("BESTAGON_SAT_BACKEND");
+    }
 }
 
 }  // namespace
