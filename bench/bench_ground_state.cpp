@@ -3,10 +3,12 @@
 ///
 /// Three questions, mirroring DESIGN.md section 10:
 ///  1. GroundState<engine>/sites:n — single ground-state call per engine on
-///     dense synthetic canvases. The exhaustive engine's energy-only pruning
-///     stops converging past ~36 dense sites; the exact engine's population
-///     window keeps it polynomial-ish on the same canvases (sites:40 runs
-///     only on the engines that can finish it in bench time).
+///     dense synthetic canvases; the complete engines also report their
+///     search nodes (`nodes`, deterministic). The exhaustive engine's
+///     energy-only pruning stops converging past ~36 dense sites; the exact
+///     engine's population window keeps it polynomial-ish on the same
+///     canvases (sites:40 runs only on the engines that can finish it in
+///     bench time).
 ///  2. CheckOperational{DefaultExact,Exhaustive} — the production
 ///     check_operational on the Bestagon 2-input OR tile under the new
 ///     default engine (automatic -> exact) vs the legacy exhaustive engine.
@@ -76,13 +78,16 @@ void BM_GroundStateExhaustive(benchmark::State& state)
     const SiDBSystem system{synthetic_canvas(static_cast<std::size_t>(state.range(0))),
                             SimulationParameters{}};
     std::uint64_t degeneracy = 0;
+    std::uint64_t nodes = 0;
     for (auto _ : state)
     {
         const auto gs = exhaustive_ground_state(system);
         degeneracy = gs.degeneracy;
+        nodes = gs.nodes;
         benchmark::DoNotOptimize(gs);
     }
     state.counters["degeneracy"] = static_cast<double>(degeneracy);
+    state.counters["nodes"] = static_cast<double>(nodes);
 }
 
 void BM_GroundStateExact(benchmark::State& state)
@@ -90,13 +95,16 @@ void BM_GroundStateExact(benchmark::State& state)
     const SiDBSystem system{synthetic_canvas(static_cast<std::size_t>(state.range(0))),
                             SimulationParameters{}};
     std::uint64_t degeneracy = 0;
+    std::uint64_t nodes = 0;
     for (auto _ : state)
     {
         const auto gs = exact_ground_state(system);
         degeneracy = gs.degeneracy;
+        nodes = gs.nodes;
         benchmark::DoNotOptimize(gs);
     }
     state.counters["degeneracy"] = static_cast<double>(degeneracy);
+    state.counters["nodes"] = static_cast<double>(nodes);
 }
 
 void BM_GroundStateSimAnneal(benchmark::State& state)

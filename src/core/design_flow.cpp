@@ -7,7 +7,6 @@
 #include "logic/tech_mapping.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <numeric>
 #include <utility>
@@ -17,12 +16,6 @@ namespace bestagon::core
 
 namespace
 {
-
-[[nodiscard]] std::int64_t now_ms()
-{
-    using namespace std::chrono;
-    return duration_cast<milliseconds>(steady_clock::now().time_since_epoch()).count();
-}
 
 /// Status of a stage that was cut by the run budget: the token takes
 /// precedence (an explicit cancellation is more specific than a deadline).

@@ -102,6 +102,15 @@ class StopSource
     std::shared_ptr<std::atomic<bool>> state_;
 };
 
+/// Milliseconds on the steady clock since its epoch — the one clock of the
+/// stage timers and the solvers' time budgets. Only the difference of two
+/// readings means anything.
+[[nodiscard]] inline std::int64_t now_ms() noexcept
+{
+    using namespace std::chrono;
+    return duration_cast<milliseconds>(steady_clock::now().time_since_epoch()).count();
+}
+
 /// An absolute wall-clock limit on the steady clock. Default-constructed
 /// deadlines are unlimited. Deadlines are values: copy freely, compose with
 /// sooner(), derive stage deadlines with in_ms().

@@ -83,29 +83,36 @@ void ChargeState::rebuild()
 void ChargeState::commit_flip(std::size_t i)
 {
     const std::size_t n = config_.size();
-    // Ascending-j row application with the flipped site skipped: the same
-    // update order the pre-kernel exhaustive engine used, so its
-    // branch/unwind float trajectories are preserved bit-for-bit.
+    const double* row = system_->potential_row(i);
+    double* v = v_.data();
+    // Ascending-j row application with the flipped site skipped, as two
+    // branch-free runs [0, i) and (i, n) the compiler can vectorize. Each
+    // v_j still receives exactly one +-V_ij per commit, in the update order
+    // the pre-kernel exhaustive engine used, so its branch/unwind float
+    // trajectories are preserved bit-for-bit. (Adding the zero diagonal
+    // instead of skipping it would not be: -0.0 + 0.0 is +0.0.)
     if (config_[i] == 0)
     {
-        for (std::size_t j = 0; j < n; ++j)
+        for (std::size_t j = 0; j < i; ++j)
         {
-            if (j != i)
-            {
-                v_[j] += system_->potential(i, j);
-            }
+            v[j] += row[j];
+        }
+        for (std::size_t j = i + 1; j < n; ++j)
+        {
+            v[j] += row[j];
         }
         config_[i] = 1;
         ++num_charges_;
     }
     else
     {
-        for (std::size_t j = 0; j < n; ++j)
+        for (std::size_t j = 0; j < i; ++j)
         {
-            if (j != i)
-            {
-                v_[j] -= system_->potential(i, j);
-            }
+            v[j] -= row[j];
+        }
+        for (std::size_t j = i + 1; j < n; ++j)
+        {
+            v[j] -= row[j];
         }
         config_[i] = 0;
         --num_charges_;
@@ -116,13 +123,16 @@ void ChargeState::commit_hop(std::size_t from, std::size_t to)
 {
     assert(config_[from] != 0 && config_[to] == 0 && from != to);
     const std::size_t n = config_.size();
+    const double* to_row = system_->potential_row(to);
+    const double* from_row = system_->potential_row(from);
+    double* v = v_.data();
     // Fused single pass: v_t += V_to,t - V_from,t. The zero diagonal of the
     // potential matrix makes the endpoints come out right without branches
     // (v_from gains +V_ft from the arriving charge, v_to loses -V_ft from
     // the departing one).
     for (std::size_t t = 0; t < n; ++t)
     {
-        v_[t] += system_->potential(to, t) - system_->potential(from, t);
+        v[t] += to_row[t] - from_row[t];
     }
     config_[from] = 0;
     config_[to] = 1;

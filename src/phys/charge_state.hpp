@@ -33,9 +33,11 @@
 ///    bit-identical to `SiDBSystem::local_potential(config(), i)`: the cache
 ///    is rebuilt with the exact summation order of the naive evaluator.
 ///  - `commit_flip(i)` applies `v_j += s * V_ij` for all j != i in ascending
-///    j order (s = +1 when i becomes negative, -1 when it becomes neutral) —
-///    the same floating-point operation sequence the pre-kernel exhaustive
-///    engine performed, so branch-and-bound trajectories are unchanged.
+///    j order (s = +1 when i becomes negative, -1 when it becomes neutral),
+///    as two branch-free runs over `SiDBSystem::potential_row(i)` on either
+///    side of i — the same floating-point operation sequence the pre-kernel
+///    exhaustive engine performed, so branch-and-bound trajectories are
+///    unchanged.
 ///    Committing the same flip twice replays the identical add/subtract
 ///    pair, which makes the exhaustive engine's branch/unwind discipline
 ///    expressible directly on the kernel.

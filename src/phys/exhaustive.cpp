@@ -40,7 +40,7 @@ void recurse(SearchState& s, std::size_t index)
     {
         return;
     }
-    if (s.run->limited() && (++s.nodes & 4095U) == 0 && s.run->stopped())
+    if ((++s.nodes & 4095U) == 0 && s.run->limited() && s.run->stopped())
     {
         s.stopped = true;
         return;
@@ -150,6 +150,7 @@ GroundStateResult exhaustive_ground_state(const SiDBSystem& system, double degen
     result.degeneracy = std::max<std::uint64_t>(1, s.degeneracy);
     result.complete = !s.stopped;
     result.cancelled = s.stopped;
+    result.nodes = s.nodes;
     return result;
 }
 

@@ -174,8 +174,9 @@ PopulationWindow compute_population_window(const SiDBSystem& system)
 namespace
 {
 
-// The search state is the exhaustive engine's verbatim, plus the
-// precomputed population window its three extra gates read.
+// The search state is the exhaustive engine's, plus the precomputed
+// population window its three extra gates read and the stack of sites
+// charged on the current path, which its viability gate walks.
 struct SearchState
 {
     const SiDBSystem* system;
@@ -188,6 +189,7 @@ struct SearchState
     std::uint64_t degeneracy;
     double tolerance;
     const PopulationWindow* window;
+    std::vector<std::size_t> charged;  // charged sites of the path, ascending
     const core::RunBudget* run;
     std::uint64_t nodes;
     bool stopped;
@@ -201,7 +203,7 @@ void recurse(SearchState& s, std::size_t index)
     {
         return;
     }
-    if (s.run->limited() && (++s.nodes & 4095U) == 0 && s.run->stopped())
+    if ((++s.nodes & 4095U) == 0 && s.run->limited() && s.run->stopped())
     {
         s.stopped = true;
         return;
@@ -256,10 +258,15 @@ void recurse(SearchState& s, std::size_t index)
         const double delta = s.mu + s.kernel.local_potential(index);
         s.kernel.commit_flip(index);
         s.partial_f += delta;
+        s.charged.push_back(index);
+        // viability: the exhaustive engine's scan of every charged site
+        // j <= index, read off the path's stack — the same sites in the
+        // same ascending order, the same predicate and the same early exit,
+        // without visiting the neutral ones
         bool viable = true;
-        for (std::size_t j = 0; j <= index; ++j)
+        for (const std::size_t j : s.charged)
         {
-            if (s.kernel.charge(j) != 0 && s.mu + s.kernel.local_potential(j) > 1e-12)
+            if (s.mu + s.kernel.local_potential(j) > 1e-12)
             {
                 viable = false;
                 break;
@@ -269,6 +276,7 @@ void recurse(SearchState& s, std::size_t index)
         {
             recurse(s, index + 1);
         }
+        s.charged.pop_back();
         s.kernel.commit_flip(index);
         s.partial_f -= delta;
     }
@@ -294,6 +302,7 @@ GroundStateResult search_with_window(const SiDBSystem& system, double degeneracy
     s.degeneracy = 0;
     s.tolerance = degeneracy_tolerance;
     s.window = &window;
+    s.charged.reserve(n);
     s.run = &run;
     s.nodes = 0;
     s.stopped = false;
@@ -326,6 +335,7 @@ GroundStateResult search_with_window(const SiDBSystem& system, double degeneracy
     result.degeneracy = std::max<std::uint64_t>(1, s.degeneracy);
     result.complete = !s.stopped;
     result.cancelled = s.stopped;
+    result.nodes = s.nodes;
     return result;
 }
 

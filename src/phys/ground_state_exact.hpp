@@ -22,10 +22,15 @@
 ///    yielding a window [min_charges, max_charges] on the number of
 ///    electrons of any population-stable configuration.
 ///
-/// The search itself is the exhaustive engine's branch-and-bound verbatim —
-/// same site order, same seeding, same floating-point operation sequence on
-/// every surviving branch, same leaf discipline — with three additional
-/// gates that only ever remove population-UNSTABLE subtrees: the negative
+/// The search itself is the exhaustive engine's branch-and-bound — same site
+/// order, same seeding, same floating-point operation sequence on every
+/// surviving branch, same leaf discipline. Its one structural difference is
+/// the viability gate after each charge: the exhaustive engine scans every
+/// site j <= index for charged ones, this engine walks a stack of the sites
+/// charged on the current path (pushed on the negative branch, popped on
+/// unwind) — the same sites, in the same ascending order, under the same
+/// predicate and early exit, so the search tree is unchanged. On top come
+/// three gates that only ever remove population-UNSTABLE subtrees: the negative
 /// branch is skipped on forced_neut sites and when max_charges is reached,
 /// the neutral branch is skipped on forced_neg sites, and a subtree is
 /// abandoned when even charging every remaining site cannot reach

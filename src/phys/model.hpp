@@ -160,6 +160,14 @@ class SiDBSystem
         return potentials_[i * sites_.size() + j];
     }
 
+    /// Row \p i of the pair-potential matrix: V_i0 .. V_i(n-1), with the
+    /// zero diagonal entry at index i. The contiguous span the charge
+    /// kernel applies per committed move.
+    [[nodiscard]] const double* potential_row(std::size_t i) const noexcept
+    {
+        return potentials_.data() + i * sites_.size();
+    }
+
     /// True when the system carries defect-induced external potentials.
     [[nodiscard]] bool has_external_potentials() const noexcept { return !external_.empty(); }
 
@@ -226,6 +234,11 @@ struct GroundStateResult
     std::uint64_t degeneracy{1};
     bool complete{false};          ///< true if the search space was covered exhaustively
     bool cancelled{false};         ///< the search was cut by a run budget (result is partial)
+    /// Branch-and-bound nodes visited by the complete engines (exhaustive,
+    /// exact), counted on every run — a deterministic work counter, the same
+    /// under any run budget that does not stop the search. 0 for the
+    /// stochastic engines.
+    std::uint64_t nodes{0};
 };
 
 }  // namespace bestagon::phys

@@ -5,23 +5,11 @@
 #include "sat/solver.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <string_view>
 
 namespace bestagon::sat
 {
-
-namespace
-{
-
-[[nodiscard]] std::int64_t now_ms()
-{
-    using namespace std::chrono;
-    return duration_cast<milliseconds>(steady_clock::now().time_since_epoch()).count();
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // PreprocessingBackend
@@ -161,7 +149,7 @@ void PreprocessingBackend::rebuild(const std::vector<Lit>& assumptions, const co
 
 Result PreprocessingBackend::solve(const std::vector<Lit>& assumptions)
 {
-    const auto start = now_ms();
+    const auto start = core::now_ms();
     // the preprocessor and the inner solve share one budget: compose the
     // relative time budget into a deadline for preprocessing, then hand the
     // remaining milliseconds to the inner backend
@@ -196,7 +184,7 @@ Result PreprocessingBackend::solve(const std::vector<Lit>& assumptions)
     inner_->set_time_check_stride(time_check_stride_);
     if (time_budget_ms_ >= 0)
     {
-        const auto elapsed = now_ms() - start;  // preprocessing time counts
+        const auto elapsed = core::now_ms() - start;  // preprocessing time counts
         inner_->set_time_budget_ms(std::max<std::int64_t>(0, time_budget_ms_ - elapsed));
     }
     else

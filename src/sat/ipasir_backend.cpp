@@ -1,6 +1,5 @@
 #include "sat/ipasir_backend.hpp"
 
-#include <chrono>
 #include <stdexcept>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -15,12 +14,6 @@ namespace bestagon::sat
 
 namespace
 {
-
-[[nodiscard]] std::int64_t now_ms()
-{
-    using namespace std::chrono;
-    return duration_cast<milliseconds>(steady_clock::now().time_since_epoch()).count();
-}
 
 [[nodiscard]] constexpr std::int32_t to_ipasir(Lit l) noexcept
 {
@@ -117,7 +110,8 @@ int IpasirBackend::terminate_callback(void* data)
     {
         return 1;
     }
-    if (self->time_budget_ms_ >= 0 && now_ms() - self->solve_start_ms_ >= self->time_budget_ms_)
+    if (self->time_budget_ms_ >= 0 &&
+        core::now_ms() - self->solve_start_ms_ >= self->time_budget_ms_)
     {
         return 1;
     }
@@ -130,7 +124,7 @@ Result IpasirBackend::solve(const std::vector<Lit>& assumptions)
     {
         assume_fn_(solver_, to_ipasir(a));
     }
-    solve_start_ms_ = now_ms();
+    solve_start_ms_ = core::now_ms();
     set_terminate_fn_(solver_, this, &IpasirBackend::terminate_callback);
     const int verdict = solve_fn_(solver_);
 

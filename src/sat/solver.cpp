@@ -4,22 +4,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cmath>
 
 namespace bestagon::sat
 {
-
-namespace
-{
-
-[[nodiscard]] std::int64_t now_ms()
-{
-    using namespace std::chrono;
-    return duration_cast<milliseconds>(steady_clock::now().time_since_epoch()).count();
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // variable order heap
@@ -709,7 +697,7 @@ bool Solver::budget_exhausted() const
     {
         if (--time_check_countdown_ <= 0)
         {
-            if ((time_budget_ms_ >= 0 && now_ms() - solve_start_ms_ >= time_budget_ms_) ||
+            if ((time_budget_ms_ >= 0 && core::now_ms() - solve_start_ms_ >= time_budget_ms_) ||
                 deadline_.expired())
             {
                 // keep the countdown expired: both clocks are monotone, so
@@ -851,7 +839,7 @@ Result Solver::solve(const std::vector<Lit>& assumptions)
         assumptions_.clear();
         return Result::unsatisfiable;
     }
-    solve_start_ms_ = now_ms();
+    solve_start_ms_ = core::now_ms();
     time_check_countdown_ = 0;  // poll the clock on the first budget check
     conflicts_at_solve_start_ = stats_.conflicts;
     max_learnts_ = std::max(1000.0, static_cast<double>(num_problem_clauses_) * 0.4);

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <random>
 #include <stdexcept>
 #include <vector>
 
@@ -170,6 +173,158 @@ TEST(ChargeState, ToleranceKnobsLiveInSimulationParameters)
     const SimulationParameters defaults{};
     EXPECT_DOUBLE_EQ(defaults.stability_tolerance, 1e-9);
     EXPECT_DOUBLE_EQ(defaults.energy_tolerance, 1e-6);
+}
+
+/// The kernel's row updates before they became branch-free row-pointer
+/// loops, kept as the bit-exact reference: one v_j +-= V_ij per flip in
+/// ascending j with the flipped site skipped, and one fused
+/// v_t += V_to,t - V_from,t pass per hop.
+struct ReferenceRowUpdates
+{
+    const SiDBSystem* system;
+    ChargeConfig config;
+    std::vector<double> v;
+
+    explicit ReferenceRowUpdates(const SiDBSystem& sys)
+        : system{&sys}, config(sys.size(), 0), v(sys.size(), 0.0)
+    {
+        for (std::size_t i = 0; i < sys.size(); ++i)
+        {
+            v[i] = sys.external_potential(i);
+        }
+    }
+
+    void flip(std::size_t i)
+    {
+        const bool charging = config[i] == 0;
+        for (std::size_t j = 0; j < v.size(); ++j)
+        {
+            if (j != i)
+            {
+                if (charging)
+                {
+                    v[j] += system->potential(i, j);
+                }
+                else
+                {
+                    v[j] -= system->potential(i, j);
+                }
+            }
+        }
+        config[i] = charging ? 1 : 0;
+    }
+
+    void hop(std::size_t from, std::size_t to)
+    {
+        for (std::size_t t = 0; t < v.size(); ++t)
+        {
+            v[t] += system->potential(to, t) - system->potential(from, t);
+        }
+        config[from] = 0;
+        config[to] = 1;
+    }
+};
+
+/// Random system of \p n sites; with \p background, a random external
+/// potential row (a charged-defect background) on top.
+SiDBSystem random_system(std::size_t n, bool background, std::mt19937_64& rng)
+{
+    std::vector<SiDBSite> sites;
+    while (sites.size() < n)
+    {
+        const SiDBSite s{static_cast<int>(rng() % 24), static_cast<int>(rng() % 12),
+                         static_cast<int>(rng() % 2)};
+        if (std::find(sites.begin(), sites.end(), s) == sites.end())
+        {
+            sites.push_back(s);
+        }
+    }
+    const SimulationParameters params{};
+    const SiDBSystem plain{sites, params};
+    if (!background)
+    {
+        return plain;
+    }
+    std::vector<double> potentials(n * n);
+    for (std::size_t i = 0; i < n; ++i)
+    {
+        for (std::size_t j = 0; j < n; ++j)
+        {
+            potentials[i * n + j] = plain.potential(i, j);
+        }
+    }
+    std::uniform_real_distribution<double> w{-0.05, 0.05};
+    std::vector<double> external(n);
+    for (auto& x : external)
+    {
+        x = w(rng);
+    }
+    return SiDBSystem::from_potentials(sites, params, std::move(potentials), std::move(external));
+}
+
+TEST(ChargeState, RowUpdatesAreBitExactToThePerElementLoops)
+{
+    std::mt19937_64 rng{0x5eed'c0de};
+    for (const std::size_t n : {1U, 2U, 17U, 40U})
+    {
+        for (const bool background : {false, true})
+        {
+            const auto system = random_system(n, background, rng);
+            ChargeState state{system};
+            ReferenceRowUpdates ref{system};
+            const auto expect_bit_exact = [&](int step) {
+                ASSERT_EQ(state.config(), ref.config) << "n=" << n << " step " << step;
+                for (std::size_t i = 0; i < n; ++i)
+                {
+                    ASSERT_EQ(std::bit_cast<std::uint64_t>(state.local_potential(i)),
+                              std::bit_cast<std::uint64_t>(ref.v[i]))
+                        << "n=" << n << " background=" << background << " step " << step
+                        << " site " << i;
+                }
+            };
+            expect_bit_exact(-1);
+            for (int step = 0; step < 400; ++step)
+            {
+                // every fourth move hits a boundary row (i = 0 or i = n-1)
+                const std::size_t i = step % 4 == 0 ? (step % 8 == 0 ? 0 : n - 1) : rng() % n;
+                switch (rng() % 3)
+                {
+                    case 0:  // flip
+                        state.commit_flip(i);
+                        ref.flip(i);
+                        break;
+                    case 1:  // flip and flip back: the search's branch/unwind pair
+                        state.commit_flip(i);
+                        ref.flip(i);
+                        expect_bit_exact(step);
+                        state.commit_flip(i);
+                        ref.flip(i);
+                        break;
+                    default:  // hop from a charged site to a neutral one, if any
+                    {
+                        std::vector<std::size_t> charged;
+                        std::vector<std::size_t> neutral;
+                        for (std::size_t j = 0; j < n; ++j)
+                        {
+                            (state.charge(j) != 0 ? charged : neutral).push_back(j);
+                        }
+                        if (charged.empty() || neutral.empty())
+                        {
+                            state.commit_flip(i);
+                            ref.flip(i);
+                            break;
+                        }
+                        const auto from = charged[rng() % charged.size()];
+                        const auto to = neutral[rng() % neutral.size()];
+                        state.commit_hop(from, to);
+                        ref.hop(from, to);
+                        break;
+                    }
+                }
+                expect_bit_exact(step);
+            }
+        }
+    }
 }
 
 /// The two-driver OR-like design used across the operational tests.

@@ -9,6 +9,7 @@
 ///        then differential properties on random canvases.
 
 #include "core/run_control.hpp"
+#include "layout/bestagon_library.hpp"
 #include "phys/exhaustive.hpp"
 #include "phys/ground_state.hpp"
 #include "phys/ground_state_exact.hpp"
@@ -22,7 +23,10 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <random>
+#include <stdexcept>
+#include <string>
 
 namespace
 {
@@ -32,6 +36,7 @@ using bestagon::core::Deadline;
 using bestagon::core::RunBudget;
 using bestagon::core::StopSource;
 using bestagon::logic::TruthTable;
+namespace layout = bestagon::layout;
 
 /// A RunBudget whose token already requested a stop.
 RunBudget tripped_budget()
@@ -96,6 +101,115 @@ GateDesign vertical_wire()
     d.output_perturbers.push_back({15, 25, 1});
     d.functions.push_back(TruthTable::from_binary("10"));
     return d;
+}
+
+/// The production 2-input tile of \p type (NW + NE in, SE out) — the tile
+/// check_operational validates in the Fig. 5 sign-off.
+const GateDesign& library_tile(bestagon::logic::GateType type)
+{
+    const auto* gate = layout::BestagonLibrary::instance().lookup(
+        type, layout::Port::nw, layout::Port::ne, layout::Port::se, std::nullopt);
+    if (gate == nullptr)
+    {
+        throw std::logic_error{"the library offers no NW+NE -> SE tile of this type"};
+    }
+    return gate->design;
+}
+
+std::string config_string(const ChargeConfig& config)
+{
+    std::string s;
+    for (const auto c : config)
+    {
+        s.push_back(c != 0 ? '1' : '0');
+    }
+    return s;
+}
+
+/// One pinned ground-state search of a library tile pattern: the work
+/// counter together with the result it produced.
+struct PinnedSearch
+{
+    std::uint64_t pattern;
+    std::uint64_t nodes;
+    const char* config;
+    double grand_potential;
+    double electrostatic;
+};
+
+/// Runs \p search on every input pattern of \p design and compares nodes,
+/// configuration and energies (bitwise) with \p expected.
+template <typename Search>
+void expect_pinned_searches(const GateDesign& design, Search search,
+                            const std::vector<PinnedSearch>& expected)
+{
+    const GateInstanceCache cache{design, SimulationParameters{}};
+    ASSERT_EQ(std::uint64_t{1} << design.input_pairs.size(), expected.size());
+    for (const auto& pin : expected)
+    {
+        const auto gs = search(cache.instantiate(pin.pattern));
+        const std::string where = design.name + " pattern " + std::to_string(pin.pattern);
+        EXPECT_TRUE(gs.complete) << where;
+        EXPECT_EQ(gs.nodes, pin.nodes) << where;
+        EXPECT_EQ(config_string(gs.config), pin.config) << where;
+        EXPECT_EQ(gs.grand_potential, pin.grand_potential) << where;
+        EXPECT_EQ(gs.electrostatic, pin.electrostatic) << where;
+    }
+}
+
+// --- work counters on the production tiles ------------------------------------
+
+// The node counts, configurations and energies below were recorded on the
+// search before its inner loops were optimized (row-pointer commits and the
+// charged-site viability stack). Any change to the search tree or to a
+// floating-point operation on its path moves at least one of them.
+
+TEST(WorkCounters, ExactEngineOnTheOrTile)
+{
+    expect_pinned_searches(
+        library_tile(bestagon::logic::GateType::or2),
+        [](const SiDBSystem& system) { return exact_ground_state(system); },
+        {{0, 33710, "1010101010101010101111", -3.2340652338871649, 0.92593476611283509},
+         {1, 36716, "0110101010101001011111", -3.2068553519813756, 0.95314464801862453},
+         {2, 34649, "1010100110101001011111", -3.204288196130467, 0.95571180386953325},
+         {3, 36684, "0110100110101001011111", -3.1770148096643394, 0.98298519033566067}});
+}
+
+TEST(WorkCounters, ExactEngineOnTheNorTile)
+{
+    expect_pinned_searches(
+        library_tile(bestagon::logic::GateType::nor2),
+        [](const SiDBSystem& system) { return exact_ground_state(system); },
+        {{0, 354424, "1010101010101000011110101111", -3.6055584727030205, 1.5144415272969796},
+         {1, 365736, "0110101010101000100110101111", -3.5777268270555949, 1.2222731729444047},
+         {2, 361923, "1010100110101000100110101111", -3.5764362870538093, 1.2235637129461905},
+         {3, 370295, "0110100110101000100110101111", -3.5488599108811005, 1.2511400891188991}});
+}
+
+TEST(WorkCounters, ExhaustiveEngineOnTheOrTile)
+{
+    expect_pinned_searches(
+        library_tile(bestagon::logic::GateType::or2),
+        [](const SiDBSystem& system) { return exhaustive_ground_state(system); },
+        {{0, 33716, "1010101010101010101111", -3.2340652338871649, 0.92593476611283509},
+         {1, 36899, "0110101010101001011111", -3.2068553519813756, 0.95314464801862453},
+         {2, 34655, "1010100110101001011111", -3.204288196130467, 0.95571180386953325},
+         {3, 36766, "0110100110101001011111", -3.1770148096643394, 0.98298519033566067}});
+}
+
+TEST(WorkCounters, LimitedBudgetCountsTheSameNodes)
+{
+    // the counter runs on every search, so polling a (never-firing) budget
+    // neither adds nor removes nodes
+    const SiDBSystem system{dense_canvas(24, 3), SimulationParameters{}};
+    StopSource source;
+    const RunBudget budget{source.token(), Deadline::in_ms(600'000)};
+    const auto unlimited = exact_ground_state(system);
+    const auto limited = exact_ground_state(system, budget);
+    EXPECT_GT(unlimited.nodes, 4096U);
+    EXPECT_EQ(unlimited.nodes, limited.nodes);
+    EXPECT_EQ(unlimited.config, limited.config);
+    EXPECT_EQ(exhaustive_ground_state(system).nodes, exhaustive_ground_state(system, budget).nodes);
 }
 
 // --- exact engine -----------------------------------------------------------
