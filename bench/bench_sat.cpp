@@ -11,10 +11,10 @@
 ///  2. SatPigeonhole{Legacy,Arena,Preprocessed} — PHP(8,7), the
 ///     resolution-hard UNSAT workload that stresses learnt-clause reduction
 ///     and (for the arena) garbage collection.
-///  3. ExactPhysicalDesign{Internal,Preprocessed} — the full exact P&R flow
-///     on the mapped mux21 benchmark with ExactPDOptions::sat_backend forced
-///     to each kind; this is the production-shaped instance mix (many small
-///     incremental solves) the preprocessor must not regress.
+///  3. ExactPhysicalDesignInternal — the full exact P&R flow on the mapped
+///     mux21 benchmark at its default options: the production-shaped
+///     instance mix (many small incremental solves on one persistent
+///     solver).
 
 #include "layout/exact_physical_design.hpp"
 #include "logic/benchmarks.hpp"
@@ -189,31 +189,18 @@ const logic::LogicNetwork& mapped_mux21()
     return net;
 }
 
-void exact_pd_with(benchmark::State& state, sat::BackendKind kind)
+void BM_ExactPhysicalDesignInternal(benchmark::State& state)
 {
     const auto& net = mapped_mux21();
-    layout::ExactPDOptions options;
-    options.sat_backend.kind = kind;
     bool placed = false;
     for (auto _ : state)
     {
-        const auto result = layout::exact_physical_design(net, options);
+        const auto result = layout::exact_physical_design(net);
         placed = result.has_value();
         benchmark::DoNotOptimize(result);
     }
     state.counters["placed"] = placed ? 1.0 : 0.0;
 }
-
-void BM_ExactPhysicalDesignInternal(benchmark::State& state)
-{
-    exact_pd_with(state, sat::BackendKind::internal);
-}
 BENCHMARK(BM_ExactPhysicalDesignInternal)->Unit(benchmark::kMillisecond);
-
-void BM_ExactPhysicalDesignPreprocessed(benchmark::State& state)
-{
-    exact_pd_with(state, sat::BackendKind::internal_preprocessed);
-}
-BENCHMARK(BM_ExactPhysicalDesignPreprocessed)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -29,6 +29,14 @@ namespace
     return t.kind == TokenKind::punct && t.text == text;
 }
 
+/// Parameter types that carry a run budget; C1 checks that engine loops poll
+/// parameters of these types.
+[[nodiscard]] bool is_budget_type(const Token& t) noexcept
+{
+    return is_ident(t, "RunBudget") || is_ident(t, "StopToken") || is_ident(t, "Deadline") ||
+           is_ident(t, "SolveLimits");
+}
+
 /// Index of the token matching the opener at \p open (which must be "(",
 /// "[" or "{"); tokens.size() when unbalanced.
 [[nodiscard]] std::size_t matching_close(const std::vector<Token>& tokens, std::size_t open)
@@ -472,9 +480,7 @@ struct Checker
                 }
                 continue;
             }
-            if (tokens[i].kind != TokenKind::identifier || paren_stack.empty() ||
-                (tokens[i].text != "RunBudget" && tokens[i].text != "StopToken" &&
-                 tokens[i].text != "Deadline"))
+            if (paren_stack.empty() || !is_budget_type(tokens[i]))
             {
                 continue;
             }
@@ -511,9 +517,7 @@ struct Checker
             std::vector<std::string> budget_names;
             for (std::size_t j = list_open + 1; j < list_close; ++j)
             {
-                if (tokens[j].kind != TokenKind::identifier ||
-                    (tokens[j].text != "RunBudget" && tokens[j].text != "StopToken" &&
-                     tokens[j].text != "Deadline"))
+                if (!is_budget_type(tokens[j]))
                 {
                     continue;
                 }

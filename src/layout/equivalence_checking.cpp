@@ -1,9 +1,8 @@
 #include "layout/equivalence_checking.hpp"
 
 #include "sat/encodings.hpp"
-#include "sat/backend.hpp"
+#include "sat/solver.hpp"
 
-#include <memory>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -100,12 +99,8 @@ EquivalenceResult check_equivalence(const LogicNetwork& spec, const LogicNetwork
         return EquivalenceResult::unknown;
     }
 
-    // equivalence checking defaults to the plain internal solver; the miter
-    // is shallow and BESTAGON_SAT_BACKEND can still re-route it
-    const auto backend = sat::make_sat_backend({}, sat::BackendKind::internal);
-    auto& solver = *backend;
-    solver.set_stop_token(run.token);
-    solver.set_deadline(run.deadline);
+    // the miter is shallow: the plain solver, no preprocessing
+    sat::Solver solver;
     std::vector<Lit> pis;
     pis.reserve(spec.num_pis());
     for (unsigned i = 0; i < spec.num_pis(); ++i)
@@ -125,7 +120,7 @@ EquivalenceResult check_equivalence(const LogicNetwork& spec, const LogicNetwork
     }
     solver.add_clause(differences);
 
-    const auto result = solver.solve();
+    const auto result = solver.solve({}, {.run = run});
     if (stats != nullptr)
     {
         stats->conflicts = solver.stats().conflicts;

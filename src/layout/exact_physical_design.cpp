@@ -6,13 +6,13 @@
 #include "sat/encodings.hpp"
 #include "sat/proof.hpp"
 #include "sat/proof_check.hpp"
-#include "sat/backend.hpp"
+#include "sat/solver.hpp"
 
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -207,84 +207,56 @@ GateLevelLayout decode_layout(const LogicNetwork& network, const std::vector<Nod
     return layout;
 }
 
+/// SAT verdict of one aspect ratio, with the decoded layout when satisfiable
+/// and the conflicts the solve spent.
+struct Outcome
+{
+    sat::Result result{sat::Result::unknown};
+    std::optional<GateLevelLayout> layout{};
+    std::uint64_t conflicts{0};
+};
+
 /// Encoder + decoder for one aspect ratio — the legacy fresh-per-size path,
 /// kept alive behind ExactPDOptions::incremental = false as the differential
-/// oracle's reference lane. With \p with_groups every clause carries a
-/// per-constraint-group guard literal, enabling unsat-core extraction over
-/// the groups via assumption-based solving.
+/// oracle's reference lane. Each size gets its own preprocessing backend.
 class SizeEncoding
 {
   public:
     SizeEncoding(const LogicNetwork& network, unsigned w, unsigned h,
-                 const sat::BackendSelection& backend = {}, bool with_groups = false,
-                 const phys::DefectSurface* defects = nullptr)
+                 const phys::DefectSurface& defects)
         : network_{network}, w_{w}, h_{h}, levels_{node_levels(network)},
-          depths_{node_depths_to_po(network)}, with_groups_{with_groups},
-          // BVE/subsumption resolve clauses across guard groups, which keeps
-          // verdicts sound but inflates assumption cores — so the diagnosis
-          // encoding defaults to the plain solver for tight refuting groups
-          solver_{sat::make_sat_backend(backend, with_groups
-                                                     ? sat::BackendKind::internal
-                                                     : sat::BackendKind::internal_preprocessed)}
+          depths_{node_depths_to_po(network)}
     {
-        if (with_groups_)
+        if (!defects.empty())
         {
-            for (auto& g : group_guards_)
-            {
-                g = sat::pos(solver_->new_var());
-            }
-        }
-        if (defects != nullptr && !defects->empty())
-        {
-            blocked_tiles_ = blocked_tiles(w, h, *defects);
+            blocked_tiles_ = blocked_tiles(w, h, defects);
         }
         build();
     }
 
-    [[nodiscard]] bool trivially_unsat() const noexcept { return trivially_unsat_; }
-
-    /// Returns a decoded layout if satisfiable within the budget; the raw
-    /// verdict lands in \p verdict. With \p certify, every UNSAT verdict is
-    /// DRAT-certified by the independent checker and recorded in \p stats.
-    std::optional<GateLevelLayout> solve(std::int64_t conflict_budget, std::uint64_t* conflicts,
-                                         bool* budget_hit, bool certify, ExactPDStats* stats,
-                                         const core::RunBudget& run, sat::Result* verdict)
+    /// Solves the size within \p limits. With \p certify, every UNSAT
+    /// verdict is DRAT-certified by the independent checker and recorded in
+    /// \p stats.
+    Outcome solve(const sat::SolveLimits& limits, bool certify, ExactPDStats* stats)
     {
+        Outcome out;
         if (trivially_unsat_)
         {
-            if (verdict != nullptr)
-            {
-                *verdict = sat::Result::unsatisfiable;
-            }
-            return std::nullopt;
+            out.result = sat::Result::unsatisfiable;
+            return out;
         }
         sat::MemoryProofTracer tracer;
-        const bool can_certify = certify && solver_->supports_proof_tracing();
-        if (can_certify)
+        if (certify)
         {
-            solver_->set_proof_tracer(&tracer);
+            solver_.set_proof_tracer(&tracer);
         }
-        solver_->set_conflict_budget(conflict_budget);
-        solver_->set_time_budget_ms(-1);
-        solver_->set_run_budget(run);
-        const auto result = solver_->solve();
-        solver_->set_proof_tracer(nullptr);
-        if (verdict != nullptr)
-        {
-            *verdict = result;
-        }
-        if (conflicts != nullptr)
-        {
-            *conflicts += solver_->stats().conflicts;
-        }
-        if (result == sat::Result::unknown && budget_hit != nullptr)
-        {
-            *budget_hit = true;
-        }
-        if (can_certify && stats != nullptr && result == sat::Result::unsatisfiable)
+        out.result = solver_.solve({}, limits);
+        solver_.set_proof_tracer(nullptr);
+        out.conflicts = solver_.stats().conflicts;
+        if (certify && stats != nullptr && out.result == sat::Result::unsatisfiable)
         {
             const auto check =
-                sat::check_drat_proof(sat::to_cnf(solver_->root_clauses()), tracer.proof());
+                sat::check_drat_proof(sat::to_cnf(solver_.root_clauses()), tracer.proof());
             if (check.valid)
             {
                 ++stats->proofs_checked;
@@ -294,11 +266,11 @@ class SizeEncoding
                 ++stats->proof_failures;
             }
         }
-        if (result != sat::Result::satisfiable)
+        if (out.result == sat::Result::satisfiable)
         {
-            return std::nullopt;
+            out.layout = decode_layout(network_, nodes_, edges_, place_, wire_, arc_, solver_, w_, h_);
         }
-        return decode_layout(network_, nodes_, edges_, place_, wire_, arc_, *solver_, w_, h_);
+        return out;
     }
 
   private:
@@ -363,12 +335,12 @@ class SizeEncoding
                 for (unsigned x = 0; x < w_; ++x)
                 {
                     const HexCoord t{static_cast<std::int32_t>(x), static_cast<std::int32_t>(y)};
-                    const auto var = solver_->new_var();
+                    const auto var = solver_.new_var();
                     place_[{v, t}] = sat::pos(var);
                     options.push_back(sat::pos(var));
                 }
             }
-            sat::add_exactly_one(*solver_, options, guard_of(grp_placement));
+            sat::add_exactly_one(solver_, options);
         }
 
         // at most one node per tile
@@ -385,7 +357,7 @@ class SizeEncoding
                         here.push_back(it->second);
                     }
                 }
-                sat::add_at_most_one(*solver_, here, guard_of(grp_exclusivity));
+                sat::add_at_most_one(solver_, here);
             }
         }
 
@@ -404,7 +376,7 @@ class SizeEncoding
                 for (unsigned x = 0; x < w_; ++x)
                 {
                     const HexCoord t{static_cast<std::int32_t>(x), static_cast<std::int32_t>(y)};
-                    wire_[{e, t}] = sat::pos(solver_->new_var());
+                    wire_[{e, t}] = sat::pos(solver_.new_var());
                 }
             }
             // arcs from rows [ulo, vhi-1]
@@ -417,7 +389,7 @@ class SizeEncoding
                     {
                         if (in_bounds(t2))
                         {
-                            arc_[{e, t, t2}] = sat::pos(solver_->new_var());
+                            arc_[{e, t, t2}] = sat::pos(solver_.new_var());
                         }
                     }
                 }
@@ -455,19 +427,19 @@ class SizeEncoding
                     // "e at t needing a successor" -> exactly one outgoing arc
                     if (const auto pu = lit_of_place(u, t); pu.has_value())
                     {
-                        require_one_of(grp_routing, *pu, outgoing);
+                        require_one_of(*pu, outgoing);
                     }
                     if (const auto wt = lit_of_wire(e, t); wt.has_value())
                     {
-                        require_one_of(grp_routing, *wt, outgoing);
-                        require_one_of(grp_routing, *wt, incoming);
+                        require_one_of(*wt, outgoing);
+                        require_one_of(*wt, incoming);
                     }
                     if (const auto pv = lit_of_place(v, t); pv.has_value())
                     {
-                        require_one_of(grp_routing, *pv, incoming);
+                        require_one_of(*pv, incoming);
                     }
-                    sat::add_at_most_one(*solver_, outgoing, guard_of(grp_routing));
-                    sat::add_at_most_one(*solver_, incoming, guard_of(grp_routing));
+                    sat::add_at_most_one(solver_, outgoing);
+                    sat::add_at_most_one(solver_, incoming);
                 }
             }
 
@@ -489,7 +461,7 @@ class SizeEncoding
                 {
                     tail.push_back(*wt);
                 }
-                emit(grp_routing, std::move(tail));
+                solver_.add_clause(std::move(tail));
                 std::vector<Lit> head{~lit};
                 if (const auto pv = lit_of_place(v, to); pv.has_value())
                 {
@@ -499,7 +471,7 @@ class SizeEncoding
                 {
                     head.push_back(*wt);
                 }
-                emit(grp_routing, std::move(head));
+                solver_.add_clause(std::move(head));
             }
         }
 
@@ -515,7 +487,7 @@ class SizeEncoding
             for (const auto& [arc, lits] : by_arc)
             {
                 static_cast<void>(arc);
-                sat::add_at_most_one(*solver_, lits, guard_of(grp_capacity));
+                sat::add_at_most_one(solver_, lits);
             }
         }
 
@@ -527,14 +499,13 @@ class SizeEncoding
             {
                 if (const auto it = place_.find({v, t}); it != place_.end())
                 {
-                    emit(grp_exclusivity, {~wlit, ~it->second});
+                    solver_.add_clause({~wlit, ~it->second});
                 }
             }
         }
 
-        // defect avoidance: no placement and no wire on a blocked tile. Unit
-        // clauses (guarded in group mode) rather than variable elision so an
-        // infeasibility diagnosis can name "defects" as a refuting group.
+        // defect avoidance: unit clauses forbid any placement or wire on a
+        // blocked tile
         if (!blocked_tiles_.empty())
         {
             const auto is_blocked = [&](HexCoord t) {
@@ -545,14 +516,14 @@ class SizeEncoding
             {
                 if (is_blocked(k.second))
                 {
-                    emit(grp_defects, {~lit});
+                    solver_.add_clause({~lit});
                 }
             }
             for (const auto& [k, lit] : wire_)
             {
                 if (is_blocked(k.second))
                 {
-                    emit(grp_defects, {~lit});
+                    solver_.add_clause({~lit});
                 }
             }
         }
@@ -578,31 +549,12 @@ class SizeEncoding
         return it->second;
     }
 
-    [[nodiscard]] std::optional<Lit> guard_of(std::size_t group) const
-    {
-        if (!with_groups_)
-        {
-            return std::nullopt;
-        }
-        return group_guards_[group];
-    }
-
-    /// Adds \p clause, weakened by the group's guard when in group mode.
-    void emit(std::size_t group, std::vector<Lit> clause)
-    {
-        if (with_groups_)
-        {
-            clause.push_back(~group_guards_[group]);
-        }
-        solver_->add_clause(std::move(clause));
-    }
-
     /// trigger -> at least one of options (the AMO part is added separately).
-    void require_one_of(std::size_t group, Lit trigger, const std::vector<Lit>& options)
+    void require_one_of(Lit trigger, const std::vector<Lit>& options)
     {
         std::vector<Lit> clause{~trigger};
         clause.insert(clause.end(), options.begin(), options.end());
-        emit(group, std::move(clause));
+        solver_.add_clause(std::move(clause));
     }
 
     const LogicNetwork& network_;
@@ -614,10 +566,8 @@ class SizeEncoding
     std::vector<Edge> edges_;
     std::vector<HexCoord> blocked_tiles_;  ///< defect-blocked tiles of this w x h grid
     bool trivially_unsat_{false};
-    bool with_groups_{false};
-    std::array<Lit, group_names.size()> group_guards_{};
 
-    std::unique_ptr<sat::SatBackend> solver_;
+    sat::PreprocessingBackend solver_;
     PlaceMap place_;
     WireMap wire_;
     ArcMap arc_;
@@ -654,9 +604,7 @@ class IncrementalSizeEncoding
           max_w_{std::max(1U, options.max_width)}, max_h_{std::max(1U, options.max_height)},
           with_groups_{with_groups},
           leak_stale_activation_{options.testkit_leak_stale_activation},
-          // preprocessing would re-simplify (or rebuild) around the growing
-          // formula; the plain arena solver keeps every solve incremental
-          solver_{sat::make_sat_backend(options.sat_backend, sat::BackendKind::internal)}
+          certify_{options.certify_unsat}
     {
         for (const auto id : network_.topological_order())
         {
@@ -696,11 +644,11 @@ class IncrementalSizeEncoding
         }
         for (unsigned c = 0; c < max_w_; ++c)
         {
-            solver_->add_clause(~wle_[c], wle_[c + 1]);
+            solver_.add_clause(~wle_[c], wle_[c + 1]);
         }
         for (unsigned c = 0; c < max_h_; ++c)
         {
-            solver_->add_clause(~hle_[c], hle_[c + 1]);
+            solver_.add_clause(~hle_[c], hle_[c + 1]);
         }
         if (!options.defects.empty())
         {
@@ -709,23 +657,14 @@ class IncrementalSizeEncoding
                 blocked_.insert(t);
             }
         }
-        certify_ = options.certify_unsat && solver_->supports_proof_tracing();
         if (certify_)
         {
-            solver_->set_proof_tracer(&tracer_);
+            solver_.set_proof_tracer(&tracer_);
         }
     }
 
-    struct Outcome
-    {
-        sat::Result result{sat::Result::unknown};
-        std::optional<GateLevelLayout> layout{};
-        std::uint64_t conflicts{0};
-    };
-
     /// Solves one aspect ratio on the persistent solver.
-    Outcome solve_size(AspectRatio size, std::int64_t conflict_budget,
-                       const core::RunBudget& budget, ExactPDStats* stats)
+    Outcome solve_size(AspectRatio size, const sat::SolveLimits& limits, ExactPDStats* stats)
     {
         Outcome out;
         if (structurally_unsat(size.height))
@@ -735,12 +674,9 @@ class IncrementalSizeEncoding
         }
         ensure_grid(size.width, size.height);
         const auto assumptions = base_assumptions(size);
-        solver_->set_conflict_budget(conflict_budget);
-        solver_->set_time_budget_ms(-1);
-        solver_->set_run_budget(budget);
-        const auto before = solver_->stats().conflicts;
-        out.result = solver_->solve(with_guards(assumptions));
-        const auto after = solver_->stats().conflicts;
+        const auto before = solver_.stats().conflicts;
+        out.result = solver_.solve(with_guards(assumptions), limits);
+        const auto after = solver_.stats().conflicts;
         out.conflicts = after >= before ? after - before : after;
         if (out.result == sat::Result::unsatisfiable && certify_ && stats != nullptr)
         {
@@ -748,7 +684,7 @@ class IncrementalSizeEncoding
         }
         if (out.result == sat::Result::satisfiable)
         {
-            out.layout = decode_layout(network_, nodes_, edges_, place_, wire_, arc_, *solver_,
+            out.layout = decode_layout(network_, nodes_, edges_, place_, wire_, arc_, solver_,
                                        size.width, size.height);
         }
         return out;
@@ -760,8 +696,7 @@ class IncrementalSizeEncoding
     /// Requires with_groups construction. Returns std::nullopt when the
     /// verdict is not UNSAT (budget, or satisfiable).
     std::optional<std::vector<std::string>> refuting_groups(AspectRatio size,
-                                                            std::int64_t conflict_budget,
-                                                            const core::RunBudget& budget)
+                                                            const sat::SolveLimits& limits)
     {
         assert(with_groups_);
         if (structurally_unsat(size.height))
@@ -770,14 +705,11 @@ class IncrementalSizeEncoding
         }
         ensure_grid(size.width, size.height);
         const auto base = base_assumptions(size);
-        solver_->set_conflict_budget(conflict_budget);
-        solver_->set_time_budget_ms(-1);
-        solver_->set_run_budget(budget);
-        if (solver_->solve(with_guards(base)) != sat::Result::unsatisfiable)
+        if (solver_.solve(with_guards(base), limits) != sat::Result::unsatisfiable)
         {
             return std::nullopt;
         }
-        auto core = guards_in(solver_->final_conflict());
+        auto core = guards_in(solver_.final_conflict());
 
         // deletion-based minimization in a fixed drop order, so the reported
         // groups are deterministic and minimal rather than whatever noise the
@@ -786,7 +718,7 @@ class IncrementalSizeEncoding
                                                         grp_exclusivity, grp_placement};
         for (const auto g : drop_order)
         {
-            if (budget.stopped() || !core[g])
+            if (limits.run.stopped() || !core[g])
             {
                 continue;
             }
@@ -798,12 +730,10 @@ class IncrementalSizeEncoding
                     trial.push_back(group_guards_[i]);
                 }
             }
-            solver_->set_conflict_budget(conflict_budget);
-            solver_->set_run_budget(budget);
-            const auto r = solver_->solve(trial);
+            const auto r = solver_.solve(trial, limits);
             if (r == sat::Result::unsatisfiable)
             {
-                core = guards_in(solver_->final_conflict());
+                core = guards_in(solver_.final_conflict());
             }
             else if (r == sat::Result::unknown)
             {
@@ -830,8 +760,8 @@ class IncrementalSizeEncoding
   private:
     [[nodiscard]] Lit fresh_frozen_lit()
     {
-        const auto v = solver_->new_var();
-        solver_->freeze(v);
+        const auto v = solver_.new_var();
+        solver_.freeze(v);
         return sat::pos(v);
     }
 
@@ -895,26 +825,26 @@ class IncrementalSizeEncoding
                     {
                         continue;
                     }
-                    const Lit p = sat::pos(solver_->new_var());
+                    const Lit p = sat::pos(solver_.new_var());
                     place_[{v, t}] = p;
                     node_place_[v].push_back(p);
                     // bound clauses mirror the fresh per-size domain: outside
                     // the assumed size the variable is forced false. They are
                     // deliberately group-unguarded — in the fresh encoding
                     // the variable would simply not exist.
-                    solver_->add_clause(~p, ~wle_[x]);
+                    solver_.add_clause(~p, ~wle_[x]);
                     switch (network_.type_of(v))
                     {
                         case GateType::pi:
                             break;  // row 0 exists at every height
                         case GateType::po:
                             // a PO at row y exists exactly at height y+1
-                            solver_->add_clause(~p, hle_[y + 1]);
-                            solver_->add_clause(~p, ~hle_[y]);
+                            solver_.add_clause(~p, hle_[y + 1]);
+                            solver_.add_clause(~p, ~hle_[y]);
                             break;
                         default:
                             // room for the fanout cone: h >= y+1+depth
-                            solver_->add_clause(~p, ~hle_[y + depths_[v]]);
+                            solver_.add_clause(~p, ~hle_[y + depths_[v]]);
                             break;
                     }
                     if (blocked_.contains(t))
@@ -927,9 +857,9 @@ class IncrementalSizeEncoding
                     }
                     place_at_tile_[t].push_back(p);
                     node_amo_.try_emplace(v, guard_of(grp_placement))
-                        .first->second.add(*solver_, p);
+                        .first->second.add(solver_, p);
                     tile_amo_.try_emplace(t, guard_of(grp_exclusivity))
-                        .first->second.add(*solver_, p);
+                        .first->second.add(solver_, p);
                 }
             }
         }
@@ -950,11 +880,11 @@ class IncrementalSizeEncoding
                     {
                         continue;
                     }
-                    const Lit wl = sat::pos(solver_->new_var());
+                    const Lit wl = sat::pos(solver_.new_var());
                     wire_[{e, t}] = wl;
                     edge_wires_[e].emplace_back(t, wl);
-                    solver_->add_clause(~wl, ~wle_[x]);
-                    solver_->add_clause(~wl, ~hle_[y + 1 + depths_[v]]);
+                    solver_.add_clause(~wl, ~wle_[x]);
+                    solver_.add_clause(~wl, ~hle_[y + 1 + depths_[v]]);
                     if (blocked_.contains(t))
                     {
                         emit(grp_defects, {~wl});
@@ -979,19 +909,19 @@ class IncrementalSizeEncoding
                         {
                             continue;
                         }
-                        const Lit a = sat::pos(solver_->new_var());
+                        const Lit a = sat::pos(solver_.new_var());
                         arc_[{e, t, t2}] = a;
                         edge_arcs_[e].emplace_back(t, t2, a);
-                        solver_->add_clause(~a, ~wle_[std::max(t.x, t2.x)]);
-                        solver_->add_clause(~a, ~hle_[y + 1 + depths_[v]]);
+                        solver_.add_clause(~a, ~wle_[std::max(t.x, t2.x)]);
+                        solver_.add_clause(~a, ~hle_[y + 1 + depths_[v]]);
                         out_lits_[{e, t}].push_back(a);
                         in_lits_[{e, t2}].push_back(a);
                         out_amo_.try_emplace(std::pair{e, t}, guard_of(grp_routing))
-                            .first->second.add(*solver_, a);
+                            .first->second.add(solver_, a);
                         in_amo_.try_emplace(std::pair{e, t2}, guard_of(grp_routing))
-                            .first->second.add(*solver_, a);
+                            .first->second.add(solver_, a);
                         cap_amo_.try_emplace(std::pair{t, t2}, guard_of(grp_capacity))
-                            .first->second.add(*solver_, a);
+                            .first->second.add(solver_, a);
                     }
                 }
             }
@@ -1118,7 +1048,7 @@ class IncrementalSizeEncoding
         {
             clause.push_back(~group_guards_[group]);
         }
-        solver_->add_clause(std::move(clause));
+        solver_.add_clause(std::move(clause));
     }
 
     /// Adds \p clause additionally weakened by the current generation.
@@ -1140,7 +1070,7 @@ class IncrementalSizeEncoding
     /// closing empty clause must refute that formula.
     void certify(const std::vector<Lit>& assumptions, ExactPDStats& stats)
     {
-        auto cnf = sat::to_cnf(solver_->root_clauses());
+        auto cnf = sat::to_cnf(solver_.root_clauses());
         for (const auto a : assumptions)
         {
             cnf.num_vars = std::max(cnf.num_vars, a.var() + 1);
@@ -1173,7 +1103,7 @@ class IncrementalSizeEncoding
     std::array<Lit, group_names.size()> group_guards_{};
     std::set<HexCoord> blocked_;  ///< defect-blocked tiles of the maximal grid
 
-    std::unique_ptr<sat::SatBackend> solver_;
+    sat::Solver solver_;
     sat::MemoryProofTracer tracer_;
 
     unsigned grid_w_{0};
@@ -1200,14 +1130,12 @@ class IncrementalSizeEncoding
     std::map<std::pair<HexCoord, HexCoord>, sat::IncrementalAtMostOne> cap_amo_;
 };
 
-/// Walks the ladder on one persistent IncrementalSizeEncoding.
-std::optional<GateLevelLayout> run_incremental_ladder(const LogicNetwork& network,
-                                                      const ExactPDOptions& options,
-                                                      const core::RunBudget& budget,
-                                                      AspectRatioLadder& ladder,
-                                                      ExactPDStats* stats)
+/// Walks the ladder, answering each aspect ratio with \p solve_size, and
+/// keeps the budget, cancellation and per-size bookkeeping of both encoders.
+std::optional<GateLevelLayout> run_ladder(const core::RunBudget& budget, AspectRatioLadder& ladder,
+                                          ExactPDStats* stats,
+                                          const std::function<Outcome(AspectRatio)>& solve_size)
 {
-    IncrementalSizeEncoding encoding{network, options, /*with_groups=*/false};
     AspectRatio size;
     while (ladder.next(size))
     {
@@ -1233,11 +1161,10 @@ std::optional<GateLevelLayout> run_incremental_ladder(const LogicNetwork& networ
         {
             ++stats->sizes_tried;
         }
-        auto outcome = encoding.solve_size(size, options.conflicts_per_size, budget, stats);
+        auto outcome = solve_size(size);
         if (stats != nullptr)
         {
             stats->total_conflicts += outcome.conflicts;
-            stats->grid_generations = encoding.generations();
             stats->size_verdicts.push_back({size, outcome.result});
             if (outcome.result == sat::Result::unknown)
             {
@@ -1258,75 +1185,6 @@ std::optional<GateLevelLayout> run_incremental_ladder(const LogicNetwork& networ
             return std::nullopt;
         }
         if (outcome.result == sat::Result::unsatisfiable)
-        {
-            ladder.record_refuted(size);
-        }
-    }
-    return std::nullopt;
-}
-
-/// Walks the ladder with a fresh encoding and solver per size — the
-/// pre-incremental reference lane for the differential oracle.
-std::optional<GateLevelLayout> run_fresh_ladder(const LogicNetwork& network,
-                                                const ExactPDOptions& options,
-                                                const core::RunBudget& budget,
-                                                AspectRatioLadder& ladder, ExactPDStats* stats)
-{
-    AspectRatio size;
-    while (ladder.next(size))
-    {
-        if (budget.token.stop_requested())
-        {
-            if (stats != nullptr)
-            {
-                stats->cancelled = true;
-                stats->message = "cancelled";
-            }
-            return std::nullopt;
-        }
-        if (budget.deadline.remaining_ms() <= 0)
-        {
-            if (stats != nullptr)
-            {
-                stats->budget_exhausted = true;
-                stats->message = "time budget exhausted";
-            }
-            return std::nullopt;
-        }
-        if (stats != nullptr)
-        {
-            ++stats->sizes_tried;
-        }
-        SizeEncoding encoding{network, size.width, size.height, options.sat_backend,
-                              /*with_groups=*/false, &options.defects};
-        bool budget_hit = false;
-        std::uint64_t conflicts = 0;
-        sat::Result verdict = sat::Result::unknown;
-        auto layout = encoding.solve(options.conflicts_per_size, &conflicts, &budget_hit,
-                                     options.certify_unsat, stats, budget, &verdict);
-        if (stats != nullptr)
-        {
-            stats->total_conflicts += conflicts;
-            stats->size_verdicts.push_back({size, verdict});
-            if (budget_hit)
-            {
-                stats->budget_exhausted = true;
-            }
-            if (budget.token.stop_requested())
-            {
-                stats->cancelled = true;
-                stats->message = "cancelled";
-            }
-        }
-        if (layout.has_value())
-        {
-            return layout;
-        }
-        if (budget.token.stop_requested())
-        {
-            return std::nullopt;
-        }
-        if (verdict == sat::Result::unsatisfiable)
         {
             ladder.record_refuted(size);
         }
@@ -1365,9 +1223,30 @@ std::optional<GateLevelLayout> exact_physical_design(const logic::LogicNetwork& 
     const auto budget = options.run.clipped_ms(options.time_budget_ms);
     AspectRatioLadder ladder{w_min, options.max_width, h_min, options.max_height};
 
-    auto layout = options.incremental
-                      ? run_incremental_ladder(network, options, budget, ladder, stats)
-                      : run_fresh_ladder(network, options, budget, ladder, stats);
+    const sat::SolveLimits limits{options.conflicts_per_size, budget};
+
+    std::optional<GateLevelLayout> layout;
+    if (options.incremental)
+    {
+        // one persistent solver for the whole ladder (DESIGN.md §14)
+        IncrementalSizeEncoding encoding{network, options, /*with_groups=*/false};
+        layout = run_ladder(budget, ladder, stats, [&](AspectRatio size) {
+            auto outcome = encoding.solve_size(size, limits, stats);
+            if (stats != nullptr)
+            {
+                stats->grid_generations = encoding.generations();
+            }
+            return outcome;
+        });
+    }
+    else
+    {
+        // the pre-incremental reference lane: a fresh encoding per size
+        layout = run_ladder(budget, ladder, stats, [&](AspectRatio size) {
+            SizeEncoding encoding{network, size.width, size.height, options.defects};
+            return encoding.solve(limits, options.certify_unsat, stats);
+        });
+    }
     if (stats != nullptr)
     {
         stats->sizes_skipped = static_cast<unsigned>(ladder.skipped());
@@ -1390,8 +1269,7 @@ std::optional<GateLevelLayout> exact_physical_design(const logic::LogicNetwork& 
         // group-guarded encoding so the core minimization re-solves are
         // cheap incremental calls
         IncrementalSizeEncoding diagnosis{network, options, /*with_groups=*/true};
-        if (auto groups = diagnosis.refuting_groups({options.max_width, options.max_height},
-                                                    options.conflicts_per_size, budget);
+        if (auto groups = diagnosis.refuting_groups({options.max_width, options.max_height}, limits);
             groups.has_value())
         {
             stats->refuting_groups = std::move(*groups);

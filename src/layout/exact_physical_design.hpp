@@ -16,7 +16,7 @@
 #include "layout/gate_level_layout.hpp"
 #include "logic/network.hpp"
 #include "phys/defect.hpp"
-#include "sat/backend.hpp"
+#include "sat/sat_types.hpp"
 
 #include <cstdint>
 #include <optional>
@@ -63,13 +63,6 @@ struct ExactPDOptions
     /// the largest aspect ratio with per-constraint-group guard literals and
     /// extract which groups refute it (ExactPDStats::refuting_groups).
     bool diagnose_infeasibility{false};
-
-    /// Which SAT backend solves the per-size encodings. The default
-    /// (BackendKind::automatic) resolves to the preprocessing backend and can
-    /// be overridden with BESTAGON_SAT_BACKEND (see sat/backend.hpp).
-    /// External IPASIR backends cannot trace proofs, so certify_unsat
-    /// verdicts are skipped (not failed) for them.
-    sat::BackendSelection sat_backend{};
 
     /// Fabrication defects to avoid: tiles whose lattice footprint collides
     /// with a defect (see layout/defect_map.hpp) receive unit clauses

@@ -4,13 +4,12 @@
 #include "sat/encodings.hpp"
 #include "sat/proof.hpp"
 #include "sat/proof_check.hpp"
-#include "sat/backend.hpp"
+#include "sat/solver.hpp"
 
 #include <algorithm>
 #include <cassert>
 #include <charconv>
 #include <iterator>
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -22,7 +21,6 @@ namespace
 
 using sat::Lit;
 using sat::Result;
-using sat::SatBackend;
 using sat::neg;
 using sat::pos;
 
@@ -72,17 +70,13 @@ std::optional<LogicNetwork> synthesize_with_r_steps(const TruthTable& f, unsigne
     const unsigned num_patterns = 1U << n;
     const unsigned total = n + r;
 
-    // exact synthesis defaults to the plain internal solver (the per-r
-    // instances are small); BESTAGON_SAT_BACKEND can re-route it
-    const auto backend = sat::make_sat_backend({}, sat::BackendKind::internal);
-    auto& solver = *backend;
+    // the per-r instances are small: the plain solver, no preprocessing
+    sat::Solver solver;
     sat::MemoryProofTracer tracer;
-    const bool can_certify = certify_unsat && solver.supports_proof_tracing();
-    if (can_certify)
+    if (certify_unsat)
     {
         solver.set_proof_tracer(&tracer);
     }
-    solver.set_conflict_budget(conflict_budget);
 
     // selection variables s[i][(j,k)] for steps i in [n, total)
     struct Selection
@@ -196,10 +190,10 @@ std::optional<LogicNetwork> synthesize_with_r_steps(const TruthTable& f, unsigne
         }
     }
 
-    verdict = solver.solve();
+    verdict = solver.solve({}, {.conflicts = conflict_budget});
     if (verdict != Result::satisfiable)
     {
-        if (verdict == Result::unsatisfiable && can_certify && stats != nullptr)
+        if (verdict == Result::unsatisfiable && certify_unsat && stats != nullptr)
         {
             const auto check =
                 sat::check_drat_proof(sat::to_cnf(solver.root_clauses()), tracer.proof());

@@ -309,6 +309,12 @@ PatternResult simulate_gate_pattern(const GateInstanceCache& cache, std::uint64_
     // lives in one place: find_ground_state resolves Engine::automatic
     // against params.engine — Engine::exact by default
     result.ground_state = find_ground_state(system, engine, run);
+    if (result.ground_state.config.size() != system.size())
+    {
+        // a search cut before its first valid configuration has nothing to
+        // read out: the pattern stays unevaluated, like a skipped one
+        return result;
+    }
     result.evaluated = true;
 
     result.correct = true;

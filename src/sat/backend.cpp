@@ -1,12 +1,9 @@
 #include "sat/backend.hpp"
 
-#include "sat/ipasir_backend.hpp"
 #include "sat/proof.hpp"
 #include "sat/solver.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string_view>
 
 namespace bestagon::sat
 {
@@ -15,10 +12,9 @@ namespace bestagon::sat
 // PreprocessingBackend
 // ---------------------------------------------------------------------------
 
-PreprocessingBackend::PreprocessingBackend(PreprocessorOptions options, InnerFactory inner_factory)
-    : options_{options}, factory_{std::move(inner_factory)}
-{
-}
+PreprocessingBackend::PreprocessingBackend(PreprocessorOptions options) : options_{options} {}
+
+PreprocessingBackend::~PreprocessingBackend() = default;
 
 Var PreprocessingBackend::new_var()
 {
@@ -93,17 +89,7 @@ void PreprocessingBackend::set_proof_tracer(ProofTracer* tracer)
     }
 }
 
-bool PreprocessingBackend::supports_proof_tracing() const
-{
-    if (inner_ != nullptr)
-    {
-        return inner_->supports_proof_tracing();
-    }
-    // the default inner backend is the in-tree solver, which traces
-    return !factory_;
-}
-
-void PreprocessingBackend::rebuild(const std::vector<Lit>& assumptions, const core::Deadline& deadline)
+void PreprocessingBackend::rebuild(const std::vector<Lit>& assumptions, const core::RunBudget& run)
 {
     ++rebuilds_;
     prep_ = std::make_unique<Preprocessor>(options_);
@@ -127,11 +113,11 @@ void PreprocessingBackend::rebuild(const std::vector<Lit>& assumptions, const co
     }
     if (original_clauses_.size() >= options_.backend_min_clauses)
     {
-        prep_->preprocess(stop_token_, deadline);
+        prep_->preprocess(run.token, run.deadline);
     }
     prep_stats_ = prep_->stats();
 
-    inner_ = factory_ ? factory_() : std::make_unique<Solver>();
+    inner_ = std::make_unique<Solver>();
     while (inner_->num_vars() < num_vars_)
     {
         inner_->new_var();
@@ -147,16 +133,8 @@ void PreprocessingBackend::rebuild(const std::vector<Lit>& assumptions, const co
     dirty_ = false;
 }
 
-Result PreprocessingBackend::solve(const std::vector<Lit>& assumptions)
+Result PreprocessingBackend::solve(const std::vector<Lit>& assumptions, const SolveLimits& limits)
 {
-    const auto start = core::now_ms();
-    // the preprocessor and the inner solve share one budget: compose the
-    // relative time budget into a deadline for preprocessing, then hand the
-    // remaining milliseconds to the inner backend
-    const auto effective_deadline =
-        time_budget_ms_ >= 0 ? core::Deadline::sooner(deadline_, core::Deadline::in_ms(time_budget_ms_))
-                             : deadline_;
-
     bool need_rebuild = dirty_ || inner_ == nullptr;
     if (!need_rebuild && prep_ != nullptr)
     {
@@ -165,7 +143,7 @@ Result PreprocessingBackend::solve(const std::vector<Lit>& assumptions)
     }
     if (need_rebuild)
     {
-        rebuild(assumptions, effective_deadline);
+        rebuild(assumptions, limits.run);
     }
     if (formula_unsat_ || prep_->contradiction())
     {
@@ -178,21 +156,7 @@ Result PreprocessingBackend::solve(const std::vector<Lit>& assumptions)
         inner_->new_var();
     }
 
-    inner_->set_conflict_budget(conflict_budget_);
-    inner_->set_stop_token(stop_token_);
-    inner_->set_deadline(deadline_);
-    inner_->set_time_check_stride(time_check_stride_);
-    if (time_budget_ms_ >= 0)
-    {
-        const auto elapsed = core::now_ms() - start;  // preprocessing time counts
-        inner_->set_time_budget_ms(std::max<std::int64_t>(0, time_budget_ms_ - elapsed));
-    }
-    else
-    {
-        inner_->set_time_budget_ms(-1);
-    }
-
-    const auto result = inner_->solve(assumptions);
+    const auto result = inner_->solve(assumptions, limits);
     if (result == Result::satisfiable)
     {
         model_.resize(static_cast<std::size_t>(num_vars_));
@@ -232,64 +196,6 @@ std::vector<std::vector<Lit>> PreprocessingBackend::root_clauses() const
 const SolverStats& PreprocessingBackend::stats() const
 {
     return inner_ != nullptr ? inner_->stats() : no_stats_;
-}
-
-// ---------------------------------------------------------------------------
-// backend selection
-// ---------------------------------------------------------------------------
-
-BackendSelection backend_selection_from_env(BackendSelection fallback)
-{
-    // read once at backend selection, before any solver thread exists; nothing
-    // in the process calls setenv
-    // NOLINTNEXTLINE(concurrency-mt-unsafe)
-    const char* env = std::getenv("BESTAGON_SAT_BACKEND");
-    if (env == nullptr)
-    {
-        return fallback;
-    }
-    const std::string_view value{env};
-    if (value == "internal")
-    {
-        fallback.kind = BackendKind::internal;
-    }
-    else if (value == "preprocess")
-    {
-        fallback.kind = BackendKind::internal_preprocessed;
-    }
-    else if (value.starts_with("ipasir:"))
-    {
-        fallback.kind = BackendKind::ipasir;
-        fallback.ipasir_library = std::string{value.substr(7)};
-    }
-    return fallback;
-}
-
-std::unique_ptr<SatBackend> make_sat_backend(const BackendSelection& selection, BackendKind default_kind)
-{
-    BackendSelection resolved = selection;
-    if (resolved.kind == BackendKind::automatic)
-    {
-        resolved.kind = default_kind;
-        resolved = backend_selection_from_env(resolved);
-    }
-    switch (resolved.kind)
-    {
-        case BackendKind::internal_preprocessed:
-        {
-            return std::make_unique<PreprocessingBackend>(resolved.preprocess);
-        }
-        case BackendKind::ipasir:
-        {
-            return std::make_unique<IpasirBackend>(resolved.ipasir_library);
-        }
-        case BackendKind::automatic:
-        case BackendKind::internal:
-        default:
-        {
-            return std::make_unique<Solver>();
-        }
-    }
 }
 
 }  // namespace bestagon::sat

@@ -1,22 +1,17 @@
 /// \file backend.hpp
-/// \brief Pluggable SAT backends: the abstract solver interface, the
-///        preprocessing wrapper, and backend selection.
+/// \brief The abstract SAT solver interface and the preprocessing backend.
 ///
 /// Every SAT consumer in the code base (exact physical design, exact
 /// synthesis, equivalence checking, the encodings library, the differential
-/// oracles) programs against SatBackend instead of a concrete solver class.
-/// Three implementations exist:
+/// oracles) programs against SatBackend. Two implementations exist:
 ///
 ///   * sat::Solver (solver.hpp) — the in-tree CDCL solver;
-///   * sat::PreprocessingBackend (this header) — wraps any inner backend
-///     with SatELite-style preprocessing (preprocessor.hpp), reconstructing
-///     models and threading DRAT proofs through the simplification;
-///   * sat::IpasirBackend (ipasir_backend.hpp) — any IPASIR-conforming
-///     shared library loaded at runtime.
+///   * sat::PreprocessingBackend (this header) — wraps a sat::Solver with
+///     SatELite-style preprocessing (preprocessor.hpp), reconstructing
+///     models and threading DRAT proofs through the simplification.
 ///
-/// Selection is programmatic (BackendSelection) or via the environment
-/// variable BESTAGON_SAT_BACKEND ("internal", "preprocess", or
-/// "ipasir:/path/to/libsolver.so"); see make_sat_backend().
+/// Callers construct the one they need. Every solve is bounded by the
+/// SolveLimits passed to that call and by nothing else.
 
 #pragma once
 
@@ -25,19 +20,30 @@
 #include "sat/sat_types.hpp"
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 namespace bestagon::sat
 {
 
 class ProofTracer;
+class Solver;
+
+/// Bounds of ONE solve() call; nothing carries over to the next call. A
+/// solve that hits any of them returns Result::unknown.
+struct SolveLimits
+{
+    /// Conflicts the call may spend (< 0: unlimited).
+    std::int64_t conflicts{-1};
+    /// Cooperative cancellation and the absolute deadline, both polled
+    /// during the search. A relative time budget becomes a deadline through
+    /// core::RunBudget::clipped_ms().
+    core::RunBudget run{};
+};
 
 /// Abstract incremental SAT solver. Mirrors the surface the code base relies
-/// on: variables, clauses, assumption solving with unsat cores, resource
-/// budgets/cancellation, and (where supported) DRAT proof tracing.
+/// on: variables, clauses, assumption solving with unsat cores, per-call
+/// limits, and DRAT proof tracing.
 class SatBackend
 {
   public:
@@ -65,8 +71,9 @@ class SatBackend
     bool add_clause(Lit a, Lit b) { return add_clause(std::vector<Lit>{a, b}); }
     bool add_clause(Lit a, Lit b, Lit c) { return add_clause(std::vector<Lit>{a, b, c}); }
 
-    /// Solves the current formula under the given assumptions.
-    virtual Result solve(const std::vector<Lit>& assumptions) = 0;
+    /// Solves the current formula under the given assumptions, within
+    /// \p limits (unlimited by default).
+    virtual Result solve(const std::vector<Lit>& assumptions, const SolveLimits& limits = {}) = 0;
     Result solve() { return solve(std::vector<Lit>{}); }
 
     /// Model value of variable \p v after a satisfiable result.
@@ -88,41 +95,8 @@ class SatBackend
 
     [[nodiscard]] virtual const SolverStats& stats() const = 0;
 
-    // -- resource control (no-ops where a backend cannot honor them) --------
-
-    /// Limits the number of conflicts for the next solve() (< 0 disables).
-    virtual void set_conflict_budget(std::int64_t budget) = 0;
-
-    /// Wall-clock budget in milliseconds for the next solve() (< 0 disables).
-    virtual void set_time_budget_ms(std::int64_t ms) = 0;
-
-    /// Cooperative cancellation; polled alongside the budgets.
-    virtual void set_stop_token(core::StopToken token) = 0;
-
-    /// Absolute steady-clock deadline; composes with the relative budget.
-    virtual void set_deadline(core::Deadline deadline) = 0;
-
-    /// Number of budget checks between wall-clock polls (see Solver).
-    virtual void set_time_check_stride(std::int64_t stride) = 0;
-
-    /// Applies a composed RunBudget: installs its stop token and deadline in
-    /// one call. Callers layering a per-solve relative budget on top combine
-    /// it via RunBudget::clipped_ms() before passing the budget here.
-    void set_run_budget(const core::RunBudget& run)
-    {
-        set_stop_token(run.token);
-        set_deadline(run.deadline);
-    }
-
-    // -- proofs --------------------------------------------------------------
-
-    /// Whether this backend can stream a DRAT proof. Consumers must skip
-    /// certification (not fail) when a backend cannot trace.
-    [[nodiscard]] virtual bool supports_proof_tracing() const { return false; }
-
-    /// Attaches (or detaches, with nullptr) a DRAT proof tracer. No-op on
-    /// backends without proof support.
-    virtual void set_proof_tracer(ProofTracer* tracer) { static_cast<void>(tracer); }
+    /// Attaches (or detaches, with nullptr) a DRAT proof tracer.
+    virtual void set_proof_tracer(ProofTracer* tracer) = 0;
 
     /// Protects a variable from preprocessing elimination. Assumption
     /// variables passed to solve() are frozen automatically; freeze() is for
@@ -131,14 +105,15 @@ class SatBackend
     virtual void freeze(Var v) { static_cast<void>(v); }
 };
 
-/// Wraps an inner backend with CNF preprocessing. Clauses are collected
+/// Wraps a sat::Solver with CNF preprocessing. Clauses are collected
 /// verbatim (they form root_clauses(), the certification target); the first
-/// solve() runs the preprocessor with the call's assumption variables frozen,
-/// loads the simplified formula into a fresh inner backend, and deducts the
-/// preprocessing wall time from the solve's time budget. SAT models are
-/// reconstructed onto the original variables; UNSAT proofs contain the
-/// preprocessor's derivations first, so they check against the original
-/// formula end-to-end.
+/// solve() runs the preprocessor with the call's assumption variables frozen
+/// and loads the simplified formula into a fresh inner solver. Preprocessing
+/// and the inner search share the call's SolveLimits: the deadline is
+/// absolute, so the time spent preprocessing is already accounted for. SAT
+/// models are reconstructed onto the original variables; UNSAT proofs
+/// contain the preprocessor's derivations first, so they check against the
+/// original formula end-to-end.
 ///
 /// Incremental contract: growing the formula after the first solve() does
 /// NOT schedule a re-preprocess. New variables and clauses that avoid
@@ -151,16 +126,14 @@ class SatBackend
 class PreprocessingBackend final : public SatBackend
 {
   public:
-    using InnerFactory = std::function<std::unique_ptr<SatBackend>()>;
-
-    /// \p inner_factory defaults to constructing the in-tree sat::Solver.
-    explicit PreprocessingBackend(PreprocessorOptions options = {}, InnerFactory inner_factory = {});
+    explicit PreprocessingBackend(PreprocessorOptions options = {});
+    ~PreprocessingBackend() override;  // out of line: Solver is incomplete here
 
     Var new_var() override;
     [[nodiscard]] int num_vars() const override { return num_vars_; }
     bool add_clause(std::vector<Lit> lits) override;
     using SatBackend::add_clause;
-    Result solve(const std::vector<Lit>& assumptions) override;
+    Result solve(const std::vector<Lit>& assumptions, const SolveLimits& limits = {}) override;
     using SatBackend::solve;
     [[nodiscard]] bool model_value(Var v) const override;
     using SatBackend::model_value;
@@ -168,13 +141,6 @@ class PreprocessingBackend final : public SatBackend
     [[nodiscard]] std::vector<std::vector<Lit>> root_clauses() const override;
     [[nodiscard]] const SolverStats& stats() const override;
 
-    void set_conflict_budget(std::int64_t budget) override { conflict_budget_ = budget; }
-    void set_time_budget_ms(std::int64_t ms) override { time_budget_ms_ = ms; }
-    void set_stop_token(core::StopToken token) override { stop_token_ = std::move(token); }
-    void set_deadline(core::Deadline deadline) override { deadline_ = deadline; }
-    void set_time_check_stride(std::int64_t stride) override { time_check_stride_ = stride; }
-
-    [[nodiscard]] bool supports_proof_tracing() const override;
     void set_proof_tracer(ProofTracer* tracer) override;
     void freeze(Var v) override;
 
@@ -192,10 +158,9 @@ class PreprocessingBackend final : public SatBackend
     void testkit_drop_preprocessor_proof_steps(bool on) noexcept { drop_prep_proof_ = on; }
 
   private:
-    void rebuild(const std::vector<Lit>& assumptions, const core::Deadline& deadline);
+    void rebuild(const std::vector<Lit>& assumptions, const core::RunBudget& run);
 
     PreprocessorOptions options_{};
-    InnerFactory factory_{};
     std::vector<std::vector<Lit>> original_clauses_;
     std::vector<Var> user_frozen_;
     int num_vars_{0};
@@ -204,49 +169,16 @@ class PreprocessingBackend final : public SatBackend
     std::size_t rebuilds_{0};
 
     std::unique_ptr<Preprocessor> prep_;
-    std::unique_ptr<SatBackend> inner_;
+    std::unique_ptr<Solver> inner_;
     PreprocessorStats prep_stats_{};
     std::vector<LBool> model_;
     std::vector<Lit> empty_core_{};
     SolverStats no_stats_{};
 
     ProofTracer* proof_{nullptr};
-    std::int64_t conflict_budget_{-1};
-    std::int64_t time_budget_ms_{-1};
-    core::StopToken stop_token_{};
-    core::Deadline deadline_{};
-    std::int64_t time_check_stride_{256};
 
     bool skip_reconstruction_{false};
     bool drop_prep_proof_{false};
 };
-
-/// Which concrete backend to construct.
-enum class BackendKind : std::uint8_t
-{
-    automatic,              ///< environment override, else the caller's default
-    internal,               ///< the in-tree CDCL solver
-    internal_preprocessed,  ///< in-tree solver behind PreprocessingBackend
-    ipasir                  ///< external IPASIR shared library
-};
-
-struct BackendSelection
-{
-    BackendKind kind{BackendKind::automatic};
-    /// Shared-library path for BackendKind::ipasir.
-    std::string ipasir_library{};
-    /// Preprocessor tuning for BackendKind::internal_preprocessed.
-    PreprocessorOptions preprocess{};
-};
-
-/// Reads BESTAGON_SAT_BACKEND. Accepted values: "internal", "preprocess",
-/// "ipasir:<path>". Unset or unrecognized values return \p fallback.
-[[nodiscard]] BackendSelection backend_selection_from_env(BackendSelection fallback = {});
-
-/// Constructs a backend. BackendKind::automatic resolves to the environment
-/// selection if BESTAGON_SAT_BACKEND is set, else to \p default_kind.
-/// Throws std::runtime_error when an IPASIR library cannot be loaded.
-[[nodiscard]] std::unique_ptr<SatBackend> make_sat_backend(const BackendSelection& selection = {},
-                                                           BackendKind default_kind = BackendKind::internal);
 
 }  // namespace bestagon::sat

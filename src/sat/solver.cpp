@@ -9,6 +9,14 @@
 namespace bestagon::sat
 {
 
+namespace
+{
+
+/// Budget checks (≈ decisions) between two reads of the deadline's clock.
+constexpr std::int64_t time_check_stride = 256;
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // variable order heap
 // ---------------------------------------------------------------------------
@@ -677,37 +685,32 @@ std::int64_t Solver::luby(std::int64_t i)
 
 bool Solver::budget_exhausted() const
 {
-    if (stop_token_.stop_requested())
+    if (limits_.run.token.stop_requested())
     {
         return true;
     }
-    if (interrupt_ && interrupt_())
-    {
-        return true;
-    }
-    if (conflict_budget_ >= 0 &&
-        static_cast<std::int64_t>(stats_.conflicts - conflicts_at_solve_start_) >= conflict_budget_)
+    if (limits_.conflicts >= 0 &&
+        static_cast<std::int64_t>(stats_.conflicts - conflicts_at_solve_start_) >= limits_.conflicts)
     {
         return true;
     }
     // Wall-clock checks are polled on a call-count stride rather than a
     // conflict-count one: this function runs roughly once per decision, so
     // propagation-heavy stretches with few conflicts still hit the clock.
-    if (time_budget_ms_ >= 0 || !deadline_.unlimited())
+    if (!limits_.run.deadline.unlimited())
     {
         if (--time_check_countdown_ <= 0)
         {
-            if ((time_budget_ms_ >= 0 && core::now_ms() - solve_start_ms_ >= time_budget_ms_) ||
-                deadline_.expired())
+            if (limits_.run.deadline.expired())
             {
-                // keep the countdown expired: both clocks are monotone, so
+                // keep the countdown expired: the clock is monotone, so
                 // every later call re-checks and confirms the exhaustion
                 // (resetting the stride here would let the confirming call in
                 // solve() skip the clock and resume the search)
                 time_check_countdown_ = 0;
                 return true;
             }
-            time_check_countdown_ = time_check_stride_;
+            time_check_countdown_ = time_check_stride;
         }
     }
     return false;
@@ -828,7 +831,7 @@ std::vector<std::vector<Lit>> Solver::root_clauses() const
     return out;
 }
 
-Result Solver::solve(const std::vector<Lit>& assumptions)
+Result Solver::solve(const std::vector<Lit>& assumptions, const SolveLimits& limits)
 {
     // copy before clearing the core: callers may pass final_conflict()
     // itself back in to re-solve under the extracted core
@@ -839,7 +842,7 @@ Result Solver::solve(const std::vector<Lit>& assumptions)
         assumptions_.clear();
         return Result::unsatisfiable;
     }
-    solve_start_ms_ = core::now_ms();
+    limits_ = limits;
     time_check_countdown_ = 0;  // poll the clock on the first budget check
     conflicts_at_solve_start_ = stats_.conflicts;
     max_learnts_ = std::max(1000.0, static_cast<double>(num_problem_clauses_) * 0.4);

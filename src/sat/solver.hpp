@@ -12,9 +12,8 @@
 /// 32-bit references; deleted clauses are compacted away by a deterministic
 /// garbage collector once the wasted fraction crosses a threshold.
 ///
-/// The solver implements the SatBackend interface (backend.hpp) so every
-/// consumer can swap it for a preprocessing wrapper or an external IPASIR
-/// library.
+/// The solver implements the SatBackend interface (backend.hpp), which it
+/// shares with the preprocessing wrapper.
 
 #pragma once
 
@@ -24,7 +23,6 @@
 #include "sat/sat_types.hpp"
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace bestagon::sat
@@ -53,8 +51,10 @@ class Solver final : public SatBackend
     bool add_clause(std::vector<Lit> lits) override;
     using SatBackend::add_clause;
 
-    /// Solves the current formula under the given assumptions.
-    Result solve(const std::vector<Lit>& assumptions) override;
+    /// Solves the current formula under the given assumptions. Exceeding a
+    /// limit yields Result::unknown; the stop token is polled at every
+    /// decision, the deadline every few hundred decisions.
+    Result solve(const std::vector<Lit>& assumptions, const SolveLimits& limits = {}) override;
     using SatBackend::solve;
 
     /// Model value of variable \p v after a satisfiable result.
@@ -63,37 +63,6 @@ class Solver final : public SatBackend
         return model_[static_cast<std::size_t>(v)] == LBool::true_;
     }
     using SatBackend::model_value;
-
-    /// Limits the number of conflicts for the next solve() call
-    /// (< 0 disables the budget). Exceeding it yields Result::unknown.
-    void set_conflict_budget(std::int64_t budget) noexcept override { conflict_budget_ = budget; }
-
-    /// Wall-clock budget in milliseconds for the next solve() call
-    /// (< 0 disables). Exceeding it yields Result::unknown.
-    void set_time_budget_ms(std::int64_t ms) noexcept override { time_budget_ms_ = ms; }
-
-    /// Cooperative cancellation: the search polls the token alongside its
-    /// budgets and yields Result::unknown once a stop is requested. A
-    /// default-constructed token clears it.
-    void set_stop_token(core::StopToken token) noexcept override { stop_token_ = std::move(token); }
-
-    /// Absolute steady-clock deadline for solve(); composes with (is checked
-    /// in addition to) the relative time budget. An unlimited Deadline
-    /// clears it.
-    void set_deadline(core::Deadline deadline) noexcept override { deadline_ = deadline; }
-
-    /// Number of budget checks (≈ decisions) between wall-clock polls.
-    /// Smaller strides honor tight time budgets more promptly at the cost of
-    /// more clock reads; values < 1 are clamped to 1. Defaults to 256.
-    void set_time_check_stride(std::int64_t stride) noexcept override
-    {
-        time_check_stride_ = stride < 1 ? 1 : stride;
-    }
-
-    /// External interrupt hook, polled once per budget check (≈ decision).
-    /// Returning true aborts the running solve with Result::unknown. Used by
-    /// the IPASIR facade to implement ipasir_set_terminate.
-    void set_interrupt_callback(std::function<bool()> callback) { interrupt_ = std::move(callback); }
 
     [[nodiscard]] const SolverStats& stats() const noexcept override { return stats_; }
 
@@ -105,8 +74,6 @@ class Solver final : public SatBackend
     /// final empty clause are streamed to it. No tracing work happens when no
     /// tracer is attached.
     void set_proof_tracer(ProofTracer* tracer) noexcept override { proof_ = tracer; }
-
-    [[nodiscard]] bool supports_proof_tracing() const noexcept override { return true; }
 
     /// After solve() returned unsatisfiable: the subset of the assumptions
     /// that the refutation depends on (the "unsat core" over assumptions).
@@ -236,7 +203,6 @@ class Solver final : public SatBackend
     std::vector<std::vector<Lit>> root_conflict_clauses_;
 
     ProofTracer* proof_{nullptr};
-    std::function<bool()> interrupt_{};
 
     // temporaries for analyze()
     std::vector<std::uint8_t> seen_;
@@ -249,13 +215,8 @@ class Solver final : public SatBackend
     double cla_inc_{1.0};
     double cla_decay_{0.999};
     double gc_wasted_fraction_{0.25};
-    std::int64_t conflict_budget_{-1};
-    std::int64_t time_budget_ms_{-1};
-    core::StopToken stop_token_{};
-    core::Deadline deadline_{};
-    std::int64_t time_check_stride_{256};
+    SolveLimits limits_{};  ///< limits of the running solve() call
     mutable std::int64_t time_check_countdown_{0};
-    std::int64_t solve_start_ms_{0};
     std::uint64_t conflicts_at_solve_start_{0};
     double max_learnts_{0.0};
 

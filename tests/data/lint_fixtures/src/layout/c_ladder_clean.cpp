@@ -1,7 +1,7 @@
 // Fixture: clean incremental-ladder loop — the walk polls its budget at the
 // top of every iteration, so cancellation takes effect between solves (the
-// shape src/layout/exact_physical_design.cpp's run_incremental_ladder and
-// run_fresh_ladder follow). Must produce zero diagnostics.
+// shape src/layout/exact_physical_design.cpp's run_ladder follows). Must
+// produce zero diagnostics.
 namespace fixture
 {
 

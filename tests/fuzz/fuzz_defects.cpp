@@ -68,7 +68,9 @@ TEST(FuzzDefects, SqdReaderNeverThrowsOnMutatedDocuments)
     const phys::DefectRegion region{-10, 40, -10, 40};
     phys::DefectSampleParams sample_params;
     sample_params.density_per_nm2 = 0.02;
-    for (const auto& d : sample_defect_surface(region, sample_params, 7).defects())
+    // the range-for must not iterate a member of a temporary: name the sample
+    const auto sampled = sample_defect_surface(region, sample_params, 7);
+    for (const auto& d : sampled.defects())
     {
         surface.add(d);
     }

@@ -227,6 +227,27 @@ TEST(LintCancellation, PollingViaCalleeCountsAsAPoll)
     EXPECT_EQ(lint_source("src/core/x.cpp", source).active_count(), 0U);
 }
 
+TEST(LintCancellation, SolveLimitsParameterIsMonitored)
+{
+    // a SolveLimits parameter carries a run budget like a RunBudget does
+    const std::string source = R"(
+        int step(int state);
+        int drive(int n, const sat::SolveLimits& limits)
+        {
+            int acc = 0;
+            for (int i = 0; i < n; ++i)
+            {
+                for (int j = 0; j < n; ++j)
+                {
+                    acc += step(acc + j);
+                }
+            }
+            return acc;
+        }
+    )";
+    EXPECT_EQ(count_id(lint_source("src/core/x.cpp", source), CheckId::c_unpolled_loop), 1U);
+}
+
 // ---------------------------------------------------------------------------
 // A: arena-ref stability
 // ---------------------------------------------------------------------------

@@ -192,23 +192,11 @@ TEST(RunControl, SolverHonorsSmallTimeBudgetOnHardInstance)
     // as `unknown` promptly, not after the next 256-conflict block
     sat::Solver solver;
     ASSERT_TRUE(sat::load_into_solver(solver, pigeonhole(12, 11)));
-    solver.set_time_budget_ms(10);
     const auto start = std::chrono::steady_clock::now();
-    const auto result = solver.solve();
+    const auto result = solver.solve({}, {.run = RunBudget{}.clipped_ms(10)});
     const auto ms = elapsed_ms(start);
     EXPECT_EQ(result, sat::Result::unknown);
     EXPECT_LT(ms, 2000) << "a 10 ms budget took " << ms << " ms to take effect";
-}
-
-TEST(RunControl, SolverTimeCheckStrideIsConfigurable)
-{
-    sat::Solver solver;
-    ASSERT_TRUE(sat::load_into_solver(solver, pigeonhole(12, 11)));
-    solver.set_time_budget_ms(5);
-    solver.set_time_check_stride(16);  // poll the clock every 16 decisions
-    const auto start = std::chrono::steady_clock::now();
-    EXPECT_EQ(solver.solve(), sat::Result::unknown);
-    EXPECT_LT(elapsed_ms(start), 2000);
 }
 
 TEST(RunControl, SolverStopTokenPreempts)
@@ -217,9 +205,8 @@ TEST(RunControl, SolverStopTokenPreempts)
     ASSERT_TRUE(sat::load_into_solver(solver, pigeonhole(12, 11)));
     StopSource source;
     source.request_stop();
-    solver.set_stop_token(source.token());
     const auto start = std::chrono::steady_clock::now();
-    EXPECT_EQ(solver.solve(), sat::Result::unknown);
+    EXPECT_EQ(solver.solve({}, {.run = {.token = source.token()}}), sat::Result::unknown);
     EXPECT_LT(elapsed_ms(start), 2000);
 }
 
@@ -227,9 +214,8 @@ TEST(RunControl, SolverDeadlinePreempts)
 {
     sat::Solver solver;
     ASSERT_TRUE(sat::load_into_solver(solver, pigeonhole(12, 11)));
-    solver.set_deadline(Deadline::in_ms(10));
     const auto start = std::chrono::steady_clock::now();
-    EXPECT_EQ(solver.solve(), sat::Result::unknown);
+    EXPECT_EQ(solver.solve({}, {.run = {.deadline = Deadline::in_ms(10)}}), sat::Result::unknown);
     EXPECT_LT(elapsed_ms(start), 2000);
 }
 
@@ -461,6 +447,22 @@ TEST(RunControl, OperationalCheckCancellationKeepsPatternIndices)
         EXPECT_EQ(result.details[p].pattern, p) << "skipped slots keep their pattern index";
         EXPECT_FALSE(result.details[p].evaluated);
     }
+}
+
+TEST(RunControl, PatternCutBeforeAnyConfigurationStaysUnevaluated)
+{
+    // a tripped budget skips every annealing instance, so the search returns
+    // no configuration at all; the readout must not index into it
+    const auto& lib = layout::BestagonLibrary::instance();
+    const auto* wire = lib.lookup(logic::GateType::buf, layout::Port::nw, std::nullopt,
+                                  layout::Port::sw, std::nullopt);
+    ASSERT_NE(wire, nullptr);
+    const auto result = phys::simulate_gate_pattern(wire->design, 0, phys::SimulationParameters{},
+                                                    phys::Engine::simanneal, tripped_budget());
+    EXPECT_TRUE(result.ground_state.cancelled);
+    EXPECT_FALSE(result.evaluated);
+    EXPECT_FALSE(result.correct);
+    EXPECT_TRUE(result.output_states.empty());
 }
 
 TEST(RunControl, OperationalDomainCancellationKeepsCoordinates)

@@ -1,25 +1,21 @@
 /// \file test_sat_backend.cpp
-/// \brief Tests for the pluggable solver backends: environment-based
-///        selection, the preprocessing backend's budget discipline, and the
-///        IPASIR facade loading the repository's own solver as a shared
-///        library (a self-test of both sides of the C interface).
+/// \brief Tests for the SatBackend solve contract: SolveLimits bound one
+///        solve() call on both backends, and the preprocessing backend's
+///        budget discipline.
 
 #include "sat/backend.hpp"
-#include "sat/ipasir_backend.hpp"
 #include "sat/solver.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 namespace
 {
 
 using namespace bestagon;
-using sat::BackendKind;
 using sat::Lit;
 using sat::neg;
 using sat::pos;
@@ -61,178 +57,34 @@ void add_php(sat::SatBackend& solver, int pigeons, int holes)
     }
 }
 
-/// RAII guard scoping an environment variable to one test.
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char* name, const char* value) : name_{name}
-    {
-        const char* old = std::getenv(name);
-        had_old_ = old != nullptr;
-        old_ = had_old_ ? old : "";
-        if (value != nullptr)
-        {
-            ::setenv(name, value, 1);
-        }
-        else
-        {
-            ::unsetenv(name);
-        }
-    }
-    ~ScopedEnv()
-    {
-        if (had_old_)
-        {
-            ::setenv(name_.c_str(), old_.c_str(), 1);
-        }
-        else
-        {
-            ::unsetenv(name_.c_str());
-        }
-    }
-    ScopedEnv(const ScopedEnv&) = delete;
-    ScopedEnv& operator=(const ScopedEnv&) = delete;
-    ScopedEnv(ScopedEnv&&) = delete;
-    ScopedEnv& operator=(ScopedEnv&&) = delete;
-
-  private:
-    std::string name_;
-    std::string old_;
-    bool had_old_{false};
-};
-
-TEST(SatBackend, EnvSelectionParsesAllForms)
-{
-    {
-        const ScopedEnv env{"BESTAGON_SAT_BACKEND", nullptr};
-        sat::BackendSelection fallback;
-        fallback.kind = BackendKind::internal;
-        EXPECT_EQ(sat::backend_selection_from_env(fallback).kind, BackendKind::internal);
-    }
-    {
-        const ScopedEnv env{"BESTAGON_SAT_BACKEND", "internal"};
-        EXPECT_EQ(sat::backend_selection_from_env({}).kind, BackendKind::internal);
-    }
-    {
-        const ScopedEnv env{"BESTAGON_SAT_BACKEND", "preprocess"};
-        EXPECT_EQ(sat::backend_selection_from_env({}).kind, BackendKind::internal_preprocessed);
-    }
-    {
-        const ScopedEnv env{"BESTAGON_SAT_BACKEND", "ipasir:/some/lib.so"};
-        const auto selection = sat::backend_selection_from_env({});
-        EXPECT_EQ(selection.kind, BackendKind::ipasir);
-        EXPECT_EQ(selection.ipasir_library, "/some/lib.so");
-    }
-    {
-        // unknown values leave the fallback untouched
-        const ScopedEnv env{"BESTAGON_SAT_BACKEND", "bogus"};
-        sat::BackendSelection fallback;
-        fallback.kind = BackendKind::internal_preprocessed;
-        EXPECT_EQ(sat::backend_selection_from_env(fallback).kind,
-                  BackendKind::internal_preprocessed);
-    }
-}
-
-TEST(SatBackend, FactoryResolvesDefaultKind)
-{
-    const ScopedEnv env{"BESTAGON_SAT_BACKEND", nullptr};
-    // the default kind applies when the selection is automatic and no env
-    // override is present; both resulting backends must agree on a verdict
-    for (const auto kind : {BackendKind::internal, BackendKind::internal_preprocessed})
-    {
-        const auto backend = sat::make_sat_backend({}, kind);
-        const Var a = backend->new_var();
-        const Var b = backend->new_var();
-        backend->add_clause(pos(a), pos(b));
-        backend->add_clause(neg(a));
-        ASSERT_EQ(backend->solve(), sat::Result::satisfiable);
-        EXPECT_FALSE(backend->model_value(a));
-        EXPECT_TRUE(backend->model_value(b));
-    }
-}
-
 TEST(SatBackend, PreprocessingBackendHonorsTinyTimeBudget)
 {
-    // the PHP(12,11) latch workload through the NEW delegation path: the
-    // preprocessor spends part of the budget, the inner solve inherits only
-    // the remainder, and the per-decision countdown must keep polling the
-    // clock across restarts — a 10 ms budget must not turn into seconds
+    // the PHP(12,11) latch workload through the delegation path: the
+    // preprocessor and the inner solve share one absolute deadline, and the
+    // per-decision countdown must keep polling the clock across restarts —
+    // a 10 ms budget must not turn into seconds
     sat::PreprocessingBackend backend{};
     add_php(backend, 12, 11);
-    backend.set_time_budget_ms(10);
-    backend.set_time_check_stride(16);
 
     const auto start = now_ms();
-    const auto result = backend.solve();
+    const auto result = backend.solve({}, {.run = core::RunBudget{}.clipped_ms(10)});
     const auto wall = now_ms() - start;
     EXPECT_EQ(result, sat::Result::unknown);
     EXPECT_LT(wall, 2000) << "time budget latch failed through the preprocessing backend";
 }
 
-TEST(SatBackend, IpasirFacadeSelfTest)
+TEST(SatBackend, SolveLimitsApplyToOneCallOnly)
 {
-    // BESTAGON_IPASIR_LIB points at our own solver built as a shared object;
-    // loading it through the dlopen facade exercises both halves of the
-    // IPASIR surface with no external dependency
-    sat::IpasirBackend backend{BESTAGON_IPASIR_LIB};
-    EXPECT_EQ(backend.signature(), "bestagon-cdcl");
-
-    const Var a = backend.new_var();
-    const Var b = backend.new_var();
-    const Var c = backend.new_var();
-    backend.add_clause(pos(a), pos(b));
-    backend.add_clause(neg(a), pos(c));
-
-    ASSERT_EQ(backend.solve(), sat::Result::satisfiable);
-    // the model must satisfy the clauses through the DIMACS literal mapping
-    const bool va = backend.model_value(a);
-    const bool vb = backend.model_value(b);
-    const bool vc = backend.model_value(c);
-    EXPECT_TRUE(va || vb);
-    EXPECT_TRUE(!va || vc);
-
-    // assumption-based UNSAT with a failed-assumption core
-    ASSERT_EQ(backend.solve({neg(a), neg(b)}), sat::Result::unsatisfiable);
-    const auto& core = backend.final_conflict();
-    EXPECT_FALSE(core.empty());
-    for (const auto l : core)
+    // a zero conflict budget cuts the first solve; the next solve() carries
+    // no limits and must run to the (same) verdict on both backends
+    sat::Solver solver;
+    sat::PreprocessingBackend preprocessing{};
+    for (sat::SatBackend* backend : std::array<sat::SatBackend*, 2>{&solver, &preprocessing})
     {
-        EXPECT_TRUE(l == neg(a) || l == neg(b));
+        add_php(*backend, 8, 7);
+        EXPECT_EQ(backend->solve({}, {.conflicts = 0}), sat::Result::unknown);
+        EXPECT_EQ(backend->solve(), sat::Result::unsatisfiable);
     }
-
-    // the instance stays usable incrementally after an UNSAT-under-assumptions
-    ASSERT_EQ(backend.solve(), sat::Result::satisfiable);
-}
-
-TEST(SatBackend, IpasirFacadeHonorsTimeBudgetViaTerminate)
-{
-    sat::IpasirBackend backend{BESTAGON_IPASIR_LIB};
-    add_php(backend, 12, 11);
-    backend.set_time_budget_ms(10);
-
-    const auto start = now_ms();
-    const auto result = backend.solve();
-    const auto wall = now_ms() - start;
-    EXPECT_EQ(result, sat::Result::unknown);
-    EXPECT_LT(wall, 2000) << "ipasir_set_terminate did not stop the search";
-}
-
-TEST(SatBackend, MakeBackendBuildsIpasirFromSelection)
-{
-    sat::BackendSelection selection;
-    selection.kind = BackendKind::ipasir;
-    selection.ipasir_library = BESTAGON_IPASIR_LIB;
-    const auto backend = sat::make_sat_backend(selection);
-    const Var a = backend->new_var();
-    backend->add_clause(pos(a));
-    ASSERT_EQ(backend->solve(), sat::Result::satisfiable);
-    EXPECT_TRUE(backend->model_value(a));
-    EXPECT_FALSE(backend->supports_proof_tracing());
-}
-
-TEST(SatBackend, MissingIpasirLibraryThrows)
-{
-    EXPECT_THROW(sat::IpasirBackend{"/nonexistent/solver.so"}, std::runtime_error);
 }
 
 }  // namespace

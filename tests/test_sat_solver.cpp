@@ -148,8 +148,7 @@ TEST(SatSolver, ConflictBudgetYieldsUnknown)
             }
         }
     }
-    s.set_conflict_budget(10);
-    EXPECT_EQ(s.solve(), Result::unknown);
+    EXPECT_EQ(s.solve({}, {.conflicts = 10}), Result::unknown);
 }
 
 /// Property: solver agrees with brute force on random 3-SAT and returns
