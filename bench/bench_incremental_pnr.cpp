@@ -2,15 +2,16 @@
 /// \brief Incremental vs. fresh-per-size exact P&R (results:
 ///        BENCH_incremental_pnr.json).
 ///
-/// Two views on the PR's tentpole claim — that walking the aspect-ratio
-/// ladder on ONE persistent solver (sizes selected by assumptions, learned
-/// clauses carried across ratios) beats re-encoding every size from scratch:
+/// Two views on the claim that walking the aspect-ratio ladder on ONE
+/// persistent solver (sizes selected by assumptions, learned clauses carried
+/// across ratios) beats re-encoding every size from scratch. Every row also
+/// reports `conflicts`, the deterministic SAT work of one iteration:
 ///
 ///  1. BM_ExactPnrLadder{Incremental,Fresh}/<name> — one exact_physical_design
 ///     call on a single mapped benchmark; Incremental uses the persistent
-///     solver (ExactPDOptions::incremental = true, the new default), Fresh
-///     the legacy fresh-encoding-per-size lane. Mapping runs outside the
-///     timed region.
+///     solver (ExactPDOptions::incremental = true, the default), Fresh the
+///     fresh-encoding-per-size lane (a new sat::Solver per size). Mapping
+///     runs outside the timed region.
 ///  2. BM_Table1ExactPnr{Incremental,Fresh} — the whole Table-1 suite's
 ///     exact P&R in one iteration (the paper-scale wall-clock number the
 ///     ROADMAP tracks); every produced layout is consumed so the work cannot
@@ -23,6 +24,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -69,9 +71,11 @@ void exact_pnr_single(benchmark::State& state, const std::string& name, bool inc
     // in google benchmark's "+m,r" operand (the store feeding the asm is
     // dropped, so the post-loop read sees stack garbage).
     unsigned long failures = 0;
+    layout::ExactPDStats stats;
     for (auto _ : state)
     {
-        const auto result = layout::exact_physical_design(net, options);
+        stats = {};
+        const auto result = layout::exact_physical_design(net, options, &stats);
         if (!result.has_value())
         {
             ++failures;
@@ -81,6 +85,7 @@ void exact_pnr_single(benchmark::State& state, const std::string& name, bool inc
     {
         state.SkipWithError("exact engine failed to place the benchmark");
     }
+    state.counters["conflicts"] = static_cast<double>(stats.total_conflicts);
 }
 
 void BM_ExactPnrLadderIncremental(benchmark::State& state, const std::string& name)
@@ -118,19 +123,24 @@ void table1_sweep(benchmark::State& state, bool incremental)
         nets.push_back(&mapped(bm.name));
     }
     const auto options = options_for(incremental);
+    std::uint64_t conflicts = 0;
     for (auto _ : state)
     {
         unsigned placed = 0;
+        conflicts = 0;
         for (const auto* net : nets)
         {
-            const auto result = layout::exact_physical_design(*net, options);
+            layout::ExactPDStats stats;
+            const auto result = layout::exact_physical_design(*net, options, &stats);
             placed += result.has_value() ? 1 : 0;
+            conflicts += stats.total_conflicts;
         }
         if (placed != nets.size())
         {
             state.SkipWithError("a Table-1 benchmark failed to place");
         }
     }
+    state.counters["conflicts"] = static_cast<double>(conflicts);
 }
 
 void BM_Table1ExactPnrIncremental(benchmark::State& state)

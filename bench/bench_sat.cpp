@@ -1,16 +1,11 @@
 /// \file bench_sat.cpp
 /// \brief SAT engine benchmarks (results: BENCH_sat.json).
 ///
-/// Three questions, mirroring DESIGN.md section 11:
-///  1. SatRandom3Sat{Legacy,Arena,Preprocessed}/vars:n — one full solve of a
-///     seeded random 3-SAT instance near the phase transition, per engine:
-///     the frozen pre-arena solver (bench's regression baseline), the
-///     modernized arena solver, and the arena solver behind the
-///     BVE+subsumption preprocessing backend. Same instance per size across
-///     all three.
-///  2. SatPigeonhole{Legacy,Arena,Preprocessed} — PHP(8,7), the
-///     resolution-hard UNSAT workload that stresses learnt-clause reduction
-///     and (for the arena) garbage collection.
+/// Three workloads, mirroring DESIGN.md section 11:
+///  1. SatRandom3SatArena/vars:n — one full solve of a seeded random 3-SAT
+///     instance near the phase transition.
+///  2. SatPigeonholeArena — PHP(8,7), the resolution-hard UNSAT workload
+///     that stresses learnt-clause reduction and garbage collection.
 ///  3. ExactPhysicalDesignInternal — the full exact P&R flow on the mapped
 ///     mux21 benchmark at its default options: the production-shaped
 ///     instance mix (many small incremental solves on one persistent
@@ -20,9 +15,7 @@
 #include "logic/benchmarks.hpp"
 #include "logic/rewriting.hpp"
 #include "logic/tech_mapping.hpp"
-#include "sat/backend.hpp"
 #include "sat/solver.hpp"
-#include "testing/legacy_solver.hpp"
 
 #include <benchmark/benchmark.h>
 
@@ -84,8 +77,7 @@ std::vector<std::vector<sat::Lit>> php(int pigeons, int holes)
     return clauses;
 }
 
-template <typename SolverT>
-void load(SolverT& solver, int num_vars, const std::vector<std::vector<sat::Lit>>& clauses)
+void load(sat::Solver& solver, int num_vars, const std::vector<std::vector<sat::Lit>>& clauses)
 {
     for (int i = 0; i < num_vars; ++i)
     {
@@ -97,22 +89,10 @@ void load(SolverT& solver, int num_vars, const std::vector<std::vector<sat::Lit>
     }
 }
 
-void solve_legacy(benchmark::State& state, int num_vars,
-                  const std::vector<std::vector<sat::Lit>>& clauses)
-{
-    for (auto _ : state)
-    {
-        state.PauseTiming();
-        testkit::legacy::Solver solver;
-        load(solver, num_vars, clauses);
-        state.ResumeTiming();
-        benchmark::DoNotOptimize(solver.solve());
-    }
-}
-
 void solve_arena(benchmark::State& state, int num_vars,
                  const std::vector<std::vector<sat::Lit>>& clauses)
 {
+    std::uint64_t conflicts = 0;
     for (auto _ : state)
     {
         state.PauseTiming();
@@ -120,32 +100,10 @@ void solve_arena(benchmark::State& state, int num_vars,
         load(solver, num_vars, clauses);
         state.ResumeTiming();
         benchmark::DoNotOptimize(solver.solve());
+        conflicts = solver.stats().conflicts;
     }
+    state.counters["conflicts"] = static_cast<double>(conflicts);
 }
-
-void solve_preprocessed(benchmark::State& state, int num_vars,
-                        const std::vector<std::vector<sat::Lit>>& clauses)
-{
-    for (auto _ : state)
-    {
-        state.PauseTiming();
-        // force the pass even below the adaptive size threshold — this lane
-        // measures what preprocessing itself costs and saves
-        sat::PreprocessorOptions options;
-        options.backend_min_clauses = 0;
-        sat::PreprocessingBackend backend{options};
-        load(backend, num_vars, clauses);
-        state.ResumeTiming();
-        benchmark::DoNotOptimize(backend.solve());
-    }
-}
-
-void BM_SatRandom3SatLegacy(benchmark::State& state)
-{
-    const int n = static_cast<int>(state.range(0));
-    solve_legacy(state, n, random_3sat(n));
-}
-BENCHMARK(BM_SatRandom3SatLegacy)->Arg(40)->Arg(80)->Arg(120)->ArgName("vars");
 
 void BM_SatRandom3SatArena(benchmark::State& state)
 {
@@ -154,30 +112,11 @@ void BM_SatRandom3SatArena(benchmark::State& state)
 }
 BENCHMARK(BM_SatRandom3SatArena)->Arg(40)->Arg(80)->Arg(120)->ArgName("vars");
 
-void BM_SatRandom3SatPreprocessed(benchmark::State& state)
-{
-    const int n = static_cast<int>(state.range(0));
-    solve_preprocessed(state, n, random_3sat(n));
-}
-BENCHMARK(BM_SatRandom3SatPreprocessed)->Arg(40)->Arg(80)->Arg(120)->ArgName("vars");
-
-void BM_SatPigeonholeLegacy(benchmark::State& state)
-{
-    solve_legacy(state, 8 * 7, php(8, 7));
-}
-BENCHMARK(BM_SatPigeonholeLegacy)->Unit(benchmark::kMillisecond);
-
 void BM_SatPigeonholeArena(benchmark::State& state)
 {
     solve_arena(state, 8 * 7, php(8, 7));
 }
 BENCHMARK(BM_SatPigeonholeArena)->Unit(benchmark::kMillisecond);
-
-void BM_SatPigeonholePreprocessed(benchmark::State& state)
-{
-    solve_preprocessed(state, 8 * 7, php(8, 7));
-}
-BENCHMARK(BM_SatPigeonholePreprocessed)->Unit(benchmark::kMillisecond);
 
 const logic::LogicNetwork& mapped_mux21()
 {
@@ -193,13 +132,16 @@ void BM_ExactPhysicalDesignInternal(benchmark::State& state)
 {
     const auto& net = mapped_mux21();
     bool placed = false;
+    layout::ExactPDStats stats;
     for (auto _ : state)
     {
-        const auto result = layout::exact_physical_design(net);
+        stats = {};
+        const auto result = layout::exact_physical_design(net, {}, &stats);
         placed = result.has_value();
         benchmark::DoNotOptimize(result);
     }
     state.counters["placed"] = placed ? 1.0 : 0.0;
+    state.counters["conflicts"] = static_cast<double>(stats.total_conflicts);
 }
 BENCHMARK(BM_ExactPhysicalDesignInternal)->Unit(benchmark::kMillisecond);
 

@@ -16,10 +16,9 @@ namespace
 using logic::GateType;
 using logic::LogicNetwork;
 using sat::Lit;
-using sat::SatBackend;
 
 /// Tseitin-encodes a network over the given PI literals; returns PO literals.
-std::vector<Lit> encode_network(SatBackend& solver, const LogicNetwork& net, const std::vector<Lit>& pi_lits)
+std::vector<Lit> encode_network(sat::Solver& solver, const LogicNetwork& net, const std::vector<Lit>& pi_lits)
 {
     std::unordered_map<LogicNetwork::NodeId, Lit> lit_of;
     unsigned pi_index = 0;
@@ -99,7 +98,6 @@ EquivalenceResult check_equivalence(const LogicNetwork& spec, const LogicNetwork
         return EquivalenceResult::unknown;
     }
 
-    // the miter is shallow: the plain solver, no preprocessing
     sat::Solver solver;
     std::vector<Lit> pis;
     pis.reserve(spec.num_pis());

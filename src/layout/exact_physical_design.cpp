@@ -93,7 +93,7 @@ using ArcMap = std::map<std::tuple<std::size_t, HexCoord, HexCoord>, Lit>;
 GateLevelLayout decode_layout(const LogicNetwork& network, const std::vector<NodeId>& nodes,
                               const std::vector<Edge>& edges, const PlaceMap& place,
                               const WireMap& wire, const ArcMap& arc,
-                              const sat::SatBackend& solver, unsigned w, unsigned h)
+                              const sat::Solver& solver, unsigned w, unsigned h)
 {
     GateLevelLayout layout{w, h, ClockingScheme::row_columnar};
 
@@ -218,7 +218,7 @@ struct Outcome
 
 /// Encoder + decoder for one aspect ratio — the legacy fresh-per-size path,
 /// kept alive behind ExactPDOptions::incremental = false as the differential
-/// oracle's reference lane. Each size gets its own preprocessing backend.
+/// oracle's reference lane. Each size gets its own solver.
 class SizeEncoding
 {
   public:
@@ -567,7 +567,7 @@ class SizeEncoding
     std::vector<HexCoord> blocked_tiles_;  ///< defect-blocked tiles of this w x h grid
     bool trivially_unsat_{false};
 
-    sat::PreprocessingBackend solver_;
+    sat::Solver solver_;
     PlaceMap place_;
     WireMap wire_;
     ArcMap arc_;
@@ -628,19 +628,19 @@ class IncrementalSizeEncoding
         {
             for (auto& g : group_guards_)
             {
-                g = fresh_frozen_lit();
+                g = sat::pos(solver_.new_var());
             }
         }
         // symbolic size: implication chains "width <= c -> width <= c+1"
         wle_.reserve(max_w_ + 1);
         for (unsigned c = 0; c <= max_w_; ++c)
         {
-            wle_.push_back(fresh_frozen_lit());
+            wle_.push_back(sat::pos(solver_.new_var()));
         }
         hle_.reserve(max_h_ + 1);
         for (unsigned c = 0; c <= max_h_; ++c)
         {
-            hle_.push_back(fresh_frozen_lit());
+            hle_.push_back(sat::pos(solver_.new_var()));
         }
         for (unsigned c = 0; c < max_w_; ++c)
         {
@@ -758,13 +758,6 @@ class IncrementalSizeEncoding
     }
 
   private:
-    [[nodiscard]] Lit fresh_frozen_lit()
-    {
-        const auto v = solver_.new_var();
-        solver_.freeze(v);
-        return sat::pos(v);
-    }
-
     /// Union-grid row range of node \p v at grid height \p H — the fresh
     /// per-size range of the largest size, which contains every smaller
     /// size's range (out-of-size rows are cut off by the bound clauses).
@@ -932,7 +925,7 @@ class IncrementalSizeEncoding
         // grown domain must offer the new options), so each generation
         // re-emits them behind a fresh activation literal; older generations
         // stay in the formula but are never assumed again.
-        gen_.push_back(fresh_frozen_lit());
+        gen_.push_back(sat::pos(solver_.new_var()));
         for (const auto v : nodes_)
         {
             emit_gen(grp_placement, node_place_[v]);  // place v somewhere

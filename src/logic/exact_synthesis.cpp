@@ -70,7 +70,6 @@ std::optional<LogicNetwork> synthesize_with_r_steps(const TruthTable& f, unsigne
     const unsigned num_patterns = 1U << n;
     const unsigned total = n + r;
 
-    // the per-r instances are small: the plain solver, no preprocessing
     sat::Solver solver;
     sat::MemoryProofTracer tracer;
     if (certify_unsat)

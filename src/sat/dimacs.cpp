@@ -1,5 +1,7 @@
 #include "sat/dimacs.hpp"
 
+#include "sat/solver.hpp"
+
 #include <cstdlib>
 #include <istream>
 #include <limits>
@@ -153,7 +155,7 @@ void write_dimacs(std::ostream& out, const Cnf& cnf)
     }
 }
 
-bool load_into_solver(SatBackend& solver, const Cnf& cnf)
+bool load_into_solver(Solver& solver, const Cnf& cnf)
 {
     while (solver.num_vars() < cnf.num_vars)
     {

@@ -3,7 +3,7 @@
 
 #pragma once
 
-#include "sat/backend.hpp"
+#include "sat/sat_types.hpp"
 
 #include <iosfwd>
 #include <string>
@@ -11,6 +11,8 @@
 
 namespace bestagon::sat
 {
+
+class Solver;
 
 /// A CNF formula in memory: clauses of non-zero DIMACS literals.
 struct Cnf
@@ -30,9 +32,9 @@ void write_dimacs(std::ostream& out, const Cnf& cnf);
 
 /// Loads a CNF into a solver (creating variables as needed).
 /// Returns false if the formula is trivially unsatisfiable.
-bool load_into_solver(SatBackend& solver, const Cnf& cnf);
+bool load_into_solver(Solver& solver, const Cnf& cnf);
 
-/// Converts solver-level clauses (e.g. SatBackend::root_clauses()) to a Cnf for
+/// Converts solver-level clauses (e.g. Solver::root_clauses()) to a Cnf for
 /// proof checking or DIMACS export.
 [[nodiscard]] Cnf to_cnf(const std::vector<std::vector<Lit>>& clauses);
 

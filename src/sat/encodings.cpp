@@ -9,7 +9,7 @@ namespace
 {
 
 /// Emits \p clause, weakened by ~guard when a guard literal is present.
-void emit_guarded(SatBackend& solver, const std::optional<Lit>& guard, std::vector<Lit> clause)
+void emit_guarded(Solver& solver, const std::optional<Lit>& guard, std::vector<Lit> clause)
 {
     if (guard.has_value())
     {
@@ -20,7 +20,7 @@ void emit_guarded(SatBackend& solver, const std::optional<Lit>& guard, std::vect
 
 }  // namespace
 
-void add_at_most_one(SatBackend& solver, std::span<const Lit> lits, std::optional<Lit> guard)
+void add_at_most_one(Solver& solver, std::span<const Lit> lits, std::optional<Lit> guard)
 {
     const std::size_t n = lits.size();
     if (n <= 1)
@@ -54,7 +54,7 @@ void add_at_most_one(SatBackend& solver, std::span<const Lit> lits, std::optiona
     emit_guarded(solver, guard, {~lits[n - 1], ~s[n - 2]});
 }
 
-void IncrementalAtMostOne::add(SatBackend& solver, Lit lit)
+void IncrementalAtMostOne::add(Solver& solver, Lit lit)
 {
     lits_.push_back(lit);
     const std::size_t n = lits_.size();
@@ -86,12 +86,10 @@ void IncrementalAtMostOne::add(SatBackend& solver, Lit lit)
     extend_ladder(solver, n - 1);
 }
 
-void IncrementalAtMostOne::extend_ladder(SatBackend& solver, std::size_t i)
+void IncrementalAtMostOne::extend_ladder(Solver& solver, std::size_t i)
 {
-    // s_i == "one of lits_[0..i] is true"; frozen so a preprocessing backend
-    // cannot eliminate it before later adds reference it
+    // s_i == "one of lits_[0..i] is true"
     const Lit s = pos(solver.new_var());
-    solver.freeze(s.var());
     emit_guarded(solver, guard_, {~lits_[i], s});
     if (!ladder_.empty())
     {
@@ -106,14 +104,14 @@ void IncrementalAtMostOne::extend_ladder(SatBackend& solver, std::size_t i)
     ladder_.push_back(s);
 }
 
-void add_exactly_one(SatBackend& solver, std::span<const Lit> lits, std::optional<Lit> guard)
+void add_exactly_one(Solver& solver, std::span<const Lit> lits, std::optional<Lit> guard)
 {
     assert(!lits.empty());
     emit_guarded(solver, guard, std::vector<Lit>(lits.begin(), lits.end()));
     add_at_most_one(solver, lits, guard);
 }
 
-void add_at_most_k(SatBackend& solver, std::span<const Lit> lits, unsigned k)
+void add_at_most_k(Solver& solver, std::span<const Lit> lits, unsigned k)
 {
     const std::size_t n = lits.size();
     if (n <= k)
@@ -160,7 +158,7 @@ void add_at_most_k(SatBackend& solver, std::span<const Lit> lits, unsigned k)
     }
 }
 
-void add_at_least_k(SatBackend& solver, std::span<const Lit> lits, unsigned k)
+void add_at_least_k(Solver& solver, std::span<const Lit> lits, unsigned k)
 {
     if (k == 0)
     {
@@ -177,21 +175,21 @@ void add_at_least_k(SatBackend& solver, std::span<const Lit> lits, unsigned k)
     add_at_most_k(solver, negated, static_cast<unsigned>(lits.size() - k));
 }
 
-void encode_and(SatBackend& solver, Lit out, Lit a, Lit b)
+void encode_and(Solver& solver, Lit out, Lit a, Lit b)
 {
     solver.add_clause(~out, a);
     solver.add_clause(~out, b);
     solver.add_clause(out, ~a, ~b);
 }
 
-void encode_or(SatBackend& solver, Lit out, Lit a, Lit b)
+void encode_or(Solver& solver, Lit out, Lit a, Lit b)
 {
     solver.add_clause(out, ~a);
     solver.add_clause(out, ~b);
     solver.add_clause(~out, a, b);
 }
 
-void encode_xor(SatBackend& solver, Lit out, Lit a, Lit b)
+void encode_xor(Solver& solver, Lit out, Lit a, Lit b)
 {
     solver.add_clause(~out, a, b);
     solver.add_clause(~out, ~a, ~b);
@@ -199,7 +197,7 @@ void encode_xor(SatBackend& solver, Lit out, Lit a, Lit b)
     solver.add_clause(out, a, ~b);
 }
 
-void encode_maj(SatBackend& solver, Lit out, Lit a, Lit b, Lit c)
+void encode_maj(Solver& solver, Lit out, Lit a, Lit b, Lit c)
 {
     solver.add_clause(~out, a, b);
     solver.add_clause(~out, a, c);
@@ -209,34 +207,34 @@ void encode_maj(SatBackend& solver, Lit out, Lit a, Lit b, Lit c)
     solver.add_clause(out, ~b, ~c);
 }
 
-void encode_buf(SatBackend& solver, Lit out, Lit a)
+void encode_buf(Solver& solver, Lit out, Lit a)
 {
     solver.add_clause(~out, a);
     solver.add_clause(out, ~a);
 }
 
-Lit tseitin_and(SatBackend& solver, Lit a, Lit b)
+Lit tseitin_and(Solver& solver, Lit a, Lit b)
 {
     const Lit out = pos(solver.new_var());
     encode_and(solver, out, a, b);
     return out;
 }
 
-Lit tseitin_or(SatBackend& solver, Lit a, Lit b)
+Lit tseitin_or(Solver& solver, Lit a, Lit b)
 {
     const Lit out = pos(solver.new_var());
     encode_or(solver, out, a, b);
     return out;
 }
 
-Lit tseitin_xor(SatBackend& solver, Lit a, Lit b)
+Lit tseitin_xor(Solver& solver, Lit a, Lit b)
 {
     const Lit out = pos(solver.new_var());
     encode_xor(solver, out, a, b);
     return out;
 }
 
-Lit tseitin_and(SatBackend& solver, std::span<const Lit> ins)
+Lit tseitin_and(Solver& solver, std::span<const Lit> ins)
 {
     assert(!ins.empty());
     const Lit out = pos(solver.new_var());
@@ -252,7 +250,7 @@ Lit tseitin_and(SatBackend& solver, std::span<const Lit> ins)
     return out;
 }
 
-Lit tseitin_or(SatBackend& solver, std::span<const Lit> ins)
+Lit tseitin_or(Solver& solver, std::span<const Lit> ins)
 {
     assert(!ins.empty());
     const Lit out = pos(solver.new_var());

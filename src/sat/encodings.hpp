@@ -7,7 +7,7 @@
 
 #pragma once
 
-#include "sat/backend.hpp"
+#include "sat/solver.hpp"
 
 #include <optional>
 #include <span>
@@ -23,14 +23,14 @@ namespace bestagon::sat
 /// When \p guard is given, every emitted clause c becomes (~guard v c), so
 /// the constraint is only enforced while guard is assumed true. This powers
 /// unsat-core extraction over constraint groups: solve under the guards as
-/// assumptions and read SatBackend::final_conflict(). Auxiliary ladder variables
+/// assumptions and read Solver::final_conflict(). Auxiliary ladder variables
 /// stay sound — a false guard satisfies all of their defining clauses.
-void add_at_most_one(SatBackend& solver, std::span<const Lit> lits,
+void add_at_most_one(Solver& solver, std::span<const Lit> lits,
                      std::optional<Lit> guard = std::nullopt);
 
 /// Adds clauses enforcing that exactly one of \p lits is true.
 /// \p guard has the same semantics as in add_at_most_one().
-void add_exactly_one(SatBackend& solver, std::span<const Lit> lits,
+void add_exactly_one(Solver& solver, std::span<const Lit> lits,
                      std::optional<Lit> guard = std::nullopt);
 
 /// At-most-one over a set of literals that GROWS over the lifetime of one
@@ -42,8 +42,7 @@ void add_exactly_one(SatBackend& solver, std::span<const Lit> lits,
 /// Small sets use pairwise clauses; past the pairwise threshold the encoding
 /// switches to an open-ended sequential ladder WITHOUT the closing cap
 /// clause of add_at_most_one(), so each further literal costs one auxiliary
-/// variable and three clauses. Auxiliary variables are frozen — later growth
-/// references them, so a preprocessing backend must not eliminate them.
+/// variable and three clauses.
 ///
 /// \p guard has the same semantics as in add_at_most_one(): the constraint
 /// is only enforced while guard is assumed (or implied) true.
@@ -53,12 +52,12 @@ class IncrementalAtMostOne
     explicit IncrementalAtMostOne(std::optional<Lit> guard = std::nullopt) : guard_{guard} {}
 
     /// Extends the constraint to cover \p lit as well.
-    void add(SatBackend& solver, Lit lit);
+    void add(Solver& solver, Lit lit);
 
     [[nodiscard]] std::size_t size() const noexcept { return lits_.size(); }
 
   private:
-    void extend_ladder(SatBackend& solver, std::size_t i);
+    void extend_ladder(Solver& solver, std::size_t i);
 
     std::optional<Lit> guard_;
     std::vector<Lit> lits_;
@@ -67,32 +66,32 @@ class IncrementalAtMostOne
 
 /// Adds clauses enforcing that at most \p k of \p lits are true
 /// (sequential counter encoding by Sinz).
-void add_at_most_k(SatBackend& solver, std::span<const Lit> lits, unsigned k);
+void add_at_most_k(Solver& solver, std::span<const Lit> lits, unsigned k);
 
 /// Adds clauses enforcing that at least \p k of \p lits are true.
-void add_at_least_k(SatBackend& solver, std::span<const Lit> lits, unsigned k);
+void add_at_least_k(Solver& solver, std::span<const Lit> lits, unsigned k);
 
 /// Tseitin encodings. Each returns a fresh literal constrained to equal the
 /// given function of the operands.
-[[nodiscard]] Lit tseitin_and(SatBackend& solver, Lit a, Lit b);
-[[nodiscard]] Lit tseitin_or(SatBackend& solver, Lit a, Lit b);
-[[nodiscard]] Lit tseitin_xor(SatBackend& solver, Lit a, Lit b);
-[[nodiscard]] Lit tseitin_and(SatBackend& solver, std::span<const Lit> ins);
-[[nodiscard]] Lit tseitin_or(SatBackend& solver, std::span<const Lit> ins);
+[[nodiscard]] Lit tseitin_and(Solver& solver, Lit a, Lit b);
+[[nodiscard]] Lit tseitin_or(Solver& solver, Lit a, Lit b);
+[[nodiscard]] Lit tseitin_xor(Solver& solver, Lit a, Lit b);
+[[nodiscard]] Lit tseitin_and(Solver& solver, std::span<const Lit> ins);
+[[nodiscard]] Lit tseitin_or(Solver& solver, std::span<const Lit> ins);
 
 /// Adds clauses asserting out == (a AND b) without creating a variable.
-void encode_and(SatBackend& solver, Lit out, Lit a, Lit b);
+void encode_and(Solver& solver, Lit out, Lit a, Lit b);
 /// Adds clauses asserting out == (a OR b).
-void encode_or(SatBackend& solver, Lit out, Lit a, Lit b);
+void encode_or(Solver& solver, Lit out, Lit a, Lit b);
 /// Adds clauses asserting out == (a XOR b).
-void encode_xor(SatBackend& solver, Lit out, Lit a, Lit b);
+void encode_xor(Solver& solver, Lit out, Lit a, Lit b);
 /// Adds clauses asserting out == MAJ(a, b, c).
-void encode_maj(SatBackend& solver, Lit out, Lit a, Lit b, Lit c);
+void encode_maj(Solver& solver, Lit out, Lit a, Lit b, Lit c);
 /// Adds clauses asserting out == a.
-void encode_buf(SatBackend& solver, Lit out, Lit a);
+void encode_buf(Solver& solver, Lit out, Lit a);
 
 /// Adds clauses asserting that \p a implies \p b.
-inline void add_implication(SatBackend& solver, Lit a, Lit b)
+inline void add_implication(Solver& solver, Lit a, Lit b)
 {
     solver.add_clause(~a, b);
 }

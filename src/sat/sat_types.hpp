@@ -2,9 +2,10 @@
 /// \brief Core propositional types shared by every SAT component.
 ///
 /// Variables, literals, three-valued assignments, solve results and solver
-/// statistics live here so that the backend interface (backend.hpp), the
-/// concrete CDCL solver (solver.hpp), the clause arena (clause_allocator.hpp)
-/// and the preprocessor (preprocessor.hpp) can all be included independently.
+/// statistics live here so that the CDCL solver (solver.hpp), the clause
+/// arena (clause_allocator.hpp), DIMACS I/O and the proof checker can all be
+/// included independently, and so that headers which only report verdicts
+/// (e.g. layout/exact_physical_design.hpp) need not pull in the solver.
 
 #pragma once
 
@@ -56,7 +57,7 @@ enum class LBool : std::uint8_t
     return b ? LBool::true_ : LBool::false_;
 }
 
-/// Outcome of a call to SatBackend::solve().
+/// Outcome of a call to Solver::solve().
 enum class Result : std::uint8_t
 {
     satisfiable,

@@ -1,24 +1,23 @@
 /// \file solver.hpp
 /// \brief A conflict-driven clause-learning (CDCL) SAT solver.
 ///
-/// This solver is the propositional reasoning substrate for the exact
-/// physical-design engine and the SAT-based equivalence checker. It follows
-/// the classic MiniSat architecture: two-literal watching with blockers,
-/// first-UIP clause learning with recursive minimization, VSIDS branching,
-/// phase saving, Luby restarts, and LBD-aware learnt-clause reduction.
-/// Incremental solving under assumptions is supported.
+/// This solver is the one propositional reasoning engine of the code base:
+/// exact physical design, SAT-based equivalence checking, exact synthesis
+/// (tools/npn_table), the encodings library and the differential oracles all
+/// name it directly. It follows the classic MiniSat architecture:
+/// two-literal watching with blockers, first-UIP clause learning with
+/// recursive minimization, VSIDS branching, phase saving, Luby restarts, and
+/// LBD-aware learnt-clause reduction. Incremental solving under assumptions
+/// is supported, and every solve() call is bounded by the SolveLimits passed
+/// to that call and by nothing else.
 ///
 /// Clauses live in a bump-pointer arena (clause_allocator.hpp) addressed by
 /// 32-bit references; deleted clauses are compacted away by a deterministic
 /// garbage collector once the wasted fraction crosses a threshold.
-///
-/// The solver implements the SatBackend interface (backend.hpp), which it
-/// shares with the preprocessing wrapper.
 
 #pragma once
 
 #include "core/run_control.hpp"
-#include "sat/backend.hpp"
 #include "sat/clause_allocator.hpp"
 #include "sat/sat_types.hpp"
 
@@ -30,17 +29,29 @@ namespace bestagon::sat
 
 class ProofTracer;
 
+/// Bounds of ONE solve() call; nothing carries over to the next call. A
+/// solve that hits any of them returns Result::unknown.
+struct SolveLimits
+{
+    /// Conflicts the call may spend (< 0: unlimited).
+    std::int64_t conflicts{-1};
+    /// Cooperative cancellation and the absolute deadline, both polled
+    /// during the search. A relative time budget becomes a deadline through
+    /// core::RunBudget::clipped_ms().
+    core::RunBudget run{};
+};
+
 /// CDCL SAT solver with incremental assumption-based solving.
-class Solver final : public SatBackend
+class Solver
 {
   public:
     Solver();
 
     /// Creates a fresh variable and returns it.
-    Var new_var() override;
+    Var new_var();
 
     /// Number of variables created so far.
-    [[nodiscard]] int num_vars() const noexcept override { return static_cast<int>(assigns_.size()); }
+    [[nodiscard]] int num_vars() const noexcept { return static_cast<int>(assigns_.size()); }
 
     /// Number of problem (non-learnt) clauses currently held.
     [[nodiscard]] std::size_t num_clauses() const noexcept { return num_problem_clauses_; }
@@ -48,23 +59,27 @@ class Solver final : public SatBackend
     /// Adds a clause (disjunction of literals). Returns false if the clause
     /// makes the instance trivially unsatisfiable (e.g. empty after
     /// simplification against top-level assignments).
-    bool add_clause(std::vector<Lit> lits) override;
-    using SatBackend::add_clause;
+    bool add_clause(std::vector<Lit> lits);
+    bool add_clause(Lit a) { return add_clause(std::vector<Lit>{a}); }
+    bool add_clause(Lit a, Lit b) { return add_clause(std::vector<Lit>{a, b}); }
+    bool add_clause(Lit a, Lit b, Lit c) { return add_clause(std::vector<Lit>{a, b, c}); }
 
     /// Solves the current formula under the given assumptions. Exceeding a
     /// limit yields Result::unknown; the stop token is polled at every
     /// decision, the deadline every few hundred decisions.
-    Result solve(const std::vector<Lit>& assumptions, const SolveLimits& limits = {}) override;
-    using SatBackend::solve;
+    Result solve(const std::vector<Lit>& assumptions, const SolveLimits& limits = {});
+    Result solve() { return solve(std::vector<Lit>{}); }
 
     /// Model value of variable \p v after a satisfiable result.
-    [[nodiscard]] bool model_value(Var v) const override
+    [[nodiscard]] bool model_value(Var v) const
     {
         return model_[static_cast<std::size_t>(v)] == LBool::true_;
     }
-    using SatBackend::model_value;
 
-    [[nodiscard]] const SolverStats& stats() const noexcept override { return stats_; }
+    /// Model value of a literal after a satisfiable result.
+    [[nodiscard]] bool model_value(Lit l) const { return model_value(l.var()) != l.sign(); }
+
+    [[nodiscard]] const SolverStats& stats() const noexcept { return stats_; }
 
     /// True once the formula was proven unsatisfiable without assumptions.
     [[nodiscard]] bool in_conflicting_state() const noexcept { return !ok_; }
@@ -73,13 +88,13 @@ class Solver final : public SatBackend
     /// clause, every database deletion and — on an assumption-free UNSAT — the
     /// final empty clause are streamed to it. No tracing work happens when no
     /// tracer is attached.
-    void set_proof_tracer(ProofTracer* tracer) noexcept override { proof_ = tracer; }
+    void set_proof_tracer(ProofTracer* tracer) noexcept { proof_ = tracer; }
 
     /// After solve() returned unsatisfiable: the subset of the assumptions
     /// that the refutation depends on (the "unsat core" over assumptions).
     /// Empty when the formula itself is unsatisfiable regardless of the
     /// assumptions.
-    [[nodiscard]] const std::vector<Lit>& final_conflict() const noexcept override { return conflict_core_; }
+    [[nodiscard]] const std::vector<Lit>& final_conflict() const noexcept { return conflict_core_; }
 
     /// Snapshot of the root-level formula as the solver holds it: stored
     /// problem clauses, top-level units from clause simplification, and any
@@ -87,7 +102,7 @@ class Solver final : public SatBackend
     /// clause is a logical consequence of the clauses passed to add_clause(),
     /// so a DRAT refutation checked against this snapshot certifies the
     /// original formula unsatisfiable. Intended for proof certification.
-    [[nodiscard]] std::vector<std::vector<Lit>> root_clauses() const override;
+    [[nodiscard]] std::vector<std::vector<Lit>> root_clauses() const;
 
     /// Compacts the clause arena, dropping deleted clauses and stale
     /// watchers. Clause contents, metadata and all list orders are

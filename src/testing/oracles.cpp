@@ -12,11 +12,9 @@
 #include "phys/exhaustive.hpp"
 #include "phys/ground_state_exact.hpp"
 #include "phys/quicksim.hpp"
-#include "sat/backend.hpp"
 #include "sat/proof.hpp"
 #include "sat/proof_check.hpp"
 #include "sat/solver.hpp"
-#include "testing/legacy_solver.hpp"
 #include "testing/random.hpp"
 
 #include <chrono>
@@ -94,122 +92,6 @@ bool has_constant_nodes(const logic::LogicNetwork& network)
     return false;
 }
 
-/// Loads \p cnf into the frozen pre-arena solver.
-bool load_into_legacy(legacy::Solver& solver, const sat::Cnf& cnf)
-{
-    while (solver.num_vars() < cnf.num_vars)
-    {
-        static_cast<void>(solver.new_var());
-    }
-    for (const auto& clause : cnf.clauses)
-    {
-        std::vector<sat::Lit> lits;
-        lits.reserve(clause.size());
-        for (const auto l : clause)
-        {
-            const sat::Var v = std::abs(l) - 1;
-            while (solver.num_vars() <= v)
-            {
-                static_cast<void>(solver.new_var());
-            }
-            lits.push_back(sat::Lit{v, l < 0});
-        }
-        if (!solver.add_clause(std::move(lits)))
-        {
-            return false;
-        }
-    }
-    return true;
-}
-
-/// The legacy reference lane: verdict must match the modernized solver's.
-OracleVerdict check_legacy_lane(const sat::Cnf& cnf, sat::Result reference)
-{
-    legacy::Solver solver;
-    const bool trivially_unsat = !load_into_legacy(solver, cnf);
-    const auto result = trivially_unsat ? sat::Result::unsatisfiable : solver.solve();
-    if (result == sat::Result::unknown)
-    {
-        return fail("legacy solver returned unknown without a budget being set");
-    }
-    if (result != reference)
-    {
-        std::ostringstream out;
-        out << "legacy solver verdict diverges from the arena solver: "
-            << (result == sat::Result::satisfiable ? "SAT" : "UNSAT") << " vs "
-            << (reference == sat::Result::satisfiable ? "SAT" : "UNSAT") << " (" << cnf.num_vars
-            << " vars, " << cnf.clauses.size() << " clauses)";
-        return fail(out.str());
-    }
-    return {};
-}
-
-/// The preprocessing lane: identical verdict, reconstructed models checked
-/// against the ORIGINAL clauses, UNSAT DRAT-certified through preprocessing.
-OracleVerdict check_preprocessing_lane(const sat::Cnf& cnf, sat::Result reference, SatFault fault,
-                                       SatOracleStats& s)
-{
-    sat::PreprocessorOptions prep_options;
-    prep_options.backend_min_clauses = 0;  // fuzz instances are tiny: always preprocess
-    sat::PreprocessingBackend backend{prep_options};
-    sat::MemoryProofTracer tracer;
-    backend.set_proof_tracer(&tracer);
-    backend.testkit_skip_model_reconstruction(fault == SatFault::skip_model_reconstruction);
-    backend.testkit_drop_preprocessor_proof_steps(fault == SatFault::drop_eliminated_clause_proof);
-
-    const bool trivially_unsat = !sat::load_into_solver(backend, cnf);
-    const auto result = trivially_unsat ? sat::Result::unsatisfiable : backend.solve();
-    if (result == sat::Result::unknown)
-    {
-        return fail("preprocessing backend returned unknown without a budget being set");
-    }
-    if (result != reference)
-    {
-        std::ostringstream out;
-        out << "preprocessing backend verdict diverges from the arena solver: "
-            << (result == sat::Result::satisfiable ? "SAT" : "UNSAT") << " vs "
-            << (reference == sat::Result::satisfiable ? "SAT" : "UNSAT") << " (" << cnf.num_vars
-            << " vars, " << cnf.clauses.size() << " clauses)";
-        return fail(out.str());
-    }
-    s.vars_eliminated = backend.preprocessor_stats().vars_eliminated;
-
-    if (result == sat::Result::satisfiable)
-    {
-        // the reconstructed model must satisfy every ORIGINAL clause — this
-        // is exactly the check that catches a missing reconstruction stack
-        std::uint64_t assignment = 0;
-        for (int v = 0; v < cnf.num_vars; ++v)
-        {
-            if (v < backend.num_vars() && backend.model_value(static_cast<sat::Var>(v)))
-            {
-                assignment |= 1ULL << static_cast<unsigned>(v);
-            }
-        }
-        for (std::size_t c = 0; c < cnf.clauses.size(); ++c)
-        {
-            if (!clause_satisfied(cnf.clauses[c], assignment))
-            {
-                std::ostringstream out;
-                out << "preprocessed SAT model violates clause " << c << " of "
-                    << cnf.clauses.size() << " (" << cnf.num_vars << " vars)";
-                return fail(out.str());
-            }
-        }
-        return {};
-    }
-
-    // UNSAT through preprocessing must stay certifiable against the original
-    // formula: the proof stream carries the preprocessor's derivations
-    const auto check = sat::check_drat_proof(sat::to_cnf(backend.root_clauses()), tracer.proof());
-    if (!check.valid)
-    {
-        return fail("preprocessed UNSAT answer failed DRAT certification: " + check.error);
-    }
-    s.preprocessed_proof_checked = true;
-    return {};
-}
-
 }  // namespace
 
 OracleVerdict sat_differential(const sat::Cnf& cnf, unsigned max_bruteforce_vars, SatFault fault,
@@ -226,16 +108,6 @@ OracleVerdict sat_differential(const sat::Cnf& cnf, unsigned max_bruteforce_vars
     if (real_result == sat::Result::unknown)
     {
         return fail("CDCL solver returned unknown without a budget being set");
-    }
-
-    // race the other lanes against the arena solver's verdict
-    if (auto lane = check_legacy_lane(cnf, real_result); !lane.ok)
-    {
-        return lane;
-    }
-    if (auto lane = check_preprocessing_lane(cnf, real_result, fault, s); !lane.ok)
-    {
-        return lane;
     }
 
     if (real_result == sat::Result::unsatisfiable)

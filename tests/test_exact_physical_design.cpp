@@ -3,12 +3,16 @@
 #include "layout/apply_gate_library.hpp"
 #include "layout/defect_map.hpp"
 #include "layout/design_rules.hpp"
+#include "layout/equivalence_checking.hpp"
 #include "logic/benchmarks.hpp"
 #include "logic/rewriting.hpp"
 #include "logic/tech_mapping.hpp"
 #include "phys/defect.hpp"
 
 #include <gtest/gtest.h>
+
+#include <sstream>
+#include <string>
 
 namespace
 {
@@ -317,6 +321,74 @@ TEST(ExactPD, PlacesAllNodesExactlyOnce)
         ++expected;
     }
     EXPECT_EQ(placed, expected);
+}
+
+// --- work counters ------------------------------------------------------------
+
+/// The ladder as "WxH:S" / "WxH:U" tokens in exploration order.
+std::string verdict_trace(const ExactPDStats& stats)
+{
+    std::ostringstream out;
+    for (const auto& v : stats.size_verdicts)
+    {
+        out << (out.tellp() > 0 ? " " : "") << v.size.width << 'x' << v.size.height << ':'
+            << (v.result == sat::Result::satisfiable     ? 'S'
+                : v.result == sat::Result::unsatisfiable ? 'U'
+                                                         : '?');
+    }
+    return out.str();
+}
+
+/// Runs the production (incremental) ladder on a Table-1 benchmark and pins
+/// its deterministic work: total conflicts, the per-size verdicts and the
+/// union-grid growths. A moved count means a clause or a decision of the
+/// P&R search changed. The fresh lane is not pinned: it is the oracle's
+/// reference, not the production search.
+void expect_pinned_ladder(const std::string& name, std::uint64_t conflicts,
+                          const std::string& verdicts, unsigned generations)
+{
+    ExactPDStats stats;
+    const auto layout = exact_physical_design(mapped_benchmark(name), {}, &stats);
+    ASSERT_TRUE(layout.has_value()) << name;
+    EXPECT_EQ(stats.total_conflicts, conflicts) << name;
+    EXPECT_EQ(verdict_trace(stats), verdicts) << name;
+    EXPECT_EQ(stats.grid_generations, generations) << name;
+}
+
+TEST(WorkCounters, ExactPnrLadderOnMux21)
+{
+    expect_pinned_ladder("mux21", 1, "3x6:S", 1);
+}
+
+TEST(WorkCounters, ExactPnrLadderOnParCheck)
+{
+    expect_pinned_ladder("par_check", 30, "4x4:U 5x4:U 4x5:S", 3);
+}
+
+TEST(WorkCounters, ExactPnrLadderOnC17)
+{
+    expect_pinned_ladder("c17", 6, "5x8:S", 1);
+}
+
+TEST(WorkCounters, ExactPnrLadderOnCm82a5)
+{
+    expect_pinned_ladder("cm82a_5", 211, "5x12:U 5x13:U 5x14:S", 3);
+}
+
+TEST(WorkCounters, ExactPnrLadderOnMajority5R1)
+{
+    expect_pinned_ladder("majority_5_r1", 558, "5x11:U 5x12:U 5x13:S", 3);
+}
+
+TEST(WorkCounters, ExactPnrEquivalenceCheckOnC17)
+{
+    // the flow's step 5: the c17 layout mitered against its mapped network
+    const auto mapped = mapped_benchmark("c17");
+    const auto layout = exact_physical_design(mapped);
+    ASSERT_TRUE(layout.has_value());
+    EquivalenceStats stats;
+    EXPECT_EQ(check_layout_equivalence(mapped, *layout, &stats), EquivalenceResult::equivalent);
+    EXPECT_EQ(stats.conflicts, 12U);
 }
 
 }  // namespace

@@ -64,40 +64,43 @@ TEST(SatSolver, DuplicateLiteralsDeduplicated)
     EXPECT_TRUE(s.model_value(y));
 }
 
+/// Pigeonhole principle PHP(pigeons, holes): UNSAT when pigeons > holes and
+/// exponentially hard for resolution — the standard budget workload.
+void add_php(Solver& s, int pigeons, int holes)
+{
+    const auto var = [&](int p, int h) { return Var{p * holes + h}; };
+    while (s.num_vars() < pigeons * holes)
+    {
+        s.new_var();
+    }
+    for (int p = 0; p < pigeons; ++p)
+    {
+        std::vector<Lit> somewhere;
+        for (int h = 0; h < holes; ++h)
+        {
+            somewhere.push_back(pos(var(p, h)));
+        }
+        s.add_clause(std::move(somewhere));
+    }
+    for (int h = 0; h < holes; ++h)
+    {
+        for (int p = 0; p < pigeons; ++p)
+        {
+            for (int q = p + 1; q < pigeons; ++q)
+            {
+                s.add_clause(neg(var(p, h)), neg(var(q, h)));
+            }
+        }
+    }
+}
+
 TEST(SatSolver, PigeonholePrinciple)
 {
     // n+1 pigeons into n holes is unsatisfiable
     for (int n = 2; n <= 5; ++n)
     {
         Solver s;
-        std::vector<std::vector<Var>> x(static_cast<std::size_t>(n + 1));
-        for (auto& row : x)
-        {
-            for (int h = 0; h < n; ++h)
-            {
-                row.push_back(s.new_var());
-            }
-        }
-        for (const auto& row : x)
-        {
-            std::vector<Lit> clause;
-            for (const auto v : row)
-            {
-                clause.push_back(pos(v));
-            }
-            s.add_clause(clause);
-        }
-        for (int h = 0; h < n; ++h)
-        {
-            for (std::size_t p1 = 0; p1 < x.size(); ++p1)
-            {
-                for (std::size_t p2 = p1 + 1; p2 < x.size(); ++p2)
-                {
-                    s.add_clause(neg(x[p1][static_cast<std::size_t>(h)]),
-                                 neg(x[p2][static_cast<std::size_t>(h)]));
-                }
-            }
-        }
+        add_php(s, n + 1, n);
         EXPECT_EQ(s.solve(), Result::unsatisfiable) << "PHP(" << n + 1 << "," << n << ")";
     }
 }
@@ -119,36 +122,18 @@ TEST(SatSolver, ConflictBudgetYieldsUnknown)
 {
     // a hard instance with a tiny budget must return unknown, not hang
     Solver s;
-    const int n = 8;
-    std::vector<std::vector<Var>> x(static_cast<std::size_t>(n + 1));
-    for (auto& row : x)
-    {
-        for (int h = 0; h < n; ++h)
-        {
-            row.push_back(s.new_var());
-        }
-    }
-    for (const auto& row : x)
-    {
-        std::vector<Lit> clause;
-        for (const auto v : row)
-        {
-            clause.push_back(pos(v));
-        }
-        s.add_clause(clause);
-    }
-    for (int h = 0; h < n; ++h)
-    {
-        for (std::size_t p1 = 0; p1 < x.size(); ++p1)
-        {
-            for (std::size_t p2 = p1 + 1; p2 < x.size(); ++p2)
-            {
-                s.add_clause(neg(x[p1][static_cast<std::size_t>(h)]),
-                             neg(x[p2][static_cast<std::size_t>(h)]));
-            }
-        }
-    }
+    add_php(s, 9, 8);
     EXPECT_EQ(s.solve({}, {.conflicts = 10}), Result::unknown);
+}
+
+TEST(SatSolver, SolveLimitsApplyToOneCallOnly)
+{
+    // a zero conflict budget cuts the first solve; the next solve() carries
+    // no limits and must run to the verdict
+    Solver s;
+    add_php(s, 8, 7);
+    EXPECT_EQ(s.solve({}, {.conflicts = 0}), Result::unknown);
+    EXPECT_EQ(s.solve(), Result::unsatisfiable);
 }
 
 /// Property: solver agrees with brute force on random 3-SAT and returns
