@@ -38,26 +38,9 @@ struct ExactPDOptions
     /// time_budget_ms. Default: unlimited.
     core::RunBudget run{};
 
-    /// Walk the aspect-ratio ladder on ONE persistent solver: the encoding
-    /// grows monotonically (new tiles => new variables and clauses, never
-    /// retraction) and each size is a solve(assumptions) call, so learned
-    /// clauses and search heuristics carry across ratios (DESIGN.md §14).
-    /// Off = the legacy fresh-encoding-per-size path, kept alive as the
-    /// differential oracle's reference lane.
-    bool incremental{true};
-
     /// Emit a DRAT proof for every aspect ratio the solver refutes and check
     /// it with the independent proof checker; results land in ExactPDStats.
-    /// In incremental mode each rejected ratio is certified UNSAT under its
-    /// size assumptions (assumption unit clauses + the cumulative proof).
     bool certify_unsat{false};
-
-    /// Test-only fault injection: solve every size under the FIRST grid
-    /// generation's activation literal (the selector never advances), leaving
-    /// all newer completeness clauses unasserted. The incremental-vs-fresh
-    /// differential oracle must catch the resulting spurious verdicts (see
-    /// testing/oracles.hpp).
-    bool testkit_leak_stale_activation{false};
 
     /// On a declined instance (no layout, budget NOT exhausted), re-encode
     /// the largest aspect ratio with per-constraint-group guard literals and
@@ -78,6 +61,7 @@ struct SizeVerdict
 {
     AspectRatio size{};
     sat::Result result{sat::Result::unknown};
+    std::uint64_t conflicts{0};  ///< conflicts the size's solve spent
 };
 
 struct ExactPDStats
@@ -89,8 +73,8 @@ struct ExactPDStats
     bool cancelled{false};  ///< the run's StopToken requested a stop
     std::string message;
 
-    /// Number of grid growths of the persistent incremental encoding (0 on
-    /// the fresh-per-size path).
+    /// Always 0: every aspect ratio is encoded afresh, so no encoding grid
+    /// ever grows. Kept because stats consumers (bench/flow) still report it.
     unsigned grid_generations{0};
 
     /// SAT/UNSAT/unknown per explored aspect ratio, in exploration order.

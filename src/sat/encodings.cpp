@@ -54,56 +54,6 @@ void add_at_most_one(Solver& solver, std::span<const Lit> lits, std::optional<Li
     emit_guarded(solver, guard, {~lits[n - 1], ~s[n - 2]});
 }
 
-void IncrementalAtMostOne::add(Solver& solver, Lit lit)
-{
-    lits_.push_back(lit);
-    const std::size_t n = lits_.size();
-    if (n == 1)
-    {
-        return;
-    }
-    if (ladder_.empty() && n <= 6)
-    {
-        for (std::size_t i = 0; i + 1 < n; ++i)
-        {
-            emit_guarded(solver, guard_, {~lits_[i], ~lit});
-        }
-        return;
-    }
-    if (ladder_.empty())
-    {
-        // First growth past the pairwise threshold: lay the ladder under all
-        // existing elements. The pairwise clauses already emitted stay as
-        // (redundant but sound) strengthening.
-        for (std::size_t i = 0; i + 1 < n; ++i)
-        {
-            extend_ladder(solver, i);
-        }
-    }
-    // ladder_.back() covers lits_[0..n-2]; extend_ladder forbids lit
-    // alongside any of them and keeps the ladder open for further growth —
-    // no closing cap clause is ever emitted.
-    extend_ladder(solver, n - 1);
-}
-
-void IncrementalAtMostOne::extend_ladder(Solver& solver, std::size_t i)
-{
-    // s_i == "one of lits_[0..i] is true"
-    const Lit s = pos(solver.new_var());
-    emit_guarded(solver, guard_, {~lits_[i], s});
-    if (!ladder_.empty())
-    {
-        emit_guarded(solver, guard_, {~ladder_.back(), s});
-        if (i + 1 >= lits_.size())
-        {
-            // conflict clause for the freshly appended element (for i below
-            // the pairwise threshold it was already emitted pairwise)
-            emit_guarded(solver, guard_, {~lits_[i], ~ladder_.back()});
-        }
-    }
-    ladder_.push_back(s);
-}
-
 void add_exactly_one(Solver& solver, std::span<const Lit> lits, std::optional<Lit> guard)
 {
     assert(!lits.empty());

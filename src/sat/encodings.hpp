@@ -33,37 +33,6 @@ void add_at_most_one(Solver& solver, std::span<const Lit> lits,
 void add_exactly_one(Solver& solver, std::span<const Lit> lits,
                      std::optional<Lit> guard = std::nullopt);
 
-/// At-most-one over a set of literals that GROWS over the lifetime of one
-/// persistent solver. add() only ever emits new clauses (never retraction),
-/// so the constraint composes with incremental solving: formulas extended
-/// through an IncrementalAtMostOne stay monotone and learned clauses remain
-/// sound across solve() calls.
-///
-/// Small sets use pairwise clauses; past the pairwise threshold the encoding
-/// switches to an open-ended sequential ladder WITHOUT the closing cap
-/// clause of add_at_most_one(), so each further literal costs one auxiliary
-/// variable and three clauses.
-///
-/// \p guard has the same semantics as in add_at_most_one(): the constraint
-/// is only enforced while guard is assumed (or implied) true.
-class IncrementalAtMostOne
-{
-  public:
-    explicit IncrementalAtMostOne(std::optional<Lit> guard = std::nullopt) : guard_{guard} {}
-
-    /// Extends the constraint to cover \p lit as well.
-    void add(Solver& solver, Lit lit);
-
-    [[nodiscard]] std::size_t size() const noexcept { return lits_.size(); }
-
-  private:
-    void extend_ladder(Solver& solver, std::size_t i);
-
-    std::optional<Lit> guard_;
-    std::vector<Lit> lits_;
-    std::vector<Lit> ladder_;  ///< s_i == "one of lits_[0..i] is true"; empty in pairwise mode
-};
-
 /// Adds clauses enforcing that at most \p k of \p lits are true
 /// (sequential counter encoding by Sinz).
 void add_at_most_k(Solver& solver, std::span<const Lit> lits, unsigned k);

@@ -1,6 +1,7 @@
 #include "testing/oracles.hpp"
 
 #include "core/thread_pool.hpp"
+#include "layout/design_rules.hpp"
 #include "layout/equivalence_checking.hpp"
 #include "layout/scalable_physical_design.hpp"
 #include "logic/exact_synthesis.hpp"
@@ -17,6 +18,7 @@
 #include "sat/solver.hpp"
 #include "testing/random.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -1012,10 +1014,26 @@ OracleVerdict physical_design_differential(const logic::LogicNetwork& spec,
             << " exact-engine UNSAT verdicts failed DRAT certification";
         return fail(out.str());
     }
+    const auto refuted = std::count_if(
+        pd_stats.size_verdicts.begin(), pd_stats.size_verdicts.end(),
+        [](const layout::SizeVerdict& v) { return v.result == sat::Result::unsatisfiable; });
+    if (s.proofs_checked < static_cast<unsigned>(refuted))
+    {
+        std::ostringstream out;
+        out << "exact engine refuted " << refuted << " size(s) but certified only "
+            << s.proofs_checked;
+        return fail(out.str());
+    }
     if (exact.has_value())
     {
         s.exact_ran = true;
         s.exact_area = exact->area();
+        // design rules first: extraction assumes a well-formed layout
+        if (const auto drc = layout::check_design_rules(*exact); !drc.clean())
+        {
+            return fail("exact layout violates the design rules: " +
+                        drc.violations.front().message);
+        }
         if (layout::check_equivalence(miter_spec, exact->extract_network(mapped)) !=
             layout::EquivalenceResult::equivalent)
         {
@@ -1032,147 +1050,6 @@ OracleVerdict physical_design_differential(const logic::LogicNetwork& spec,
                 << " — ascending-area enumeration is broken";
             return fail(out.str());
         }
-    }
-    return {};
-}
-
-OracleVerdict incremental_pnr_differential(const logic::LogicNetwork& spec,
-                                           const layout::ExactPDOptions& options,
-                                           IncrementalPnrStats* stats, IncrementalPnrFault fault)
-{
-    const auto mapped = logic::map_to_bestagon(spec);
-    std::string why;
-    if (!mapped.is_bestagon_compliant(&why))
-    {
-        return fail("mapped network is not Bestagon-compliant: " + why);
-    }
-    if (has_constant_nodes(mapped))
-    {
-        return {};  // degenerate specification: nothing to place
-    }
-
-    IncrementalPnrStats local;
-    IncrementalPnrStats& s = stats != nullptr ? *stats : local;
-
-    auto inc_options = options;
-    inc_options.incremental = true;
-    inc_options.certify_unsat = true;
-    inc_options.testkit_leak_stale_activation = fault == IncrementalPnrFault::leak_stale_activation;
-    layout::ExactPDStats inc_stats;
-    const auto inc = layout::exact_physical_design(mapped, inc_options, &inc_stats);
-
-    auto fresh_options = options;
-    fresh_options.incremental = false;
-    fresh_options.certify_unsat = true;
-    fresh_options.testkit_leak_stale_activation = false;
-    layout::ExactPDStats fresh_stats;
-    const auto fresh = layout::exact_physical_design(mapped, fresh_options, &fresh_stats);
-
-    s.grid_generations = inc_stats.grid_generations;
-    s.proofs_checked = inc_stats.proofs_checked + fresh_stats.proofs_checked;
-    s.budget_diverged = inc_stats.budget_exhausted || fresh_stats.budget_exhausted ||
-                        inc_stats.cancelled || fresh_stats.cancelled;
-
-    std::ostringstream out;
-
-    // 3. proof continuity: a failed certificate is a bug in either lane
-    if (inc_stats.proof_failures > 0)
-    {
-        out << inc_stats.proof_failures << " incremental-lane UNSAT size(s) failed DRAT "
-            << "certification under their size assumptions";
-        return fail(out.str());
-    }
-    if (fresh_stats.proof_failures > 0)
-    {
-        out << fresh_stats.proof_failures << " fresh-lane UNSAT size(s) failed DRAT certification";
-        return fail(out.str());
-    }
-    // every refuted ratio must actually have produced a checked certificate
-    const auto count_unsat = [](const layout::ExactPDStats& st) {
-        unsigned n = 0;
-        for (const auto& v : st.size_verdicts)
-        {
-            n += v.result == sat::Result::unsatisfiable ? 1U : 0U;
-        }
-        return n;
-    };
-    if (inc_stats.proofs_checked < count_unsat(inc_stats))
-    {
-        out << "incremental lane refuted " << count_unsat(inc_stats) << " size(s) but certified "
-            << "only " << inc_stats.proofs_checked;
-        return fail(out.str());
-    }
-
-    // 1. verdict parity up to the first budget-truncated verdict
-    bool truncated = false;
-    const auto n = std::min(inc_stats.size_verdicts.size(), fresh_stats.size_verdicts.size());
-    for (std::size_t i = 0; i < n && !truncated; ++i)
-    {
-        const auto& a = inc_stats.size_verdicts[i];
-        const auto& b = fresh_stats.size_verdicts[i];
-        if (!(a.size == b.size))
-        {
-            out << "the lanes explored different ladders: step " << i << " is "
-                << a.size.width << "x" << a.size.height << " incremental but "
-                << b.size.width << "x" << b.size.height << " fresh";
-            return fail(out.str());
-        }
-        if (a.result == sat::Result::unknown || b.result == sat::Result::unknown)
-        {
-            truncated = true;
-            break;
-        }
-        if (a.result != b.result)
-        {
-            out << "verdict mismatch at size " << a.size.width << "x" << a.size.height
-                << ": incremental says " << (a.result == sat::Result::satisfiable ? "SAT" : "UNSAT")
-                << ", fresh says " << (b.result == sat::Result::satisfiable ? "SAT" : "UNSAT");
-            return fail(out.str());
-        }
-        ++s.sizes_compared;
-    }
-
-    // 2. same answer and first-feasible size (only binding without a budget cut)
-    if (!truncated && !s.budget_diverged)
-    {
-        if (inc.has_value() != fresh.has_value())
-        {
-            out << "the lanes disagree on feasibility: incremental "
-                << (inc.has_value() ? "found a layout" : "declined") << ", fresh "
-                << (fresh.has_value() ? "found a layout" : "declined");
-            return fail(out.str());
-        }
-        if (inc.has_value() &&
-            (inc->width() != fresh->width() || inc->height() != fresh->height()))
-        {
-            out << "first feasible size differs: " << inc->width() << "x" << inc->height()
-                << " incremental vs " << fresh->width() << "x" << fresh->height() << " fresh";
-            return fail(out.str());
-        }
-    }
-    s.found_layout = inc.has_value() && fresh.has_value();
-    for (const auto* layout : {inc.has_value() ? &*inc : nullptr, fresh.has_value() ? &*fresh : nullptr})
-    {
-        if (layout != nullptr &&
-            layout::check_equivalence(mapped, layout->extract_network(mapped)) !=
-                layout::EquivalenceResult::equivalent)
-        {
-            return fail("a produced layout is NOT equivalent to the specification (SAT miter)");
-        }
-    }
-
-    if (fault == IncrementalPnrFault::leak_stale_activation)
-    {
-        // the stale activation literal only bites once a second grid
-        // generation exists; a first-generation-only run cannot expose it
-        if (inc_stats.grid_generations <= 1)
-        {
-            s.fault_vacuous = true;
-            return {};
-        }
-        return fail("leak_stale_activation fault was injected, the grid grew " +
-                    std::to_string(inc_stats.grid_generations) +
-                    " times, and every check passed — the oracle lost its mutation coverage");
     }
     return {};
 }

@@ -11,7 +11,9 @@
 ///     heuristics (simanneal, quicksim) accurate within tolerance (the
 ///     exact-vs-heuristic split of the SiDB simulation literature).
 ///  3. Exact vs. scalable placement & routing — both layouts must pass
-///     SAT-based equivalence checking against the specification network.
+///     SAT-based equivalence checking against the specification network;
+///     the exact engine additionally DRAT-certifies every refuted size and
+///     emits only design-rule-clean layouts.
 ///  4. Rewriting + technology mapping vs. the input network via random
 ///     simulation (64 patterns by default; exhaustive when <= 16 PIs).
 ///  5. Run control: a flow run under fault-injected cancellation / deadlines
@@ -207,7 +209,16 @@ struct PdOracleStats
 
 /// Maps \p spec onto the Bestagon gate set, runs both P&R engines and
 /// SAT-equivalence-checks every produced layout against the mapped network
-/// (plus mapped vs. spec functionally). Either engine may decline: the exact
+/// (plus mapped vs. spec functionally). The exact engine runs with UNSAT
+/// certification and has three more checks of its own:
+///
+///  - every refuted aspect ratio carries a DRAT proof the independent
+///    checker accepts;
+///  - its layout passes check_design_rules;
+///  - its area never exceeds the scalable layout's when that layout lies
+///    inside the exact search bounds (the ascending-area ladder is minimal).
+///
+/// Either engine may decline: the exact
 /// engine by exhausting \p exact_options' budget, the scalable engine on
 /// densely reconvergent networks its march cannot realize. A decline skips
 /// that engine's checks (reported via stats), never fails the oracle —
@@ -215,53 +226,6 @@ struct PdOracleStats
 [[nodiscard]] OracleVerdict physical_design_differential(
     const logic::LogicNetwork& spec, const layout::ExactPDOptions& exact_options,
     PdOracleStats* stats = nullptr, PdFault fault = PdFault::none);
-
-// --- 3b. exact P&R: incremental ladder vs. fresh-per-size ------------------
-
-enum class IncrementalPnrFault : std::uint8_t
-{
-    none,
-    /// The incremental engine solves every size under the FIRST grid
-    /// generation's activation literal — the selector never advances, so all
-    /// newer completeness clauses stay unasserted: the canonical
-    /// incremental-encoding bug class (stale selector). Sizes of the first
-    /// generation are unaffected, so the fault is vacuous on instances the
-    /// smallest size already solves.
-    leak_stale_activation
-};
-
-struct IncrementalPnrStats
-{
-    bool found_layout{false};     ///< both lanes produced a layout
-    bool budget_diverged{false};  ///< a lane hit its budget — parity checks truncated
-    bool fault_vacuous{false};    ///< injected fault never got a chance to act
-    unsigned sizes_compared{0};   ///< per-size verdicts cross-checked between the lanes
-    unsigned grid_generations{0}; ///< persistent-solver grid growths in the incremental lane
-    unsigned proofs_checked{0};   ///< certified UNSAT sizes, summed over both lanes
-};
-
-/// Differential oracle for the persistent-solver exact-P&R refactor: maps
-/// \p spec, then runs the exact engine twice — once on the incremental
-/// ladder (ONE solver, sizes selected by assumptions) and once on the legacy
-/// fresh-encoding-per-size path — with UNSAT certification on in both lanes,
-/// and cross-checks:
-///
-///  1. *Verdict parity*: the per-size SAT/UNSAT verdict sequences must be
-///     identical up to the first budget-truncated (unknown) verdict of
-///     either lane.
-///  2. *Same answer*: both lanes must agree on whether a layout exists and,
-///     when one does, on the first feasible size (area-minimality); each
-///     layout must SAT-equivalence-check against the mapped network.
-///  3. *Proof continuity*: every certified UNSAT size in either lane must
-///     carry a DRAT proof the independent checker accepts — for the
-///     incremental lane that certifies UNSAT *under the size assumptions*
-///     against the persistent solver's cumulative clause set.
-///  4. With IncrementalPnrFault::leak_stale_activation the oracle must
-///     detect the divergence whenever the fault had a chance to act (the
-///     grid grew at least twice); otherwise it reports fault_vacuous.
-[[nodiscard]] OracleVerdict incremental_pnr_differential(
-    const logic::LogicNetwork& spec, const layout::ExactPDOptions& options,
-    IncrementalPnrStats* stats = nullptr, IncrementalPnrFault fault = IncrementalPnrFault::none);
 
 // --- 4. front end: rewriting + mapping vs. input ---------------------------
 

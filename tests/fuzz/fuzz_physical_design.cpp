@@ -1,8 +1,10 @@
 /// \file fuzz_physical_design.cpp
 /// \brief Differential fuzzing of the exact vs. scalable placement & routing
 ///        engines: every produced layout must pass SAT equivalence checking
-///        against the specification, and the exact engine may never lose on
-///        area inside its own search bounds.
+///        against the specification, every exact layout must be DRC-clean,
+///        every size the exact engine refutes must carry a checked DRAT
+///        proof, and the exact engine may never lose on area inside its own
+///        search bounds.
 
 #include "testing/oracles.hpp"
 #include "testing/random.hpp"
@@ -92,6 +94,38 @@ TEST(FuzzPhysicalDesign, ScalableEngineSurvivesWiderNetworks)
         scalable_runs += stats.scalable_ran ? 1 : 0;
     }
     EXPECT_GT(scalable_runs, 0U) << "scalable engine declined every generated network";
+}
+
+/// A congested 2-PI network: both inputs feed four gates, so the mapper's
+/// fan-out trees and the depth constraints pin four gates to one row. The
+/// narrow ladder sizes are genuinely refuted before a wider one fits, so
+/// the exact engine certifies several rejected ratios on its way to a
+/// layout. Written with plain gates: the oracle maps it, and the mapper
+/// inserts the fan-outs.
+logic::LogicNetwork congested_network()
+{
+    logic::LogicNetwork spec;
+    const auto a = spec.create_pi("a");
+    const auto b = spec.create_pi("b");
+    const auto x1 = spec.create_xor(a, b);
+    const auto x2 = spec.create_and(a, b);
+    const auto x3 = spec.create_or(a, b);
+    const auto x4 = spec.create_nand(a, b);
+    const auto y1 = spec.create_xor(x1, x2);
+    const auto y2 = spec.create_xor(x3, x4);
+    spec.create_po(spec.create_xor(y1, y2), "f");
+    return spec;
+}
+
+TEST(FuzzPhysicalDesign, ExactEngineCertifiesRefutedRatiosOnCongestedNetwork)
+{
+    testkit::PdOracleStats stats;
+    const auto verdict = testkit::physical_design_differential(congested_network(),
+                                                               budgeted_exact_options(), &stats);
+    ASSERT_TRUE(verdict.ok) << verdict.detail;
+    EXPECT_TRUE(stats.exact_ran);
+    EXPECT_GT(stats.proofs_checked, 0U);
+    EXPECT_EQ(stats.proof_failures, 0U);
 }
 
 /// Mutation coverage: an engine that realizes the wrong function (modeled by

@@ -100,80 +100,19 @@ TEST_P(ExactlyOneTest, HasExactlyNModels)
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ExactlyOneTest, ::testing::Values(1, 2, 3, 5, 7, 9, 12));
 
-/// Counts models over the first n variables that set at most one of them.
-void expect_at_most_one_models(Solver& s, int n)
-{
-    const auto models = all_models(s, n);
-    EXPECT_EQ(models.size(), static_cast<std::size_t>(n) + 1);  // empty + n singletons
-    for (const auto m : models)
-    {
-        EXPECT_LE(std::popcount(m), 1);
-    }
-}
-
-class IncrementalAmoTest : public ::testing::TestWithParam<int>
-{
-};
-
-/// Growing one literal at a time must yield exactly the at-most-one models at
-/// every prefix length — both below and above the pairwise threshold.
-TEST_P(IncrementalAmoTest, PrefixSemanticsMatchAtMostOne)
-{
-    const int n = GetParam();
-    Solver s;
-    IncrementalAtMostOne amo;
-    std::vector<Lit> lits;
-    for (int i = 0; i < n; ++i)
-    {
-        lits.push_back(pos(s.new_var()));
-    }
-    for (int i = 0; i < n; ++i)
-    {
-        amo.add(s, lits[i]);
-        // two true literals among the prefix must be refuted...
-        for (int j = 0; j < i; ++j)
-        {
-            EXPECT_EQ(s.solve({lits[j], lits[i]}), Result::unsatisfiable)
-                << "pair (" << j << ", " << i << ") not excluded at size " << i + 1;
-        }
-        // ...while each singleton stays satisfiable
-        EXPECT_EQ(s.solve({lits[i]}), Result::satisfiable);
-    }
-    EXPECT_EQ(amo.size(), static_cast<std::size_t>(n));
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, IncrementalAmoTest, ::testing::Values(1, 2, 6, 7, 9, 14));
-
-TEST(Encodings, IncrementalAmoModelCountAfterGrowth)
-{
-    // grow far past the pairwise threshold, then enumerate: the ladder must
-    // not exclude any singleton or admit any pair
-    constexpr int n = 10;
-    Solver s;
-    IncrementalAtMostOne amo;
-    std::vector<Lit> lits;
-    for (int i = 0; i < n; ++i)
-    {
-        lits.push_back(pos(s.new_var()));  // before any aux var interleaves
-    }
-    for (const auto l : lits)
-    {
-        amo.add(s, l);
-    }
-    expect_at_most_one_models(s, n);
-}
-
-TEST(Encodings, IncrementalAmoGuardDisarmsConstraint)
+/// The exact-P&R infeasibility diagnosis guards whole constraint groups:
+/// a guarded at-most-one must hold under its guard and vanish without it,
+/// past the pairwise threshold too (where its ladder variables come in).
+TEST(Encodings, GuardedAtMostOneDisarmsWithoutGuard)
 {
     Solver s;
     const Lit guard = pos(s.new_var());
-    IncrementalAtMostOne amo{guard};
     std::vector<Lit> lits;
     for (int i = 0; i < 8; ++i)
     {
         lits.push_back(pos(s.new_var()));
-        amo.add(s, lits.back());
     }
+    add_at_most_one(s, lits, guard);
     // enforced under the guard...
     EXPECT_EQ(s.solve({guard, lits[0], lits[7]}), Result::unsatisfiable);
     EXPECT_EQ(s.solve({guard, lits[2]}), Result::satisfiable);
