@@ -100,11 +100,15 @@ BENCHMARK(BM_SimAnnealGroundState);
 void BM_RewriteBenchmark(benchmark::State& state)
 {
     const auto net = logic::to_xag(logic::find_benchmark("xor5_majority")->build());
+    logic::RewriteStats stats;
     for (auto _ : state)
     {
         logic::NpnDatabase db;
-        benchmark::DoNotOptimize(logic::rewrite(net, db));
+        benchmark::DoNotOptimize(logic::rewrite(net, db, &stats));
     }
+    // deterministic work, the same in every iteration
+    state.counters["replacements"] = static_cast<double>(stats.replacements);
+    state.counters["gates_after"] = static_cast<double>(stats.gates_after);
 }
 BENCHMARK(BM_RewriteBenchmark);
 

@@ -39,6 +39,13 @@ struct NpnCanonization
 /// Computes the canonical NPN representative of \p f (lexicographically
 /// smallest truth table over all transforms) together with the transform
 /// mapping the representative back to \p f. Supports up to 4 variables.
+///
+/// Tie-break contract: several transforms can reach the minimum, and the
+/// returned one is the first in this order: input permutations in
+/// std::next_permutation order from the identity, then input flips
+/// ascending as a bit mask, then the plain output before the negated one.
+/// Rewriting builds its replacement from this transform, so a change to the
+/// order can change rewrite's output and everything downstream of it.
 [[nodiscard]] NpnCanonization canonize_npn(const TruthTable& f);
 
 }  // namespace bestagon::logic

@@ -261,6 +261,13 @@ LogicNetwork fanout_substitution(const LogicNetwork& network, MappingStats* stat
     for (const auto id : network.topological_order())
     {
         const auto& node = network.node(id);
+        if (node.type == GateType::fanout && fanouts[id] < 2)
+        {
+            // a fan-out with fewer than two consumers is bypassed: its
+            // consumer takes the fan-out's input signal
+            available[id] = {take(node.fanin[0])};
+            continue;
+        }
         NodeId created = LogicNetwork::invalid_node;
         switch (node.type)
         {
@@ -283,13 +290,11 @@ LogicNetwork fanout_substitution(const LogicNetwork& network, MappingStats* stat
         std::vector<NodeId> sigs;
         if (node.type == GateType::fanout)
         {
-            // existing fanout nodes already provide two slots
-            sigs.assign(std::min(uses, 2U), created);
-            if (uses > 2)
-            {
-                sigs.clear();
-                expand_fanout(out, created, uses, sigs, stats);
-            }
+            // an existing fan-out provides two slots; a balanced tree under
+            // each slot serves the remaining uses
+            const unsigned left = (uses + 1) / 2;
+            expand_fanout(out, created, left, sigs, stats);
+            expand_fanout(out, created, uses - left, sigs, stats);
         }
         else
         {

@@ -33,7 +33,10 @@ struct MappingStats
 [[nodiscard]] LogicNetwork fold_inverters(const LogicNetwork& network, MappingStats* stats = nullptr);
 
 /// Inserts explicit fan-out nodes so that every node's fan-out is <= 1
-/// (fanout nodes: <= 2), as required by Bestagon physical design.
+/// and every fan-out node drives exactly two consumers, as required by
+/// Bestagon physical design. A fan-out node of the input with fewer than two
+/// consumers is bypassed; one with more keeps two slots, each feeding a
+/// balanced fan-out tree.
 [[nodiscard]] LogicNetwork fanout_substitution(const LogicNetwork& network, MappingStats* stats = nullptr);
 
 /// Complete mapping onto the Bestagon gate set: inverter folding followed by

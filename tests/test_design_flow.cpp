@@ -1,8 +1,14 @@
 #include "core/design_flow.hpp"
 
+#include "io/verilog.hpp"
 #include "logic/benchmarks.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <vector>
 
 namespace
 {
@@ -137,5 +143,58 @@ TEST_P(FlowBenchmark, FullFlowSucceeds)
 INSTANTIATE_TEST_SUITE_P(Table1, FlowBenchmark,
                          ::testing::Values("xor2", "xnor2", "par_gen", "mux21", "par_check",
                                            "xor5_r1", "xor5_majority", "t", "majority", "c17"));
+
+// --- work counters ------------------------------------------------------------
+
+/// The Table-1 flow's deterministic work: the 14 benchmarks/*.v files run
+/// through run_design_flow with default options, as the `table1` workload of
+/// bench/flow does, and the totals its trace reports are pinned. Wall clock is
+/// too noisy to gate on; the amount of work is not. A moved total means
+/// rewrite, mapping, the P&R encoding or search, or the equivalence miter
+/// changed what it does.
+TEST(WorkCounters, Table1Flow)
+{
+    std::vector<std::filesystem::path> files;
+    for (const auto& entry : std::filesystem::directory_iterator{BESTAGON_BENCHMARK_DIR})
+    {
+        if (entry.path().extension() == ".v")
+        {
+            files.push_back(entry.path());
+        }
+    }
+    std::sort(files.begin(), files.end());
+    ASSERT_EQ(files.size(), 14U);
+
+    std::uint64_t pnr_conflicts = 0;
+    std::uint64_t rungs = 0;
+    std::uint64_t rungs_unsat = 0;
+    std::uint64_t area_tiles = 0;
+    std::uint64_t equivalence_conflicts = 0;
+    for (const auto& file : files)
+    {
+        const auto name = file.stem().string();
+        std::ifstream in{file};
+        ASSERT_TRUE(in.good()) << name;
+        const auto result = core::run_design_flow(io::read_verilog(in));
+        ASSERT_TRUE(result.success()) << name;
+        EXPECT_EQ(result.engine_used, "exact") << name;
+        pnr_conflicts += result.pd_stats.total_conflicts;
+        rungs += result.pd_stats.sizes_tried;
+        rungs_unsat += static_cast<std::uint64_t>(
+            std::count_if(result.pd_stats.size_verdicts.begin(), result.pd_stats.size_verdicts.end(),
+                          [](const auto& v) { return v.result == sat::Result::unsatisfiable; }));
+        area_tiles += result.layout->area();
+        layout::EquivalenceStats stats;
+        EXPECT_EQ(layout::check_layout_equivalence(result.mapped, *result.layout, &stats),
+                  layout::EquivalenceResult::equivalent)
+            << name;
+        equivalence_conflicts += stats.conflicts;
+    }
+    EXPECT_EQ(pnr_conflicts, 8684U);
+    EXPECT_EQ(rungs, 35U);
+    EXPECT_EQ(rungs_unsat, 21U);
+    EXPECT_EQ(area_tiles, 470U);
+    EXPECT_EQ(equivalence_conflicts, 181U);
+}
 
 }  // namespace

@@ -321,6 +321,38 @@ TEST(ExactPD, PlacesAllNodesExactlyOnce)
     EXPECT_EQ(placed, expected);
 }
 
+/// A congested 2-PI network written with explicit fan-out nodes, `fa1` and
+/// `fa2` both `fanout(fa)`: strash merges them, so the mapper sees a
+/// single-consumer fan-out above a four-consumer one. Mapping must still give
+/// every fan-out exactly two consumers, so the layout is DRC-clean.
+TEST(ExactPD, ExplicitFanoutNetworkMapsToDrcCleanLayout)
+{
+    logic::LogicNetwork spec;
+    const auto a = spec.create_pi("a");
+    const auto b = spec.create_pi("b");
+    const auto fa = spec.create_fanout(a);
+    const auto fb = spec.create_fanout(b);
+    const auto fa1 = spec.create_fanout(fa);
+    const auto fa2 = spec.create_fanout(fa);
+    const auto fb1 = spec.create_fanout(fb);
+    const auto fb2 = spec.create_fanout(fb);
+    const auto x1 = spec.create_xor(fa1, fb1);
+    const auto x2 = spec.create_and(fa1, fb2);
+    const auto x3 = spec.create_or(fa2, fb1);
+    const auto x4 = spec.create_nand(fa2, fb2);
+    const auto y1 = spec.create_xor(x1, x2);
+    const auto y2 = spec.create_xor(x3, x4);
+    spec.create_po(spec.create_xor(y1, y2), "f");
+
+    const auto mapped = logic::map_to_bestagon(spec);
+    ASSERT_TRUE(logic::functionally_equivalent(spec, mapped));
+    const auto layout = exact_physical_design(mapped);
+    ASSERT_TRUE(layout.has_value());
+    EXPECT_EQ(check_layout_equivalence(mapped, *layout), EquivalenceResult::equivalent);
+    const auto drc = check_design_rules(*layout);
+    EXPECT_TRUE(drc.clean()) << (drc.violations.empty() ? "" : drc.violations.front().message);
+}
+
 // --- work counters ------------------------------------------------------------
 
 /// The ladder as "WxH:S" / "WxH:U" tokens in exploration order, each

@@ -118,6 +118,42 @@ TEST(FanoutSubstitution, HighFanoutBuildsTree)
     EXPECT_EQ(subst.num_gates_of(GateType::fanout), 4U);
 }
 
+/// Every fan-out node of \p n drives exactly two consumers.
+bool every_fanout_drives_two(const LogicNetwork& n)
+{
+    const auto fanouts = n.fanout_counts();
+    for (const auto id : n.topological_order())
+    {
+        if (n.type_of(id) == GateType::fanout && fanouts[id] != 2)
+        {
+            return false;
+        }
+    }
+    return true;
+}
+
+TEST(FanoutSubstitution, ExplicitFanoutsDriveExactlyTwoConsumers)
+{
+    // after strash, f2 merges into f1: f has one consumer, f1 has three
+    LogicNetwork n;
+    const auto a = n.create_pi();
+    const auto b = n.create_pi();
+    const auto f = n.create_fanout(a);
+    const auto f1 = n.create_fanout(f);
+    const auto f2 = n.create_fanout(f);
+    n.create_po(n.create_and(f1, b));
+    n.create_po(n.create_not(f1));
+    n.create_po(f2);
+    MappingStats stats;
+    const auto mapped = map_to_bestagon(n, &stats);
+    EXPECT_TRUE(functionally_equivalent(n, mapped));
+    EXPECT_TRUE(mapped.is_bestagon_compliant());
+    EXPECT_TRUE(every_fanout_drives_two(mapped));
+    // f is bypassed, f1 keeps two slots, one more fan-out serves the third use
+    EXPECT_EQ(mapped.num_gates_of(GateType::fanout), 2U);
+    EXPECT_EQ(stats.fanouts_inserted, 1U);
+}
+
 /// Property over the benchmark suite: mapping preserves function and yields
 /// Bestagon-compliant networks.
 class MappingBenchmarkTest : public ::testing::TestWithParam<std::string>
