@@ -9,6 +9,8 @@
 #include <atomic>
 #include <exception>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace bestagon::core
@@ -120,8 +122,22 @@ void run_flow_stages(const logic::LogicNetwork& specification, const FlowOptions
                     exact_opts.run.token = run.token;
                     exact_opts.run.deadline =
                         Deadline::sooner(exact_opts.run.deadline, run.deadline);
-                    result.layout =
-                        layout::exact_physical_design(result.mapped, exact_opts, &result.pd_stats);
+                    // an input the exact engine rejects (e.g. a constant
+                    // output) still goes to the fallback
+                    std::string exact_rejection;
+                    try
+                    {
+                        result.layout =
+                            layout::exact_physical_design(result.mapped, exact_opts, &result.pd_stats);
+                    }
+                    catch (const std::invalid_argument& e)
+                    {
+                        if (options.engine == PhysicalDesignEngine::exact)
+                        {
+                            throw;
+                        }
+                        exact_rejection = e.what();
+                    }
                     result.engine_used = "exact";
                     if (result.layout.has_value())
                     {
@@ -144,17 +160,19 @@ void run_flow_stages(const logic::LogicNetwork& specification, const FlowOptions
                                                                : result.pd_stats.message);
                         break;
                     }
+                    const std::string exact_outcome =
+                        !exact_rejection.empty() ? "exact engine rejected the input (" + exact_rejection + ")"
+                        : result.pd_stats.budget_exhausted ? "exact budget exhausted"
+                                                           : "exact engine declined";
                     // fallback: the deadline that cut the exact engine must
                     // not also cut the (fast, constructive) fallback — only
                     // the cancellation token still applies
-                    result.layout = run_scalable();
                     result.engine_used = "scalable";
+                    result.layout = run_scalable();
                     if (result.layout.has_value())
                     {
                         report(diag, "physical_design", StageStatus::degraded, start,
-                               result.pd_stats.budget_exhausted
-                                   ? "exact budget exhausted; scalable fallback"
-                                   : "exact engine declined; scalable fallback");
+                               exact_outcome + "; scalable fallback");
                     }
                     else if (result.scalable_stats.cancelled)
                     {
@@ -164,9 +182,10 @@ void run_flow_stages(const logic::LogicNetwork& specification, const FlowOptions
                     else
                     {
                         report(diag, "physical_design", StageStatus::failed, start,
-                               result.scalable_stats.message.empty()
-                                   ? "both engines found no layout"
-                                   : result.scalable_stats.message);
+                               exact_outcome + "; " +
+                                   (result.scalable_stats.message.empty()
+                                        ? "scalable engine found no layout"
+                                        : result.scalable_stats.message));
                     }
                     break;
                 }

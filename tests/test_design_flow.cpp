@@ -2,12 +2,18 @@
 
 #include "io/verilog.hpp"
 #include "logic/benchmarks.hpp"
+#include "logic/rewriting.hpp"
+#include "logic/tech_mapping.hpp"
+#include "testing/random.hpp"
+#include "testing/reproducer.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace
@@ -105,6 +111,56 @@ TEST(DesignFlow, FallbackReportsEngine)
     EXPECT_TRUE(result.success());
 }
 
+/// Specifications with a constant output: the exact engine rejects a network
+/// with constant nodes, and exact_with_fallback must then still run the
+/// scalable engine. The specs are the constant-output draws among the first
+/// 189 of bench/flow's random_flow corpus. The scalable engine rejects
+/// constants too, so the stage fails, and its detail gives both engines'
+/// reasons.
+TEST(DesignFlow, ExactRejectionRunsTheScalableFallback)
+{
+    testkit::XagOptions options;
+    options.min_gates = 6;
+    options.max_gates = 14;
+    unsigned constant_specs = 0;
+    unsigned rejected = 0;
+    for (std::uint64_t i = 0; i < 189; ++i)
+    {
+        testkit::Rng rng{testkit::case_seed(0xbe57a611, i)};
+        const auto spec = testkit::random_network(rng, options);
+        const auto functions = spec.simulate();
+        if (std::none_of(functions.begin(), functions.end(),
+                         [](const auto& f) { return f.is_const0() || f.is_const1(); }))
+        {
+            continue;
+        }
+        ++constant_specs;
+        const auto result = core::run_design_flow(spec);
+        layout::ExactPDOptions probe;
+        probe.time_budget_ms = 1;
+        try
+        {
+            static_cast<void>(layout::exact_physical_design(result.mapped, probe));
+            continue;
+        }
+        catch (const std::invalid_argument&)
+        {
+            ++rejected;
+        }
+        EXPECT_EQ(result.engine_used, "scalable") << "spec" << i;
+        const auto* stage = result.diagnostics.find("physical_design");
+        ASSERT_NE(stage, nullptr) << "spec" << i;
+        if (!result.layout.has_value())
+        {
+            EXPECT_EQ(stage->status, core::StageStatus::failed) << "spec" << i;
+            EXPECT_NE(stage->detail.find("exact_physical_design: constant"), std::string::npos) << stage->detail;
+            EXPECT_NE(stage->detail.find("scalable_physical_design: constant"), std::string::npos) << stage->detail;
+        }
+    }
+    EXPECT_EQ(constant_specs, 61U);
+    EXPECT_EQ(rejected, 52U);
+}
+
 TEST(DesignFlow, NoSiDBLayoutIsNoSuccess)
 {
     // input b drives nothing: the layout verifies, but the library has no
@@ -151,7 +207,9 @@ INSTANTIATE_TEST_SUITE_P(Table1, FlowBenchmark,
 /// bench/flow does, and the totals its trace reports are pinned. Wall clock is
 /// too noisy to gate on; the amount of work is not. A moved total means
 /// rewrite, mapping, the P&R encoding or search, or the equivalence miter
-/// changed what it does.
+/// changed what it does. Rewrite is pinned twice: the flows' rewritten gate
+/// counts, and the replacements and passes of logic::rewrite on the same
+/// XAGs.
 TEST(WorkCounters, Table1Flow)
 {
     std::vector<std::filesystem::path> files;
@@ -170,13 +228,23 @@ TEST(WorkCounters, Table1Flow)
     std::uint64_t rungs_unsat = 0;
     std::uint64_t area_tiles = 0;
     std::uint64_t equivalence_conflicts = 0;
+    std::uint64_t rewritten_gates = 0;
+    std::uint64_t replacements = 0;
+    std::uint64_t passes = 0;
     for (const auto& file : files)
     {
         const auto name = file.stem().string();
         std::ifstream in{file};
         ASSERT_TRUE(in.good()) << name;
-        const auto result = core::run_design_flow(io::read_verilog(in));
+        const auto spec = io::read_verilog(in);
+        logic::NpnDatabase database;
+        logic::RewriteStats rewrite_stats;
+        static_cast<void>(logic::rewrite(logic::to_xag(spec), database, &rewrite_stats));
+        replacements += rewrite_stats.replacements;
+        passes += rewrite_stats.passes;
+        const auto result = core::run_design_flow(spec);
         ASSERT_TRUE(result.success()) << name;
+        rewritten_gates += result.rewritten.num_gates();
         EXPECT_EQ(result.engine_used, "exact") << name;
         pnr_conflicts += result.pd_stats.total_conflicts;
         rungs += result.pd_stats.sizes_tried;
@@ -195,6 +263,9 @@ TEST(WorkCounters, Table1Flow)
     EXPECT_EQ(rungs_unsat, 21U);
     EXPECT_EQ(area_tiles, 470U);
     EXPECT_EQ(equivalence_conflicts, 181U);
+    EXPECT_EQ(rewritten_gates, 80U);
+    EXPECT_EQ(replacements, 17U);
+    EXPECT_EQ(passes, 31U);
 }
 
 }  // namespace

@@ -197,6 +197,36 @@ TEST(WorkCounters, ExhaustiveEngineOnTheOrTile)
          {3, 36766, "0110100110101001011111", -3.1770148096643394, 0.98298519033566067}});
 }
 
+/// The sign-off search work: the 27 Fig. 5 designs (the library plus the
+/// crossing) checked at the Fig. 5 point with the default engine on one
+/// thread, as bench/flow's `signoff` workload runs them, and the ground-state
+/// search nodes of every pattern summed.
+TEST(WorkCounters, SignoffTiles)
+{
+    const auto& library = bestagon::layout::BestagonLibrary::instance();
+    std::vector<const GateDesign*> designs;
+    for (const auto& impl : library.all())
+    {
+        designs.push_back(&impl.design);
+    }
+    designs.push_back(&library.crossing().design);
+    ASSERT_EQ(designs.size(), 27U);
+
+    SimulationParameters params;
+    params.num_threads = 1;
+    std::uint64_t nodes = 0;
+    for (const auto* design : designs)
+    {
+        const auto result = check_operational(*design, params);
+        for (const auto& pattern : result.details)
+        {
+            EXPECT_TRUE(pattern.evaluated) << design->name;
+            nodes += pattern.ground_state.nodes;
+        }
+    }
+    EXPECT_EQ(nodes, 18610084U);
+}
+
 TEST(WorkCounters, LimitedBudgetCountsTheSameNodes)
 {
     // the counter runs on every search, so polling a (never-firing) budget

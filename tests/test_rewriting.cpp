@@ -2,6 +2,7 @@
 
 #include "logic/benchmarks.hpp"
 #include "logic/tech_mapping.hpp"
+#include "rewrite_reference.hpp"
 
 #include <gtest/gtest.h>
 
@@ -118,6 +119,18 @@ TEST(Rewrite, SubstantiallyReducesMajorityBasedXor)
     NpnDatabase db;
     const auto rewritten = rewrite(xag, db);
     EXPECT_LT(rewritten.num_gates(), xag.num_gates() / 2);
+}
+
+/// The flat candidate costing against the reference that builds every
+/// candidate (rewrite_reference.hpp): on the 14 Table-1 XAGs, in every pass,
+/// each candidate's count equals the gate count of its strashed rebuild, and
+/// rewrite() equals the reference rewrite node for node.
+TEST(Rewrite, CandidateCostsMatchReference)
+{
+    for (const auto& bm : table1_benchmarks())
+    {
+        EXPECT_TRUE(reference::matches_reference(to_xag(bm.build()))) << bm.name;
+    }
 }
 
 TEST(Rewrite, BuildsNoSatSolver)
