@@ -17,7 +17,7 @@
 ///     (row copies; only driver rows differ between patterns).
 ///
 ///  3. CheckOperationalEndToEnd: the production check_operational on the
-///     same OR tile with the exhaustive engine — the full 4-pattern
+///     same OR tile with the exact engine — the full 4-pattern
 ///     verification as used by the gate designer's scoring loop.
 ///
 /// Results are recorded in BENCH_charge_kernel.json at the repository root.
@@ -321,7 +321,7 @@ void BM_CheckOperationalEndToEnd(benchmark::State& state)
     bool ok = false;
     for (auto _ : state)
     {
-        const auto result = check_operational(design, params, Engine::exhaustive);
+        const auto result = check_operational(design, params, Engine::exact);
         ok = result.operational;
         benchmark::DoNotOptimize(result);
     }

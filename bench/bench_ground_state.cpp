@@ -2,27 +2,19 @@
 /// \brief Ground-state engine benchmarks (results: BENCH_ground_state.json).
 ///
 /// Three questions, mirroring DESIGN.md section 10:
-///  1. GroundState<engine>/sites:n — single ground-state call per engine on
-///     dense synthetic canvases; the complete engines also report their
-///     search nodes (`nodes`, deterministic). The exhaustive engine's
-///     energy-only pruning stops converging past ~36 dense sites; the exact
-///     engine's population window keeps it polynomial-ish on the same
-///     canvases (sites:40 runs only on the engines that can finish it in
-///     bench time).
-///  2. CheckOperational{DefaultExact,Exhaustive} — the production
-///     check_operational on the Bestagon 2-input OR tile under the new
-///     default engine (automatic -> exact) vs the legacy exhaustive engine.
-///     The `operational` counter records the verdict: both rows must report
-///     1 (the default-engine switch moves no verdicts).
-///  3. GroundStateQuickSim/SimAnneal — heuristic engines at production
-///     effort, for the cost picture when an inexact answer is acceptable.
+///  1. GroundStateExact/sites:n — single exact ground-state call on dense
+///     synthetic canvases, with its search nodes (`nodes`, deterministic).
+///     The population window keeps the search tractable up to sites:40.
+///  2. CheckOperationalDefaultExact — the production check_operational on
+///     the Bestagon 2-input OR tile under the default engine
+///     (automatic -> exact). The `operational` counter records the verdict.
+///  3. GroundStateSimAnneal — the heuristic engine at production effort, for
+///     the cost picture when an inexact answer is acceptable.
 
 #include "layout/bestagon_library.hpp"
-#include "phys/exhaustive.hpp"
 #include "phys/ground_state.hpp"
 #include "phys/ground_state_exact.hpp"
 #include "phys/operational.hpp"
-#include "phys/quicksim.hpp"
 #include "phys/simanneal.hpp"
 
 #include <benchmark/benchmark.h>
@@ -42,7 +34,7 @@ namespace layout = bestagon::layout;
 namespace logic = bestagon::logic;
 
 /// Dense random canvas in a box scaling with sqrt(n), as in the engine
-/// tests — the fixed salt keeps every engine on the same canvas per size.
+/// tests — the fixed salt keeps both engines on the same canvas per size.
 std::vector<SiDBSite> synthetic_canvas(std::size_t n)
 {
     std::mt19937_64 rng{0xca11'ab1eULL + 4};
@@ -71,23 +63,6 @@ const GateDesign& bestagon_or_design()
         return gate->design;
     }();
     return design;
-}
-
-void BM_GroundStateExhaustive(benchmark::State& state)
-{
-    const SiDBSystem system{synthetic_canvas(static_cast<std::size_t>(state.range(0))),
-                            SimulationParameters{}};
-    std::uint64_t degeneracy = 0;
-    std::uint64_t nodes = 0;
-    for (auto _ : state)
-    {
-        const auto gs = exhaustive_ground_state(system);
-        degeneracy = gs.degeneracy;
-        nodes = gs.nodes;
-        benchmark::DoNotOptimize(gs);
-    }
-    state.counters["degeneracy"] = static_cast<double>(degeneracy);
-    state.counters["nodes"] = static_cast<double>(nodes);
 }
 
 void BM_GroundStateExact(benchmark::State& state)
@@ -120,19 +95,6 @@ void BM_GroundStateSimAnneal(benchmark::State& state)
     }
 }
 
-void BM_GroundStateQuickSim(benchmark::State& state)
-{
-    const SiDBSystem system{synthetic_canvas(static_cast<std::size_t>(state.range(0))),
-                            SimulationParameters{}};
-    QuickSimParameters params;
-    params.num_threads = 1;
-    for (auto _ : state)
-    {
-        const auto gs = quicksim_ground_state(system, params);
-        benchmark::DoNotOptimize(gs);
-    }
-}
-
 void BM_CheckOperationalDefaultExact(benchmark::State& state)
 {
     const auto& design = bestagon_or_design();
@@ -149,30 +111,10 @@ void BM_CheckOperationalDefaultExact(benchmark::State& state)
     state.counters["operational"] = ok ? 1.0 : 0.0;
 }
 
-void BM_CheckOperationalExhaustive(benchmark::State& state)
-{
-    const auto& design = bestagon_or_design();
-    SimulationParameters params;
-    params.num_threads = 1;
-    bool ok = false;
-    for (auto _ : state)
-    {
-        const auto result = check_operational(design, params, Engine::exhaustive);
-        ok = result.operational;
-        benchmark::DoNotOptimize(result);
-    }
-    state.counters["operational"] = ok ? 1.0 : 0.0;
-}
-
 }  // namespace
 
-BENCHMARK(BM_GroundStateExhaustive)->Arg(12)->Arg(20)->Arg(28)->ArgName("sites")
-    ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_GroundStateExact)->Arg(12)->Arg(20)->Arg(28)->Arg(40)->ArgName("sites")
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_GroundStateSimAnneal)->Arg(20)->Arg(40)->ArgName("sites")
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_GroundStateQuickSim)->Arg(20)->Arg(40)->ArgName("sites")
-    ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_CheckOperationalDefaultExact)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_CheckOperationalExhaustive)->Unit(benchmark::kMillisecond);

@@ -2,7 +2,7 @@
 /// \brief Serial-vs-parallel throughput of the operational-domain sweep —
 ///        the hottest loop of the design-automation flow. Sweeps a 20x20
 ///        (eps_r, lambda_TF) grid of the validated BDL wire tile, i.e.
-///        400 grid points x 2 input patterns = 800 independent exhaustive
+///        400 grid points x 2 input patterns = 800 independent exact
 ///        ground-state searches per iteration.
 ///
 /// Run as:  bench_operational_domain

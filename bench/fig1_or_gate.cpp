@@ -7,7 +7,6 @@
 
 #include "io/render.hpp"
 #include "layout/bestagon_library.hpp"
-#include "phys/exhaustive.hpp"
 #include "phys/operational.hpp"
 
 #include <cstdio>
@@ -30,7 +29,7 @@ bool run_point(const phys::GateDesign& design, double mu, bool print_config)
     bool all_ok = true;
     for (std::uint64_t pattern = 0; pattern < 4; ++pattern)
     {
-        const auto r = phys::simulate_gate_pattern(design, pattern, params, phys::Engine::exhaustive);
+        const auto r = phys::simulate_gate_pattern(design, pattern, params, phys::Engine::exact);
         const char* out = r.output_states[0] == phys::PairState::one    ? "1"
                           : r.output_states[0] == phys::PairState::zero ? "0"
                                                                         : "undefined";
@@ -44,7 +43,7 @@ bool run_point(const phys::GateDesign& design, double mu, bool print_config)
 
     if (print_config && all_ok)
     {
-        const auto detail = phys::simulate_gate_pattern(design, 1, params, phys::Engine::exhaustive);
+        const auto detail = phys::simulate_gate_pattern(design, 1, params, phys::Engine::exact);
         std::printf("charge configuration for A=1, B=0 (DB- = negatively charged, cf. Fig. 1c):\n%s\n",
                     io::render_charges(detail.sites, detail.ground_state.config).c_str());
     }
@@ -64,7 +63,7 @@ int main()
         return 1;
     }
 
-    std::printf("Fig. 1c: BDL OR gate, exhaustive ground states (eps_r=5.6, lambda_TF=5 nm)\n\n");
+    std::printf("Fig. 1c: BDL OR gate, exact ground states (eps_r=5.6, lambda_TF=5 nm)\n\n");
 
     const bool at_028 = run_point(or_gate->design, -0.28, false);
     const bool at_032 = run_point(or_gate->design, -0.32, true);

@@ -5,7 +5,7 @@
 ///        activated zones hold and transport the logic state.
 
 #include "layout/clocking.hpp"
-#include "phys/exhaustive.hpp"
+#include "phys/ground_state_exact.hpp"
 #include "phys/model.hpp"
 
 #include <cstdio>
@@ -67,7 +67,7 @@ int main()
         phys::SimulationParameters params;
         params.mu_minus = -0.32;
         const phys::SiDBSystem system{active_sites, params};
-        const auto gs = phys::exhaustive_ground_state(system);
+        const auto gs = phys::exact_ground_state(system);
 
         unsigned charges_per_zone[4] = {0, 0, 0, 0};
         for (std::size_t i = 0; i < active_sites.size(); ++i)

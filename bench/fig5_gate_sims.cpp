@@ -1,9 +1,11 @@
 /// \file fig5_gate_sims.cpp
 /// \brief Reproduces Fig. 5: ground-state simulation of the Bestagon tiles
 ///        at mu = -0.32 eV, eps_r = 5.6, lambda_TF = 5 nm. For every library
-///        design, every input pattern is simulated (SimAnneal-style engine
-///        cross-checked by the exhaustive engine) and the truth table is
-///        compared against the intended function.
+///        design, every input pattern is simulated with the exact
+///        ground-state engine and the truth table is compared against the
+///        intended function. (The paper signs off with SimAnneal; at its
+///        default parameters it reaches the exact ground state on all 80
+///        patterns, pinned by the WorkCounters.SignoffTiles test.)
 
 #include "layout/bestagon_library.hpp"
 #include "phys/operational.hpp"
@@ -24,7 +26,7 @@ int main()
     unsigned operational = 0;
     unsigned total = 0;
     const auto report = [&](const layout::GateImplementation& g) {
-        const auto r = phys::check_operational(g.design, params, phys::Engine::exhaustive);
+        const auto r = phys::check_operational(g.design, params, phys::Engine::exact);
         std::string ports;
         for (const auto p : {g.in_a, g.in_b})
         {

@@ -1,6 +1,6 @@
 /// \file perf_micro.cpp
 /// \brief google-benchmark micro-benchmarks of the computational substrates:
-///        CDCL solving, exhaustive/annealed ground states, NPN canonization,
+///        CDCL solving, exact/annealed ground states, NPN canonization,
 ///        cut rewriting and exact physical design.
 
 #include "layout/bestagon_library.hpp"
@@ -9,7 +9,7 @@
 #include "logic/npn.hpp"
 #include "logic/rewriting.hpp"
 #include "logic/tech_mapping.hpp"
-#include "phys/exhaustive.hpp"
+#include "phys/ground_state_exact.hpp"
 #include "phys/simanneal.hpp"
 
 #include "sat/solver.hpp"
@@ -67,7 +67,7 @@ void BM_NpnCanonization(benchmark::State& state)
 }
 BENCHMARK(BM_NpnCanonization);
 
-void BM_ExhaustiveGroundState(benchmark::State& state)
+void BM_ExactGroundState(benchmark::State& state)
 {
     const auto& lib = layout::BestagonLibrary::instance();
     const auto* wire = lib.lookup(logic::GateType::buf, layout::Port::nw, std::nullopt,
@@ -77,10 +77,10 @@ void BM_ExhaustiveGroundState(benchmark::State& state)
     const phys::SiDBSystem system{sites, params};
     for (auto _ : state)
     {
-        benchmark::DoNotOptimize(phys::exhaustive_ground_state(system));
+        benchmark::DoNotOptimize(phys::exact_ground_state(system));
     }
 }
-BENCHMARK(BM_ExhaustiveGroundState);
+BENCHMARK(BM_ExactGroundState);
 
 void BM_SimAnnealGroundState(benchmark::State& state)
 {

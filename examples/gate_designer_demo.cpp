@@ -2,7 +2,7 @@
 /// \brief Demonstrates the automatic gate designer (the stand-in for the
 ///        paper's RL agent [28]): starting from a bare two-input skeleton
 ///        with empty canvas, it searches canvas SiDB placements until the
-///        tile implements OR, validated by exhaustive ground-state checks.
+///        tile implements OR, validated by exact ground-state checks.
 
 #include "io/artifacts.hpp"
 #include "io/sqd_writer.hpp"
@@ -60,7 +60,7 @@ int main(int argc, char** argv)
         std::printf("  (%d, %d, %d)\n", s.n, s.m, s.l);
     }
 
-    const auto check = phys::check_operational(result->design, params, phys::Engine::exhaustive);
+    const auto check = phys::check_operational(result->design, params, phys::Engine::exact);
     std::printf("operational check: %llu / %llu patterns correct\n",
                 static_cast<unsigned long long>(check.patterns_correct),
                 static_cast<unsigned long long>(check.patterns_total));

@@ -39,7 +39,7 @@ int main()
                 sweep.x_max, sweep.y_min, sweep.y_max);
 
     const auto domain =
-        phys::compute_operational_domain(wire->design, base, sweep, phys::Engine::exhaustive, run);
+        phys::compute_operational_domain(wire->design, base, sweep, phys::Engine::exact, run);
 
     for (unsigned j = sweep.y_steps; j-- > 0;)
     {

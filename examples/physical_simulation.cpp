@@ -6,7 +6,6 @@
 
 #include "io/render.hpp"
 #include "layout/bestagon_library.hpp"
-#include "phys/exhaustive.hpp"
 #include "phys/operational.hpp"
 #include "phys/simanneal.hpp"
 
@@ -29,12 +28,12 @@ int main()
     for (std::uint64_t pattern = 0; pattern < 2; ++pattern)
     {
         const auto exact = phys::simulate_gate_pattern(wire->design, pattern, params,
-                                                       phys::Engine::exhaustive);
+                                                       phys::Engine::exact);
         const auto annealed = phys::simulate_gate_pattern(wire->design, pattern, params,
                                                           phys::Engine::simanneal);
         std::printf("input %llu (perturber %s):\n", static_cast<unsigned long long>(pattern),
                     pattern == 1 ? "near" : "far");
-        std::printf("  exhaustive ground state: F = %.5f eV (degeneracy %llu)\n",
+        std::printf("  exact ground state:     F = %.5f eV (degeneracy %llu)\n",
                     exact.ground_state.grand_potential,
                     static_cast<unsigned long long>(exact.ground_state.degeneracy));
         std::printf("  SimAnneal ground state:  F = %.5f eV (%s)\n",

@@ -63,11 +63,11 @@ struct FlowOptions
     phys::SimulationParameters sim_params{};
 
     /// Ground-state engine for step (7b). `automatic` defers to
-    /// sim_params.engine (Engine::exact by default). With a stochastic
-    /// engine (simanneal, quicksim) a tile that fails its check is retried
-    /// up to validation_retries times with a deterministically rotated
-    /// anneal seed (retries are recorded in the stage diagnostics); exact
-    /// engines never retry.
+    /// sim_params.engine (Engine::exact by default). With the stochastic
+    /// engine (simanneal) a tile that fails its check is retried up to
+    /// validation_retries times with a deterministically rotated anneal
+    /// seed (retries are recorded in the stage diagnostics); the exact
+    /// engine never retries.
     phys::Engine validation_engine{phys::Engine::automatic};
     unsigned validation_retries{0};
 

@@ -88,7 +88,7 @@ void ChargeState::commit_flip(std::size_t i)
     // Ascending-j row application with the flipped site skipped, as two
     // branch-free runs [0, i) and (i, n) the compiler can vectorize. Each
     // v_j still receives exactly one +-V_ij per commit, in the update order
-    // the pre-kernel exhaustive engine used, so its branch/unwind float
+    // the pre-kernel branch-and-bound used, so its branch/unwind float
     // trajectories are preserved bit-for-bit. (Adding the zero diagonal
     // instead of skipping it would not be: -0.0 + 0.0 is +0.0.)
     if (config_[i] == 0)

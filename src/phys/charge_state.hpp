@@ -36,10 +36,9 @@
 ///    j order (s = +1 when i becomes negative, -1 when it becomes neutral),
 ///    as two branch-free runs over `SiDBSystem::potential_row(i)` on either
 ///    side of i — the same floating-point operation sequence the pre-kernel
-///    exhaustive engine performed, so branch-and-bound trajectories are
-///    unchanged.
+///    branch-and-bound performed, so its trajectories are unchanged.
 ///    Committing the same flip twice replays the identical add/subtract
-///    pair, which makes the exhaustive engine's branch/unwind discipline
+///    pair, which makes the exact engine's branch/unwind discipline
 ///    expressible directly on the kernel.
 ///  - Incremental updates accumulate at most ulp-level drift relative to a
 ///    fresh summation; `rebuild()` is the exact-resync hook for callers that
@@ -50,7 +49,7 @@
 ///
 /// The kernel deliberately does NOT track the grand potential across
 /// commits: engines that need exact energy bookkeeping across a
-/// branch/unwind pair (the exhaustive search) save and restore their own
+/// branch/unwind pair (the exact search) save and restore their own
 /// partial sums, and reported energies always come from a fresh
 /// `SiDBSystem::grand_potential` evaluation. `grand_potential()` here is an
 /// O(n) identity over the cache (F = 1/2 sum_i v_i n_i + mu N) intended for

@@ -1,8 +1,6 @@
 #include "phys/ground_state.hpp"
 
-#include "phys/exhaustive.hpp"
 #include "phys/ground_state_exact.hpp"
-#include "phys/quicksim.hpp"
 #include "phys/simanneal.hpp"
 
 namespace bestagon::phys
@@ -19,7 +17,7 @@ Engine resolve_engine(Engine engine, const SimulationParameters& params)
 
 bool stochastic_engine(Engine engine)
 {
-    return engine == Engine::simanneal || engine == Engine::quicksim;
+    return engine == Engine::simanneal;
 }
 
 GroundStateResult find_ground_state(const SiDBSystem& system, Engine engine,
@@ -28,23 +26,12 @@ GroundStateResult find_ground_state(const SiDBSystem& system, Engine engine,
     const SimulationParameters& params = system.parameters();
     switch (resolve_engine(engine, params))
     {
-        case Engine::exhaustive:
-        {
-            return exhaustive_ground_state(system, run);
-        }
         case Engine::simanneal:
         {
             SimAnnealParameters annealing;
             annealing.num_threads = params.num_threads;  // 1 stays fully serial
             annealing.seed = params.anneal_seed;
             return simulated_annealing(system, annealing, run);
-        }
-        case Engine::quicksim:
-        {
-            QuickSimParameters quicksim;
-            quicksim.num_threads = params.num_threads;
-            quicksim.seed = params.anneal_seed;
-            return quicksim_ground_state(system, quicksim, run);
         }
         case Engine::automatic:  // resolve_engine never returns automatic
         case Engine::exact:

@@ -1,12 +1,12 @@
 /// \file ground_state.hpp
 /// \brief The common engine-selection surface of the ground-state engines.
 ///
-/// Four engines share one entry point: `find_ground_state(system, engine)`.
+/// Both engines share one entry point: `find_ground_state(system, engine)`.
 /// Engine::automatic (the default everywhere) defers to
 /// `SimulationParameters::engine`, so the whole simulation stack —
 /// check_operational, the operational-domain sweep, the gate designer,
 /// flow validation — switches engines through a single parameter knob.
-/// Stochastic engines derive their seed and thread count from the system's
+/// The stochastic engine derives its seed and thread count from the system's
 /// parameters (anneal_seed, num_threads).
 
 #pragma once
@@ -22,14 +22,13 @@ namespace bestagon::phys
 /// default, Engine::exact; any other value passes through unchanged.
 [[nodiscard]] Engine resolve_engine(Engine engine, const SimulationParameters& params);
 
-/// True for the heuristic, seed-dependent engines (simanneal, quicksim) —
-/// the ones a validation loop may retry with a rotated seed. Resolve
-/// `automatic` first.
+/// True for the heuristic, seed-dependent engine (simanneal) — the one a
+/// validation loop may retry with a rotated seed. Resolve `automatic` first.
 [[nodiscard]] bool stochastic_engine(Engine engine);
 
-/// Runs the selected ground-state engine on \p system. Stochastic engines
-/// take their seed from params.anneal_seed and their thread count from
-/// params.num_threads; exact engines are parameter-free beyond the
+/// Runs the selected ground-state engine on \p system. simanneal takes its
+/// seed from params.anneal_seed and its thread count from
+/// params.num_threads; the exact engine is parameter-free beyond the
 /// degeneracy window (params.energy_tolerance).
 [[nodiscard]] GroundStateResult find_ground_state(const SiDBSystem& system,
                                                   Engine engine = Engine::automatic,

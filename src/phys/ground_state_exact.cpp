@@ -174,9 +174,9 @@ PopulationWindow compute_population_window(const SiDBSystem& system)
 namespace
 {
 
-// The search state is the exhaustive engine's, plus the precomputed
-// population window its three extra gates read and the stack of sites
-// charged on the current path, which its viability gate walks.
+// The branch-and-bound state, the precomputed population window its three
+// gates read and the stack of sites charged on the current path, which its
+// viability gate walks.
 struct SearchState
 {
     const SiDBSystem* system;
@@ -237,7 +237,8 @@ void recurse(SearchState& s, std::size_t index)
         return;
     }
 
-    // optimistic completion bound — identical to the exhaustive engine
+    // optimistic completion bound: every unassigned site can at best add
+    // min(0, mu + v_i)
     double bound = s.partial_f;
     for (std::size_t i = index; i < s.n; ++i)
     {
@@ -250,8 +251,6 @@ void recurse(SearchState& s, std::size_t index)
 
     // branch: negative first, gated on the window — a forced-neutral site is
     // never charged, and the population never exceeds the window's maximum.
-    // On surviving branches the commit/viability/unwind sequence replays the
-    // exhaustive engine's floating-point operations exactly.
     if (s.window->status[index] != site_forced_neutral &&
         s.kernel.num_charges() < s.window->max_charges)
     {
@@ -259,10 +258,9 @@ void recurse(SearchState& s, std::size_t index)
         s.kernel.commit_flip(index);
         s.partial_f += delta;
         s.charged.push_back(index);
-        // viability: the exhaustive engine's scan of every charged site
-        // j <= index, read off the path's stack — the same sites in the
-        // same ascending order, the same predicate and the same early exit,
-        // without visiting the neutral ones
+        // viability: every charged site j <= index, read off the path's
+        // stack in ascending order, must keep mu + v_j <= 1e-12 after this
+        // charge; the neutral sites are never visited
         bool viable = true;
         for (const std::size_t j : s.charged)
         {
@@ -307,9 +305,9 @@ GroundStateResult search_with_window(const SiDBSystem& system, double degeneracy
     s.nodes = 0;
     s.stopped = false;
 
-    // seed with a quenched all-negative start — the exhaustive engine's
-    // seeding verbatim (the quenched seed is population stable, so the
-    // window gates never exclude it and the recursion re-encounters it).
+    // seed with a quenched all-negative start (the quenched seed is
+    // population stable, so the window gates never exclude it and the
+    // recursion re-encounters it).
     // The testkit's wrong-window runs skip the seeding: it could silently
     // hand the search the very ground state the mutant window prunes.
     if (seed_from_quench)
@@ -327,8 +325,8 @@ GroundStateResult search_with_window(const SiDBSystem& system, double degeneracy
 
     GroundStateResult result;
     result.config = s.best_config;
-    // fresh evaluation, not the accumulated partial sum — identical configs
-    // therefore report bit-identical energies across the exact engines
+    // fresh evaluation, not the accumulated partial sum — an identical
+    // config therefore reports a bit-identical energy on every path
     result.grand_potential =
         s.best_config.empty() ? s.best_f : system.grand_potential(s.best_config);
     result.electrostatic = s.best_config.empty() ? 0.0 : system.electrostatic_energy(s.best_config);

@@ -1,12 +1,17 @@
 /// \file ground_state_exact.hpp
 /// \brief Population-bounded exact ground-state search (arXiv 2308.04487,
-///        "The Need for Speed") — the default exact engine.
+///        "The Need for Speed") — the complete ground-state engine.
 ///
-/// The legacy exhaustive engine prunes only on energy: its optimistic
-/// completion bound is weak on dense canvases where many unassigned sites
-/// still *look* chargeable, so past ~30 sites whole exponential subtrees
-/// survive the bound. This engine adds *physically informed* pruning derived
-/// purely from population stability, computed once up front:
+/// The search is a depth-first branch-and-bound over the sites in index
+/// order, negative branch first. It is seeded with the quenched all-negative
+/// configuration, prunes on energy with an optimistic completion bound (every
+/// unassigned site contributes min(0, mu + v_i)), abandons a charge whose
+/// charged sites on the current path are no longer viable, and checks
+/// physical validity at every leaf. An energy bound alone is weak on dense
+/// canvases where many unassigned sites still *look* chargeable, so past
+/// ~30 sites whole exponential subtrees survive it. The engine therefore adds
+/// *physically informed* pruning derived purely from population stability,
+/// computed once up front:
 ///
 ///  - **Forced charge states.** With every pair potential V_ij >= 0, the
 ///    local potential of a site is bracketed by the charges that are already
@@ -22,22 +27,15 @@
 ///    yielding a window [min_charges, max_charges] on the number of
 ///    electrons of any population-stable configuration.
 ///
-/// The search itself is the exhaustive engine's branch-and-bound — same site
-/// order, same seeding, same floating-point operation sequence on every
-/// surviving branch, same leaf discipline. Its one structural difference is
-/// the viability gate after each charge: the exhaustive engine scans every
-/// site j <= index for charged ones, this engine walks a stack of the sites
-/// charged on the current path (pushed on the negative branch, popped on
-/// unwind) — the same sites, in the same ascending order, under the same
-/// predicate and early exit, so the search tree is unchanged. On top come
-/// three gates that only ever remove population-UNSTABLE subtrees: the negative
-/// branch is skipped on forced_neut sites and when max_charges is reached,
-/// the neutral branch is skipped on forced_neg sites, and a subtree is
-/// abandoned when even charging every remaining site cannot reach
-/// min_charges. Configurations in pruned subtrees always fail the leaf
-/// validity check, so the results (ground state, energy, degeneracy) are
-/// bit-identical to `exhaustive_ground_state` — just reached exponentially
-/// faster.
+/// Three gates read the window, and each only ever removes population-
+/// UNSTABLE subtrees: the negative branch is skipped on forced_neut sites and
+/// when max_charges is reached, the neutral branch is skipped on forced_neg
+/// sites, and a subtree is abandoned when even charging every remaining site
+/// cannot reach min_charges. Configurations in pruned subtrees always fail
+/// the leaf validity check, so the search stays complete: the ground state,
+/// its energy and the degeneracy count are exact. The viability gate walks a
+/// stack of the sites charged on the current path, and every reported energy
+/// is a fresh `SiDBSystem::grand_potential` evaluation of the configuration.
 
 #pragma once
 
@@ -73,11 +71,12 @@ inline constexpr std::uint8_t site_forced_neutral = 2;
 /// once per system, independent of the search.
 [[nodiscard]] PopulationWindow compute_population_window(const SiDBSystem& system);
 
-/// Population-bounded exact ground-state search. Bit-identical results to
-/// `exhaustive_ground_state` (same best configuration, grand potential and
-/// degeneracy count within \p degeneracy_tolerance), proven by the
-/// `ground_state_differential` testkit oracle; completes dense canvases of
-/// 40+ sites that the exhaustive engine cannot finish in the same budget.
+/// Population-bounded exact ground-state search: the global minimum of the
+/// grand potential over all physically valid configurations, and the number
+/// of valid configurations within \p degeneracy_tolerance of it. The
+/// `ground_state_differential` testkit oracle checks it against 2^n brute
+/// force on small canvases; the population window lets it complete dense
+/// canvases of 40+ sites.
 ///
 /// A limited \p run budget is polled sparsely; on stop the best
 /// configuration found so far is returned with complete = false and
@@ -87,7 +86,7 @@ inline constexpr std::uint8_t site_forced_neutral = 2;
                                                    const core::RunBudget& run = {});
 
 /// Overload reading the degeneracy window from the system's parameters
-/// (SimulationParameters::energy_tolerance), like the exhaustive engine.
+/// (SimulationParameters::energy_tolerance).
 [[nodiscard]] GroundStateResult exact_ground_state(const SiDBSystem& system,
                                                    const core::RunBudget& run = {});
 

@@ -32,25 +32,17 @@ inline constexpr double coulomb_k = 1.43996448;
 /// scoring, flow validation) accepts. `automatic` defers to
 /// SimulationParameters::engine, so a single knob switches the whole stack.
 ///
-/// Exact engines (guaranteed global minimum + exact degeneracy):
-///  - `exhaustive`: the legacy pair-pruned branch-and-bound (exhaustive.hpp),
-///    kept as the differential-oracle reference.
-///  - `exact`: the population-bounded search (ground_state_exact.hpp) — the
-///    default. Bit-identical results to `exhaustive` (same seeding, same
-///    float-op sequence on every surviving branch), but physically informed
-///    pruning lets it complete canvases far past the exhaustive ceiling.
-///
-/// Heuristic engines (physically valid result, no optimality certificate):
-///  - `simanneal`: SiQAD-style simulated annealing (simanneal.hpp).
-///  - `quicksim`: max-population seeding + adaptive hopping (quicksim.hpp),
-///    drastically fewer moves per instance than simanneal at equal accuracy.
+/// Two engines, one complete and one heuristic:
+///  - `exact`: the population-bounded branch-and-bound
+///    (ground_state_exact.hpp) — the default. Guaranteed global minimum and
+///    exact degeneracy count.
+///  - `simanneal`: SiQAD-style simulated annealing (simanneal.hpp) — a
+///    physically valid result without an optimality certificate.
 enum class Engine : std::uint8_t
 {
-    automatic,   ///< use SimulationParameters::engine
-    exhaustive,  ///< legacy pair-pruned branch-and-bound (exact)
-    simanneal,   ///< simulated annealing (heuristic)
-    quicksim,    ///< physically-informed seeding + adaptive hops (heuristic)
-    exact        ///< population-bounded exact search (the default)
+    automatic,  ///< use SimulationParameters::engine
+    simanneal,  ///< simulated annealing (heuristic)
+    exact       ///< population-bounded exact search (the default)
 };
 
 /// Physical simulation parameters (defaults per the paper's Fig. 5).
@@ -73,8 +65,8 @@ struct SimulationParameters
     /// operational-domain sweep and the gate designer's scoring loop).
     Engine engine{Engine::exact};
 
-    /// Base seed of the stochastic engines (simanneal, quicksim) when one is
-    /// selected for ground-state searches. The default matches
+    /// Base seed of the stochastic engine (simanneal) when it is selected
+    /// for ground-state searches. The default matches
     /// SimAnnealParameters::seed, so results are unchanged unless a caller
     /// rotates it (e.g. a bounded validation retry with a derive_seed-rotated
     /// stream).
@@ -87,8 +79,8 @@ struct SimulationParameters
     double stability_tolerance{1e-9};
 
     /// Energy window (in eV) within which two configurations count as
-    /// degenerate — the exhaustive engine's degeneracy_tolerance and the
-    /// accuracy bar the differential oracles hold the heuristic engines to.
+    /// degenerate — the exact engine's degeneracy_tolerance and the accuracy
+    /// bar the differential oracles hold the heuristic engine to.
     double energy_tolerance{1e-6};
 };
 
@@ -227,17 +219,15 @@ struct GroundStateResult
     double grand_potential{0.0};   ///< F of that configuration
     double electrostatic{0.0};     ///< electrostatic part, in eV
     /// Number of physically valid configurations within energy_tolerance of
-    /// the minimum. Exact engines (exhaustive, exact) report the true count;
-    /// stochastic engines (simanneal, quicksim) report the number of
-    /// *distinct* tying configurations their instances visited — a lower
-    /// bound on the true degeneracy, never an exact count.
+    /// the minimum. The exact engine reports the true count; simanneal
+    /// reports the number of *distinct* tying configurations its instances
+    /// visited — a lower bound on the true degeneracy, never an exact count.
     std::uint64_t degeneracy{1};
     bool complete{false};          ///< true if the search space was covered exhaustively
     bool cancelled{false};         ///< the search was cut by a run budget (result is partial)
-    /// Branch-and-bound nodes visited by the complete engines (exhaustive,
-    /// exact), counted on every run — a deterministic work counter, the same
-    /// under any run budget that does not stop the search. 0 for the
-    /// stochastic engines.
+    /// Branch-and-bound nodes visited by the exact engine, counted on every
+    /// run — a deterministic work counter, the same under any run budget
+    /// that does not stop the search. 0 for simanneal.
     std::uint64_t nodes{0};
 };
 

@@ -178,7 +178,7 @@ GroundStateResult simulated_annealing(const SiDBSystem& system, const SimAnnealP
     }
 
     // num_instances == 0 (or no instance recorded) leaves best.config empty;
-    // guard the energy evaluation the same way exhaustive_ground_state does.
+    // guard the energy evaluation the same way exact_ground_state does.
     best.electrostatic = best.config.empty() ? 0.0 : system.electrostatic_energy(best.config);
     return best;
 }

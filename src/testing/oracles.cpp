@@ -10,9 +10,7 @@
 #include "phys/charge_state.hpp"
 #include "phys/defect.hpp"
 #include "phys/defect_sweep.hpp"
-#include "phys/exhaustive.hpp"
 #include "phys/ground_state_exact.hpp"
-#include "phys/quicksim.hpp"
 #include "sat/proof.hpp"
 #include "sat/proof_check.hpp"
 #include "sat/solver.hpp"
@@ -24,6 +22,7 @@
 #include <limits>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 
 namespace bestagon::testkit
 {
@@ -190,56 +189,131 @@ OracleVerdict sat_differential(const sat::Cnf& cnf, unsigned max_bruteforce_vars
 namespace
 {
 
-/// Heuristic-engine checks shared by simanneal and quicksim: validity,
-/// self-consistent energy, never beating the reference minimum, accuracy
-/// within tolerance, and the degeneracy lower-bound contract.
-OracleVerdict check_heuristic_ground_state(const char* name, const phys::SiDBSystem& system,
-                                           const phys::GroundStateResult& reference,
-                                           const phys::GroundStateResult& heuristic,
-                                           double tolerance_ev)
+/// Naive population + configuration stability: every local potential is a
+/// fresh sum, independent of both the kernel and SiDBSystem's kernel-backed
+/// checks.
+bool naive_physically_valid(const phys::SiDBSystem& system, const phys::ChargeConfig& config)
+{
+    const std::size_t n = system.size();
+    const double mu = system.parameters().mu_minus;
+    const double tol = system.parameters().stability_tolerance;
+    std::vector<double> v(n);
+    for (std::size_t i = 0; i < n; ++i)
+    {
+        v[i] = system.local_potential(config, i);
+        const double level = mu + v[i];
+        if ((config[i] != 0 && level > tol) || (config[i] == 0 && level < -tol))
+        {
+            return false;
+        }
+    }
+    for (std::size_t i = 0; i < n; ++i)
+    {
+        if (config[i] == 0)
+        {
+            continue;
+        }
+        for (std::size_t j = 0; j < n; ++j)
+        {
+            if (config[j] == 0 && j != i && v[j] - v[i] - system.potential(i, j) < -tol)
+            {
+                return false;
+            }
+        }
+    }
+    return true;
+}
+
+/// The exact engine's contract against the brute-force reference: a complete
+/// search, a physically valid configuration at the minimum and the true
+/// degeneracy count. The configuration is the reference's (then the energy
+/// is bit-identical: both are fresh evaluations) unless the canvas is
+/// degenerate and the search settled on another configuration in the window.
+OracleVerdict check_exact_ground_state(const phys::SiDBSystem& system,
+                                       const phys::GroundStateResult& reference,
+                                       const phys::GroundStateResult& exact)
 {
     std::ostringstream out;
-    if (heuristic.config.size() != system.size())
+    if (!exact.complete)
     {
-        out << name << " returned a configuration of the wrong size";
+        return fail("exact engine did not report a complete search");
+    }
+    if (exact.config == reference.config)
+    {
+        if (exact.grand_potential != reference.grand_potential)
+        {
+            out << "exact engine energy " << exact.grand_potential
+                << " eV is not bit-identical to the brute-force minimum "
+                << reference.grand_potential << " eV";
+            return fail(out.str());
+        }
+    }
+    else if (exact.degeneracy < 2 || exact.config.size() != system.size() ||
+             !naive_physically_valid(system, exact.config) ||
+             exact.grand_potential < reference.grand_potential ||
+             exact.grand_potential - reference.grand_potential >
+                 system.parameters().energy_tolerance)
+    {
+        out << "exact engine found a different ground-state configuration than brute force ("
+            << system.size() << " dots, " << exact.grand_potential << " eV vs "
+            << reference.grand_potential << " eV)";
         return fail(out.str());
     }
-    if (!system.physically_valid(heuristic.config))
+    if (exact.degeneracy != reference.degeneracy)
     {
-        out << name
-            << " configuration is not physically valid (population or "
-               "configuration stability violated)";
+        out << "exact engine degeneracy " << exact.degeneracy << " != brute-force degeneracy "
+            << reference.degeneracy;
         return fail(out.str());
     }
-    const double recomputed = system.grand_potential(heuristic.config);
-    if (std::abs(recomputed - heuristic.grand_potential) > 1e-9)
+    return {};
+}
+
+/// simanneal's contract against the brute-force reference: validity,
+/// self-consistent energy, never beating the minimum, accuracy within
+/// tolerance, and the degeneracy lower bound.
+OracleVerdict check_annealed_ground_state(const phys::SiDBSystem& system,
+                                          const phys::GroundStateResult& reference,
+                                          const phys::GroundStateResult& annealed,
+                                          double tolerance_ev)
+{
+    if (annealed.config.size() != system.size())
     {
-        out << name << " misreports its own energy: config evaluates to " << recomputed
-            << " eV but " << heuristic.grand_potential << " eV was reported";
+        return fail("simanneal returned a configuration of the wrong size");
+    }
+    if (!system.physically_valid(annealed.config))
+    {
+        return fail("simanneal configuration is not physically valid (population or "
+                    "configuration stability violated)");
+    }
+    std::ostringstream out;
+    const double recomputed = system.grand_potential(annealed.config);
+    if (std::abs(recomputed - annealed.grand_potential) > 1e-9)
+    {
+        out << "simanneal misreports its own energy: config evaluates to " << recomputed
+            << " eV but " << annealed.grand_potential << " eV was reported";
         return fail(out.str());
     }
-    if (heuristic.grand_potential < reference.grand_potential - 1e-9)
+    if (annealed.grand_potential < reference.grand_potential - 1e-9)
     {
-        out << name << " energy " << heuristic.grand_potential
-            << " eV beats the exhaustive minimum " << reference.grand_potential
-            << " eV — the exact engine is not exact";
+        out << "simanneal energy " << annealed.grand_potential
+            << " eV beats the brute-force minimum " << reference.grand_potential << " eV";
         return fail(out.str());
     }
-    if (heuristic.grand_potential > reference.grand_potential + tolerance_ev)
+    if (annealed.grand_potential > reference.grand_potential + tolerance_ev)
     {
-        out << name << " missed the ground state: " << heuristic.grand_potential << " eV vs "
-            << reference.grand_potential << " eV exhaustive (" << system.size() << " dots)";
+        out << "simanneal missed the ground state: " << annealed.grand_potential << " eV vs "
+            << reference.grand_potential << " eV brute force (" << system.size() << " dots)";
         return fail(out.str());
     }
     // distinct-configuration degeneracy is a lower bound on the true count,
-    // but only when the heuristic actually sits on the minimum (otherwise
+    // but only when the annealer actually sits on the minimum (otherwise
     // its tolerance window is shifted upward and may cover configurations
-    // the exhaustive count excludes)
-    if (heuristic.grand_potential <= reference.grand_potential + 1e-9 &&
-        heuristic.degeneracy > reference.degeneracy)
+    // the true count excludes)
+    if (annealed.grand_potential <= reference.grand_potential + 1e-9 &&
+        annealed.degeneracy > reference.degeneracy)
     {
-        out << name << " reports degeneracy " << heuristic.degeneracy
-            << " above the exhaustive engine's true count " << reference.degeneracy;
+        out << "simanneal reports degeneracy " << annealed.degeneracy
+            << " above the true count " << reference.degeneracy;
         return fail(out.str());
     }
     return {};
@@ -247,25 +321,63 @@ OracleVerdict check_heuristic_ground_state(const char* name, const phys::SiDBSys
 
 }  // namespace
 
+phys::GroundStateResult brute_force_ground_state(const phys::SiDBSystem& system)
+{
+    const std::size_t n = system.size();
+    if (n > max_brute_force_sites)
+    {
+        throw std::invalid_argument{"brute_force_ground_state enumerates at most " +
+                                    std::to_string(max_brute_force_sites) + " sites, got " +
+                                    std::to_string(n)};
+    }
+    const std::uint64_t count = std::uint64_t{1} << n;
+    std::vector<double> energies(count, std::numeric_limits<double>::infinity());
+    phys::GroundStateResult best;
+    best.grand_potential = std::numeric_limits<double>::infinity();
+    phys::ChargeConfig config(n, 0);
+    for (std::uint64_t bits = 0; bits < count; ++bits)
+    {
+        for (std::size_t s = 0; s < n; ++s)
+        {
+            config[s] = static_cast<std::uint8_t>((bits >> s) & 1ULL);
+        }
+        if (!naive_physically_valid(system, config))
+        {
+            continue;
+        }
+        energies[bits] = system.grand_potential(config);
+        if (energies[bits] < best.grand_potential)
+        {
+            best.grand_potential = energies[bits];
+            best.config = config;
+        }
+    }
+    best.degeneracy = 0;
+    for (const double f : energies)
+    {
+        if (f - best.grand_potential <= system.parameters().energy_tolerance)
+        {
+            ++best.degeneracy;
+        }
+    }
+    best.electrostatic = best.config.empty() ? 0.0 : system.electrostatic_energy(best.config);
+    best.complete = true;
+    return best;
+}
+
 OracleVerdict ground_state_differential(const std::vector<phys::SiDBSite>& canvas,
                                         const phys::SimulationParameters& sim_params,
                                         const phys::SimAnnealParameters& anneal_params,
                                         double tolerance_ev, GroundStateFault fault)
 {
     const phys::SiDBSystem system{canvas, sim_params};
-    auto reference = phys::exhaustive_ground_state(system);
-    if (!reference.complete)
-    {
-        return fail("exhaustive engine did not report a complete search");
-    }
+    auto reference = brute_force_ground_state(system);
     if (fault == GroundStateFault::shift_exact_energy)
     {
         reference.grand_potential += 0.010;
     }
 
-    std::ostringstream out;
-
-    // --- exact engine: claims bit-identical results to exhaustive ----------
+    // --- exact engine: claims the exact minimum and degeneracy -------------
     phys::GroundStateResult exact;
     if (fault == GroundStateFault::shrink_exact_population_window)
     {
@@ -296,31 +408,12 @@ OracleVerdict ground_state_differential(const std::vector<phys::SiDBSite>& canva
     {
         exact = phys::exact_ground_state(system);
     }
-    if (!exact.complete)
+    if (auto verdict = check_exact_ground_state(system, reference, exact); !verdict)
     {
-        return fail("exact engine did not report a complete search");
-    }
-    if (exact.config != reference.config)
-    {
-        out << "exact engine found a different ground-state configuration than exhaustive ("
-            << canvas.size() << " dots)";
-        return fail(out.str());
-    }
-    if (exact.grand_potential != reference.grand_potential)
-    {
-        out << "exact engine energy " << exact.grand_potential
-            << " eV is not bit-identical to the exhaustive minimum " << reference.grand_potential
-            << " eV";
-        return fail(out.str());
-    }
-    if (exact.degeneracy != reference.degeneracy)
-    {
-        out << "exact engine degeneracy " << exact.degeneracy << " != exhaustive degeneracy "
-            << reference.degeneracy;
-        return fail(out.str());
+        return verdict;
     }
 
-    // --- heuristic engines -------------------------------------------------
+    // --- heuristic engine --------------------------------------------------
     auto simanneal = phys::simulated_annealing(system, anneal_params);
     if (fault == GroundStateFault::corrupt_anneal_config)
     {
@@ -330,27 +423,7 @@ OracleVerdict ground_state_differential(const std::vector<phys::SiDBSite>& canva
         }
         simanneal.config[0] ^= 1U;
     }
-    if (auto verdict = check_heuristic_ground_state("simanneal", system, reference, simanneal,
-                                                    tolerance_ev);
-        !verdict)
-    {
-        return verdict;
-    }
-
-    phys::QuickSimParameters quicksim_params;
-    quicksim_params.num_instances = anneal_params.num_instances;
-    quicksim_params.seed = anneal_params.seed;
-    quicksim_params.num_threads = anneal_params.num_threads;
-    auto quicksim = phys::quicksim_ground_state(system, quicksim_params);
-    if (fault == GroundStateFault::corrupt_quicksim_config)
-    {
-        if (quicksim.config.empty())
-        {
-            return fail("corrupt_quicksim_config needs a non-empty canvas");
-        }
-        quicksim.config[0] ^= 1U;
-    }
-    return check_heuristic_ground_state("quicksim", system, reference, quicksim, tolerance_ev);
+    return check_annealed_ground_state(system, reference, simanneal, tolerance_ev);
 }
 
 namespace
@@ -474,47 +547,6 @@ std::pair<phys::ChargeConfig, double> naive_anneal_instance(const phys::SiDBSyst
     }
     naive_quench(system, config);
     return {std::move(config), system.grand_potential(config)};
-}
-
-/// Naive population + configuration stability with fresh sums everywhere
-/// (independent of both the kernel and SiDBSystem's kernel-backed checks).
-bool naive_physically_valid(const phys::SiDBSystem& system, const phys::ChargeConfig& config)
-{
-    const std::size_t n = system.size();
-    const double mu = system.parameters().mu_minus;
-    const double tol = system.parameters().stability_tolerance;
-    for (std::size_t i = 0; i < n; ++i)
-    {
-        const double level = mu + system.local_potential(config, i);
-        if (config[i] != 0 && level > tol)
-        {
-            return false;
-        }
-        if (config[i] == 0 && level < -tol)
-        {
-            return false;
-        }
-    }
-    for (std::size_t i = 0; i < n; ++i)
-    {
-        if (config[i] == 0)
-        {
-            continue;
-        }
-        const double vi = system.local_potential(config, i);
-        for (std::size_t j = 0; j < n; ++j)
-        {
-            if (config[j] != 0 || j == i)
-            {
-                continue;
-            }
-            if (system.local_potential(config, j) - vi - system.potential(i, j) < -tol)
-            {
-                return false;
-            }
-        }
-    }
-    return true;
 }
 
 }  // namespace
@@ -674,51 +706,11 @@ OracleVerdict charge_state_differential(const std::vector<phys::SiDBSite>& canva
                     "the pre-refactor naive path at equal energy");
     }
 
-    // --- 2c. kernel-backed exhaustive vs. naive brute-force enumeration -----
+    // --- 2c. kernel-backed exact engine vs. naive brute-force enumeration ----
     if (n <= 14)
     {
-        const auto exact = phys::exhaustive_ground_state(system);
-        if (!exact.complete)
-        {
-            return fail("exhaustive engine did not report a complete search");
-        }
-        double best = std::numeric_limits<double>::infinity();
-        const std::uint64_t count = 1ULL << n;
-        std::vector<double> energies(count, std::numeric_limits<double>::infinity());
-        for (std::uint64_t bits = 0; bits < count; ++bits)
-        {
-            phys::ChargeConfig config(n, 0);
-            for (std::size_t s = 0; s < n; ++s)
-            {
-                config[s] = static_cast<std::uint8_t>((bits >> s) & 1ULL);
-            }
-            if (!naive_physically_valid(system, config))
-            {
-                continue;
-            }
-            energies[bits] = system.grand_potential(config);
-            best = std::min(best, energies[bits]);
-        }
-        std::uint64_t degeneracy = 0;
-        for (const double f : energies)
-        {
-            if (f - best <= sim_params.energy_tolerance)
-            {
-                ++degeneracy;
-            }
-        }
-        if (std::abs(exact.grand_potential - best) > tolerance)
-        {
-            out << "kernel-backed exhaustive ground state " << exact.grand_potential
-                << " eV differs from the naive brute-force minimum " << best << " eV";
-            return fail(out.str());
-        }
-        if (exact.degeneracy != degeneracy)
-        {
-            out << "kernel-backed exhaustive engine counted " << exact.degeneracy
-                << " degenerate configurations; the naive brute force counted " << degeneracy;
-            return fail(out.str());
-        }
+        return check_exact_ground_state(system, brute_force_ground_state(system),
+                                        phys::exact_ground_state(system));
     }
     return {};
 }
@@ -874,22 +866,15 @@ OracleVerdict defect_differential(const phys::GateDesign& design,
         return fail(out.str());
     }
 
-    // both complete engines see W through the shared kernel — on the defect
-    // system they must still agree bit-for-bit
-    if (n <= 24)
+    // the exact engine sees W through the kernel, brute force through fresh
+    // sums — on the defect system they must still agree
+    if (n <= max_brute_force_sites)
     {
-        const auto reference = phys::exhaustive_ground_state(system);
-        const auto exact = phys::exact_ground_state(system);
-        if (!reference.complete || !exact.complete)
+        if (auto verdict = check_exact_ground_state(system, brute_force_ground_state(system),
+                                                    phys::exact_ground_state(system));
+            !verdict)
         {
-            return fail("a complete engine did not finish on the defect system");
-        }
-        if (exact.grand_potential != reference.grand_potential ||
-            exact.config != reference.config || exact.degeneracy != reference.degeneracy)
-        {
-            out << "exact (" << exact.grand_potential << " eV) and exhaustive ("
-                << reference.grand_potential
-                << " eV) ground states diverge on the defect system";
+            out << verdict.detail << " on the defect system";
             return fail(out.str());
         }
     }

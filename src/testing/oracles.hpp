@@ -6,10 +6,11 @@
 ///     model-checked against every clause, UNSAT answers carry a DRAT proof
 ///     certified by the independent backward checker and are additionally
 ///     refuted or confirmed by an exhaustive sweep (instances <= 20 vars).
-///  2. Ground-state engines vs. the exhaustive reference on small canvases:
-///     the population-bounded exact engine must be bit-identical, the
-///     heuristics (simanneal, quicksim) accurate within tolerance (the
-///     exact-vs-heuristic split of the SiDB simulation literature).
+///  2. Ground-state engines vs. 2^n brute force on small canvases: the
+///     population-bounded exact engine must find the exact minimum and
+///     degeneracy, the heuristic (simanneal) must be accurate within
+///     tolerance (the exact-vs-heuristic split of the SiDB simulation
+///     literature).
 ///  3. Exact vs. scalable placement & routing — both layouts must pass
 ///     SAT-based equivalence checking against the specification network;
 ///     the exact engine additionally DRAT-certifies every refuted size and
@@ -88,32 +89,45 @@ struct SatOracleStats
                                              SatFault fault = SatFault::none,
                                              SatOracleStats* stats = nullptr);
 
-// --- 2. ground states: exact/simanneal/quicksim vs. exhaustive --------------
+// --- 2. ground states: exact/simanneal vs. brute force ----------------------
+
+/// Largest system brute_force_ground_state enumerates (2^18 configurations).
+inline constexpr std::size_t max_brute_force_sites = 18;
+
+/// The reference ground state by enumeration: every one of the 2^n charge
+/// configurations is checked for physical validity with a naive evaluator
+/// (fresh local-potential sums, independent of the charge-state kernel) and
+/// scored with SiDBSystem::grand_potential. Returns the first configuration
+/// of minimum grand potential in enumeration order, that minimum, and the
+/// exact number of valid configurations within
+/// SimulationParameters::energy_tolerance of it (complete = true). Throws
+/// std::invalid_argument past max_brute_force_sites sites.
+[[nodiscard]] phys::GroundStateResult brute_force_ground_state(const phys::SiDBSystem& system);
 
 enum class GroundStateFault : std::uint8_t
 {
     none,
     corrupt_anneal_config,  ///< flip the charge of site 0 in simanneal's answer
-    shift_exact_energy,     ///< misreport the exhaustive minimum by +10 meV
+    shift_exact_energy,     ///< misreport the brute-force minimum by +10 meV
     /// Narrow the exact engine's population window so it prunes the true
     /// ground state — models an unsound bound derivation.
-    shrink_exact_population_window,
-    corrupt_quicksim_config  ///< flip the charge of site 0 in quicksim's answer
+    shrink_exact_population_window
 };
 
-/// Runs all four ground-state engines on the canvas with the legacy
-/// exhaustive branch-and-bound as the reference:
+/// Runs both ground-state engines on the canvas with brute_force_ground_state
+/// as the reference:
 ///
 ///  - the *exact* engine (population-bounded search) must report a complete
-///    search with a bit-identical configuration, grand potential and
+///    search of a physically valid configuration at the minimum (the
+///    reference's configuration with a bit-identical energy, or on a
+///    degenerate canvas another one within energy_tolerance) and the same
 ///    degeneracy count — it claims exactness, so any divergence is a bug;
-///  - each *heuristic* engine (simanneal with \p anneal_params, quicksim
-///    with the matching instance count/seed/threads) must return a
+///  - the *heuristic* engine (simanneal with \p anneal_params) must return a
 ///    physically valid configuration that (a) reports an energy consistent
-///    with itself, (b) never beats the exhaustive minimum, (c) reaches it
+///    with itself, (b) never beats the reference minimum, (c) reaches it
 ///    within \p tolerance_ev, and (d) — when it does find the minimum —
 ///    reports a distinct-configuration degeneracy that does not exceed the
-///    exhaustive engine's true count (the documented lower-bound contract).
+///    true count (the documented lower-bound contract).
 [[nodiscard]] OracleVerdict ground_state_differential(const std::vector<phys::SiDBSite>& canvas,
                                                       const phys::SimulationParameters& sim_params,
                                                       const phys::SimAnnealParameters& anneal_params,
@@ -138,13 +152,13 @@ enum class ChargeStateFault : std::uint8_t
 ///     O(n) cached grand potential must match the naive pairwise sum, and a
 ///     rebuild() must restore bit-exact agreement.
 ///  2. *Engine fidelity*: the kernel-backed quench, simulated annealing and
-///     exhaustive engines are cross-checked against pre-refactor naive
-///     reference implementations kept here (fresh local-potential sums at
-///     every decision): quench and anneal must reproduce the naive
-///     accept/reject trajectory (identical configurations, energies within
-///     \p tolerance) and the exhaustive ground state must match a naive
-///     brute-force enumeration (energy within \p tolerance, identical
-///     degeneracy) when the canvas is small enough to enumerate.
+///     exact engines are cross-checked against pre-refactor naive reference
+///     implementations kept here (fresh local-potential sums at every
+///     decision): quench and anneal must reproduce the naive accept/reject
+///     trajectory (identical configurations, energies within \p tolerance)
+///     and the exact ground state must pass the same check against
+///     brute_force_ground_state as in ground_state_differential when the
+///     canvas has at most 14 sites.
 ///  3. With ChargeStateFault::skip_cache_update, one mid-sequence commit
 ///     bypasses the cache update; the oracle must detect the divergence
 ///     (mutation coverage for the oracle itself).
@@ -175,8 +189,9 @@ enum class DefectFault : std::uint8_t
 ///     evaluated here from first principles (screened Coulomb per defect):
 ///     the system's W row, every cached kernel v_i after seeded random
 ///     commits, and the O(n) cached energies, all within \p tolerance.
-///     The exact engine must agree bit-identically with the exhaustive
-///     reference on the defect system (both see W through the kernel).
+///     The exact engine (which sees W through the kernel) must agree with
+///     brute_force_ground_state (which sees it through fresh sums) on the
+///     defect system when it has at most max_brute_force_sites sites.
 ///  3. *Yield-sweep invariants*: a small Monte-Carlo sweep over \p design
 ///     must evaluate every sample, produce a monotonically non-increasing
 ///     survival curve, and be bit-identical between 1 and 3 worker threads.

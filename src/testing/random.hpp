@@ -105,7 +105,7 @@ struct XagOptions
 struct CanvasOptions
 {
     unsigned min_dots{2};
-    unsigned max_dots{12};  ///< keep small enough for exhaustive ground states
+    unsigned max_dots{12};  ///< keep small enough for brute-force ground states
     std::int32_t max_column{10};     ///< n in [0, max_column]
     std::int32_t max_dimer_row{6};   ///< m in [0, max_dimer_row]
 };

@@ -61,7 +61,7 @@ TEST(FuzzRunControl, CutRunsStayWellFormed)
         auto options = budgeted_flow_options();
         options.validate_gates = rng.chance(0.5);
         options.validation_engine =
-            rng.chance(0.5) ? phys::Engine::exhaustive : phys::Engine::simanneal;
+            rng.chance(0.5) ? phys::Engine::exact : phys::Engine::simanneal;
         options.validation_retries = static_cast<unsigned>(rng.below(3));
 
         core::StopSource source;

@@ -380,8 +380,8 @@ TEST(GateInstanceCache, CachedPatternSimulationMatchesNaivePath)
     const GateInstanceCache cache{design, params};
     for (std::uint64_t pattern = 0; pattern < 4; ++pattern)
     {
-        const auto cached = simulate_gate_pattern(cache, pattern, Engine::exhaustive);
-        const auto direct = simulate_gate_pattern(design, pattern, params, Engine::exhaustive);
+        const auto cached = simulate_gate_pattern(cache, pattern, Engine::exact);
+        const auto direct = simulate_gate_pattern(design, pattern, params, Engine::exact);
         EXPECT_EQ(cached.ground_state.config, direct.ground_state.config) << pattern;
         EXPECT_EQ(cached.ground_state.grand_potential, direct.ground_state.grand_potential)
             << pattern;

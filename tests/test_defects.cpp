@@ -11,9 +11,8 @@
 #include "logic/tech_mapping.hpp"
 #include "phys/charge_state.hpp"
 #include "phys/defect_sweep.hpp"
-#include "phys/exhaustive.hpp"
+#include "phys/ground_state_exact.hpp"
 #include "phys/operational.hpp"
-#include "phys/quicksim.hpp"
 #include "phys/simanneal.hpp"
 #include "testing/oracles.hpp"
 
@@ -193,9 +192,6 @@ TEST(ParameterValidation, HeuristicEnginesRejectNonPositiveTemperatures)
     SimAnnealParameters anneal;
     anneal.initial_temperature = 0.0;
     EXPECT_THROW(static_cast<void>(simulated_annealing(system, anneal)), std::invalid_argument);
-    QuickSimParameters qs;
-    qs.hop_temperature = -0.1;
-    EXPECT_THROW(static_cast<void>(quicksim_ground_state(system, qs)), std::invalid_argument);
 }
 
 // --- defect-aware simulation -------------------------------------------------
@@ -258,8 +254,8 @@ TEST(DefectAware, CacheMatchesDirectSystemWithChargedDefects)
                 EXPECT_EQ(fast.potential(i, j), direct.potential(i, j));
             }
         }
-        const auto gs_fast = exhaustive_ground_state(fast);
-        const auto gs_direct = exhaustive_ground_state(direct);
+        const auto gs_fast = exact_ground_state(fast);
+        const auto gs_direct = exact_ground_state(direct);
         EXPECT_EQ(gs_fast.grand_potential, gs_direct.grand_potential);
         EXPECT_EQ(gs_fast.config, gs_direct.config);
     }

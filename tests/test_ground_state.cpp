@@ -1,41 +1,17 @@
-#include "phys/exhaustive.hpp"
+#include "phys/ground_state_exact.hpp"
 #include "phys/simanneal.hpp"
+#include "testing/oracles.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <random>
 
 namespace
 {
 
 using namespace bestagon::phys;
-
-/// Brute-force reference: enumerate all configurations.
-GroundStateResult brute_force(const SiDBSystem& sys)
-{
-    GroundStateResult best;
-    best.grand_potential = std::numeric_limits<double>::infinity();
-    const std::size_t n = sys.size();
-    for (std::uint64_t mask = 0; mask < (1ULL << n); ++mask)
-    {
-        ChargeConfig cfg(n, 0);
-        for (std::size_t i = 0; i < n; ++i)
-        {
-            cfg[i] = ((mask >> i) & 1ULL) != 0 ? 1 : 0;
-        }
-        if (!sys.physically_valid(cfg))
-        {
-            continue;
-        }
-        const double f = sys.grand_potential(cfg);
-        if (f < best.grand_potential)
-        {
-            best.grand_potential = f;
-            best.config = cfg;
-        }
-    }
-    return best;
-}
 
 std::vector<SiDBSite> random_sites(unsigned n, std::mt19937& rng)
 {
@@ -52,42 +28,43 @@ std::vector<SiDBSite> random_sites(unsigned n, std::mt19937& rng)
     return sites;
 }
 
-TEST(Exhaustive, SingleSite)
+TEST(ExactGroundState, SingleSite)
 {
     SimulationParameters p;
     p.mu_minus = -0.32;
     const SiDBSystem sys{{{0, 0, 0}}, p};
-    const auto gs = exhaustive_ground_state(sys);
+    const auto gs = exact_ground_state(sys);
     EXPECT_TRUE(gs.complete);
     EXPECT_EQ(gs.config, (ChargeConfig{1}));
     EXPECT_NEAR(gs.grand_potential, -0.32, 1e-12);
 }
 
-TEST(Exhaustive, BdlPairIsBistable)
+TEST(ExactGroundState, BdlPairIsBistable)
 {
     SimulationParameters p;
     p.mu_minus = -0.32;
     // adjacent columns (0.384 nm): V ~ 0.62 eV > |mu| forces single occupation
     const SiDBSystem sys{{{0, 0, 0}, {1, 0, 0}}, p};
-    const auto gs = exhaustive_ground_state(sys);
+    const auto gs = exact_ground_state(sys);
     // exactly one electron, two degenerate positions
     EXPECT_EQ(gs.config[0] + gs.config[1], 1);
     EXPECT_EQ(gs.degeneracy, 2U);
 }
 
-TEST(Exhaustive, IsolatedWidePairIsDoublyOccupied)
+TEST(ExactGroundState, IsolatedWidePairIsDoublyOccupied)
 {
     SimulationParameters p;
     p.mu_minus = -0.32;
     // at 0.768 nm, V ~ 0.287 eV < |mu|: an ISOLATED pair takes two electrons;
     // in-wire pairs stay singly occupied only thanks to neighbor repulsion
     const SiDBSystem sys{{{0, 0, 0}, {0, 1, 0}}, p};
-    const auto gs = exhaustive_ground_state(sys);
+    const auto gs = exact_ground_state(sys);
     EXPECT_EQ(gs.config[0] + gs.config[1], 2);
 }
 
-/// Property: branch-and-bound agrees with brute force on random systems.
-TEST(Exhaustive, AgreesWithBruteForce)
+/// Property: the branch-and-bound agrees with 2^n brute force on random
+/// systems.
+TEST(ExactGroundState, AgreesWithBruteForce)
 {
     std::mt19937 rng{31337};
     SimulationParameters p;
@@ -96,15 +73,15 @@ TEST(Exhaustive, AgreesWithBruteForce)
     {
         const auto sites = random_sites(4 + rng() % 7, rng);
         const SiDBSystem sys{sites, p};
-        const auto expected = brute_force(sys);
-        const auto actual = exhaustive_ground_state(sys);
+        const auto expected = bestagon::testkit::brute_force_ground_state(sys);
+        const auto actual = exact_ground_state(sys);
         ASSERT_TRUE(std::isfinite(expected.grand_potential));
         EXPECT_NEAR(actual.grand_potential, expected.grand_potential, 1e-9) << "iter " << iter;
         EXPECT_TRUE(sys.physically_valid(actual.config));
     }
 }
 
-TEST(Exhaustive, GroundStateIsAlwaysPhysicallyValid)
+TEST(ExactGroundState, GroundStateIsAlwaysPhysicallyValid)
 {
     std::mt19937 rng{777};
     SimulationParameters p;
@@ -113,7 +90,7 @@ TEST(Exhaustive, GroundStateIsAlwaysPhysicallyValid)
     {
         const auto sites = random_sites(6 + rng() % 6, rng);
         const SiDBSystem sys{sites, p};
-        const auto gs = exhaustive_ground_state(sys);
+        const auto gs = exact_ground_state(sys);
         EXPECT_TRUE(sys.physically_valid(gs.config));
     }
 }
@@ -127,7 +104,7 @@ TEST(SimAnneal, FindsGroundStateOfSmallSystems)
     {
         const auto sites = random_sites(5 + rng() % 5, rng);
         const SiDBSystem sys{sites, p};
-        const auto exact = exhaustive_ground_state(sys);
+        const auto exact = exact_ground_state(sys);
         SimAnnealParameters sp;
         sp.seed = 1000 + static_cast<std::uint64_t>(iter);
         const auto heuristic = simulated_annealing(sys, sp);

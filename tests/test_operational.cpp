@@ -58,7 +58,7 @@ TEST(Operational, VerticalWireIsOperationalAtBothMuValues)
     {
         SimulationParameters p;
         p.mu_minus = mu;
-        const auto result = check_operational(vertical_wire(), p, Engine::exhaustive);
+        const auto result = check_operational(vertical_wire(), p, Engine::exact);
         EXPECT_TRUE(result.operational) << "mu = " << mu;
         EXPECT_EQ(result.patterns_correct, 2U);
     }
@@ -79,7 +79,7 @@ TEST(Operational, BrokenWireIsDetected)
     d.sites.erase(d.sites.begin() + 4, d.sites.begin() + 10);
     SimulationParameters p;
     p.mu_minus = -0.32;
-    const auto result = check_operational(d, p, Engine::exhaustive);
+    const auto result = check_operational(d, p, Engine::exact);
     EXPECT_FALSE(result.operational);
 }
 
@@ -105,7 +105,7 @@ TEST(GateDesigner, FindsTrivialCompletionOfAWire)
     opt.max_iterations = 2000;
     const auto result = design_gate(skeleton, candidates, opt, p);
     ASSERT_TRUE(result.has_value());
-    const auto check = check_operational(result->design, p, Engine::exhaustive);
+    const auto check = check_operational(result->design, p, Engine::exact);
     EXPECT_TRUE(check.operational);
 }
 

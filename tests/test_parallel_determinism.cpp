@@ -60,7 +60,7 @@ void expect_identical(const OperationalResult& a, const OperationalResult& b)
 TEST(ParallelDeterminism, CheckOperationalMatchesSerial)
 {
     const auto design = vertical_wire();
-    for (const auto engine : {Engine::exhaustive, Engine::simanneal, Engine::quicksim, Engine::exact})
+    for (const auto engine : {Engine::simanneal, Engine::exact})
     {
         SimulationParameters serial;
         serial.num_threads = 1;

@@ -10,8 +10,8 @@
 #include "core/run_control.hpp"
 #include "layout/bestagon_library.hpp"
 #include "logic/benchmarks.hpp"
-#include "phys/exhaustive.hpp"
 #include "phys/gate_designer.hpp"
+#include "phys/ground_state_exact.hpp"
 #include "phys/operational.hpp"
 #include "phys/operational_domain.hpp"
 #include "phys/simanneal.hpp"
@@ -411,7 +411,7 @@ TEST(RunControl, SimannealCancellationStaysWellFormed)
     EXPECT_EQ(plain.config, unlimited.config);
 }
 
-TEST(RunControl, ExhaustiveCancellationReportsIncomplete)
+TEST(RunControl, ExactCancellationReportsIncomplete)
 {
     phys::SimulationParameters params;
     params.mu_minus = -0.32;
@@ -421,11 +421,11 @@ TEST(RunControl, ExhaustiveCancellationReportsIncomplete)
         sites.push_back({4 * n, 0, 0});
     }
     const phys::SiDBSystem system{sites, params};
-    const auto result = phys::exhaustive_ground_state(system, tripped_budget());
+    const auto result = phys::exact_ground_state(system, tripped_budget());
     EXPECT_TRUE(result.cancelled);
     EXPECT_FALSE(result.complete);
 
-    const auto unlimited = phys::exhaustive_ground_state(system);
+    const auto unlimited = phys::exact_ground_state(system);
     EXPECT_TRUE(unlimited.complete);
     EXPECT_FALSE(unlimited.cancelled);
 }
@@ -439,7 +439,7 @@ TEST(RunControl, OperationalCheckCancellationKeepsPatternIndices)
     phys::SimulationParameters params;
     params.mu_minus = -0.32;
     const auto result =
-        phys::check_operational(wire->design, params, phys::Engine::exhaustive, tripped_budget());
+        phys::check_operational(wire->design, params, phys::Engine::exact, tripped_budget());
     EXPECT_TRUE(result.cancelled);
     EXPECT_FALSE(result.operational) << "unevaluated patterns must count against operivity";
     for (std::size_t p = 0; p < result.details.size(); ++p)
@@ -482,7 +482,7 @@ TEST(RunControl, OperationalDomainCancellationKeepsCoordinates)
     sweep.y_max = 6.0;
     sweep.y_steps = 3;
     const auto domain = phys::compute_operational_domain(wire->design, base, sweep,
-                                                         phys::Engine::exhaustive, tripped_budget());
+                                                         phys::Engine::exact, tripped_budget());
     EXPECT_TRUE(domain.cancelled);
     ASSERT_EQ(domain.points.size(), 9U);
     for (const auto& p : domain.points)

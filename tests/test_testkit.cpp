@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <set>
+#include <stdexcept>
 
 namespace
 {
@@ -206,6 +207,32 @@ TEST(TestkitOracles, GroundStateHappyPathOnFixedCanvas)
     const auto verdict =
         testkit::ground_state_differential(canvas, phys::SimulationParameters{}, anneal);
     EXPECT_TRUE(verdict.ok) << verdict.detail;
+}
+
+TEST(TestkitOracles, BruteForceGroundStateCountsDegeneracyAndRejectsLargeSystems)
+{
+    const phys::SimulationParameters params;
+    const auto empty = testkit::brute_force_ground_state(phys::SiDBSystem{{}, params});
+    EXPECT_TRUE(empty.complete);
+    EXPECT_TRUE(empty.config.empty());
+    EXPECT_EQ(empty.grand_potential, 0.0);
+    EXPECT_EQ(empty.degeneracy, 1U);
+
+    // a BDL pair holds one electron on either site: two degenerate minima
+    const phys::SiDBSystem pair{{{0, 0, 0}, {1, 0, 0}}, params};
+    const auto bistable = testkit::brute_force_ground_state(pair);
+    EXPECT_EQ(bistable.config, (phys::ChargeConfig{1, 0}));  // first in enumeration order
+    EXPECT_EQ(bistable.grand_potential, pair.grand_potential(bistable.config));
+    EXPECT_EQ(bistable.degeneracy, 2U);
+
+    std::vector<phys::SiDBSite> sites;
+    for (int k = 0; k <= static_cast<int>(testkit::max_brute_force_sites); ++k)
+    {
+        sites.push_back({40 * k, 0, 0});
+    }
+    const phys::SiDBSystem too_large{sites, params};
+    EXPECT_THROW(static_cast<void>(testkit::brute_force_ground_state(too_large)),
+                 std::invalid_argument);
 }
 
 TEST(TestkitOracles, FrontendHappyPathOnBenchmark)

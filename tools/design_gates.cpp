@@ -16,7 +16,7 @@
 /// For each gate it builds the standard-tile skeleton (port pairs, wires,
 /// drivers, output perturbers, target function), then runs the stochastic
 /// canvas search (the stand-in for the paper's RL agent [28]) until the
-/// design passes the exhaustive operational check at the library calibration
+/// design passes the exact operational check at the library calibration
 /// point (mu = -0.32 eV, eps_r = 5.6, lambda_TF = 5 nm). Successful canvases
 /// are printed in a form that can be pasted into the library source.
 ///
