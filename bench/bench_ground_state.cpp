@@ -103,7 +103,7 @@ void BM_CheckOperationalDefaultExact(benchmark::State& state)
     bool ok = false;
     for (auto _ : state)
     {
-        // Engine::automatic resolves to params.engine (default: exact)
+        // params.engine picks the engine (default: exact)
         const auto result = check_operational(design, params);
         ok = result.operational;
         benchmark::DoNotOptimize(result);

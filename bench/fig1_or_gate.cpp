@@ -29,7 +29,7 @@ bool run_point(const phys::GateDesign& design, double mu, bool print_config)
     bool all_ok = true;
     for (std::uint64_t pattern = 0; pattern < 4; ++pattern)
     {
-        const auto r = phys::simulate_gate_pattern(design, pattern, params, phys::Engine::exact);
+        const auto r = phys::simulate_gate_pattern(design, pattern, params);
         const char* out = r.output_states[0] == phys::PairState::one    ? "1"
                           : r.output_states[0] == phys::PairState::zero ? "0"
                                                                         : "undefined";
@@ -43,7 +43,7 @@ bool run_point(const phys::GateDesign& design, double mu, bool print_config)
 
     if (print_config && all_ok)
     {
-        const auto detail = phys::simulate_gate_pattern(design, 1, params, phys::Engine::exact);
+        const auto detail = phys::simulate_gate_pattern(design, 1, params);
         std::printf("charge configuration for A=1, B=0 (DB- = negatively charged, cf. Fig. 1c):\n%s\n",
                     io::render_charges(detail.sites, detail.ground_state.config).c_str());
     }

@@ -26,7 +26,7 @@ int main()
     unsigned operational = 0;
     unsigned total = 0;
     const auto report = [&](const layout::GateImplementation& g) {
-        const auto r = phys::check_operational(g.design, params, phys::Engine::exact);
+        const auto r = phys::check_operational(g.design, params);
         std::string ports;
         for (const auto p : {g.in_a, g.in_b})
         {

@@ -60,7 +60,7 @@ int main(int argc, char** argv)
         std::printf("  (%d, %d, %d)\n", s.n, s.m, s.l);
     }
 
-    const auto check = phys::check_operational(result->design, params, phys::Engine::exact);
+    const auto check = phys::check_operational(result->design, params);
     std::printf("operational check: %llu / %llu patterns correct\n",
                 static_cast<unsigned long long>(check.patterns_correct),
                 static_cast<unsigned long long>(check.patterns_total));

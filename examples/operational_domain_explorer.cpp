@@ -38,8 +38,7 @@ int main()
     std::printf("x: eps_r in [%.1f, %.1f], y: lambda_TF in [%.1f, %.1f] nm\n\n", sweep.x_min,
                 sweep.x_max, sweep.y_min, sweep.y_max);
 
-    const auto domain =
-        phys::compute_operational_domain(wire->design, base, sweep, phys::Engine::exact, run);
+    const auto domain = phys::compute_operational_domain(wire->design, base, sweep, run);
 
     for (unsigned j = sweep.y_steps; j-- > 0;)
     {

@@ -25,12 +25,12 @@ int main()
     std::printf("BDL wire, %zu SiDBs, mu=-0.28 eV, eps_r=%.1f, lambda_TF=%.1f nm\n\n",
                 wire->design.sites.size(), params.epsilon_r, params.lambda_tf);
 
+    auto annealing = params;
+    annealing.engine = phys::Engine::simanneal;
     for (std::uint64_t pattern = 0; pattern < 2; ++pattern)
     {
-        const auto exact = phys::simulate_gate_pattern(wire->design, pattern, params,
-                                                       phys::Engine::exact);
-        const auto annealed = phys::simulate_gate_pattern(wire->design, pattern, params,
-                                                          phys::Engine::simanneal);
+        const auto exact = phys::simulate_gate_pattern(wire->design, pattern, params);
+        const auto annealed = phys::simulate_gate_pattern(wire->design, pattern, annealing);
         std::printf("input %llu (perturber %s):\n", static_cast<unsigned long long>(pattern),
                     pattern == 1 ? "near" : "far");
         std::printf("  exact ground state:     F = %.5f eV (degeneracy %llu)\n",

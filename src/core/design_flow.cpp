@@ -319,20 +319,17 @@ void run_flow_stages(const logic::LogicNetwork& specification, const FlowOptions
                 GateValidation& v = result.gate_validation[i];
                 v.name = used[i]->design.name;
                 auto params = options.sim_params;
-                auto check = phys::check_operational(used[i]->design, params,
-                                                     options.validation_engine, val_run);
+                auto check = phys::check_operational(used[i]->design, params, val_run);
                 // stochastic engine: bounded retries with a deterministically
                 // rotated seed before declaring the tile non-operational
                 while (!check.operational && !check.cancelled &&
-                       phys::stochastic_engine(phys::resolve_engine(options.validation_engine,
-                                                                    options.sim_params)) &&
+                       options.sim_params.engine == phys::Engine::simanneal &&
                        v.retries < options.validation_retries && !val_run.stopped())
                 {
                     ++v.retries;
                     params.anneal_seed =
                         derive_seed(options.sim_params.anneal_seed, v.retries);
-                    check = phys::check_operational(used[i]->design, params,
-                                                    options.validation_engine, val_run);
+                    check = phys::check_operational(used[i]->design, params, val_run);
                 }
                 v.operational = check.operational;
                 v.patterns_correct = check.patterns_correct;

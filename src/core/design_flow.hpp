@@ -57,18 +57,17 @@ struct FlowOptions
     /// ships pre-validated designs; turn on for parameter studies).
     bool validate_gates{false};
 
-    /// Physical model and thread count for step (7b). sim_params.num_threads
-    /// fans the independent tile checks out across workers (0 = hardware
-    /// concurrency, 1 = serial); results are thread-count invariant.
+    /// Physical model, engine and thread count for step (7b).
+    /// sim_params.num_threads fans the independent tile checks out across
+    /// workers (0 = hardware concurrency, 1 = serial); results are
+    /// thread-count invariant. sim_params.engine picks the ground-state
+    /// engine (Engine::exact by default).
     phys::SimulationParameters sim_params{};
 
-    /// Ground-state engine for step (7b). `automatic` defers to
-    /// sim_params.engine (Engine::exact by default). With the stochastic
-    /// engine (simanneal) a tile that fails its check is retried up to
-    /// validation_retries times with a deterministically rotated anneal
-    /// seed (retries are recorded in the stage diagnostics); the exact
-    /// engine never retries.
-    phys::Engine validation_engine{phys::Engine::automatic};
+    /// With sim_params.engine == Engine::simanneal, a tile that fails its
+    /// check is retried up to this many times with a deterministically
+    /// rotated anneal seed (retries are recorded in the stage diagnostics);
+    /// the exact engine never retries.
     unsigned validation_retries{0};
 
     // ------------------------------------------------------------------

@@ -1,7 +1,5 @@
 #include "layout/aspect_ratio_ladder.hpp"
 
-#include <algorithm>
-
 namespace bestagon::layout
 {
 
@@ -17,59 +15,33 @@ AspectRatioLadder::AspectRatioLadder(unsigned min_width, unsigned max_width, uns
 
 bool AspectRatioLadder::next(AspectRatio& out)
 {
-    for (;;)
+    // k-way merge over the per-width cursors: pick the pending (w, h)
+    // minimizing (area, h) — identical to sorting all sizes up front by
+    // (area, height), without materializing them
+    bool found = false;
+    AspectRatio best{};
+    for (unsigned w = min_width_; w <= max_width_ && !next_height_.empty(); ++w)
     {
-        // k-way merge over the per-width cursors: pick the pending (w, h)
-        // minimizing (area, h) — identical to sorting all sizes up front by
-        // (area, height), without materializing them
-        bool found = false;
-        AspectRatio best{};
-        for (unsigned w = min_width_; w <= max_width_ && !next_height_.empty(); ++w)
+        const unsigned h = next_height_[w - min_width_];
+        if (h > max_height_)
         {
-            const unsigned h = next_height_[w - min_width_];
-            if (h > max_height_)
-            {
-                continue;
-            }
-            const AspectRatio candidate{w, h};
-            if (!found || candidate.area() < best.area() ||
-                (candidate.area() == best.area() && candidate.height < best.height))
-            {
-                best = candidate;
-                found = true;
-            }
-        }
-        if (!found)
-        {
-            return false;
-        }
-        ++next_height_[best.width - min_width_];
-        if (refuted_covers(best))
-        {
-            ++skipped_;
             continue;
         }
-        out = best;
-        return true;
+        const AspectRatio candidate{w, h};
+        if (!found || candidate.area() < best.area() ||
+            (candidate.area() == best.area() && candidate.height < best.height))
+        {
+            best = candidate;
+            found = true;
+        }
     }
-}
-
-void AspectRatioLadder::record_refuted(AspectRatio size)
-{
-    if (refuted_covers(size))
+    if (!found)
     {
-        return;
+        return false;
     }
-    // keep only the Pareto-maximal refuted corners
-    std::erase_if(refuted_, [size](AspectRatio r)
-                  { return r.width <= size.width && r.height <= size.height; });
-    refuted_.push_back(size);
-}
-
-bool AspectRatioLadder::refuted_covers(AspectRatio size) const
-{
-    return std::any_of(refuted_.begin(), refuted_.end(), [size](AspectRatio r)
-                       { return size.width <= r.width && size.height <= r.height; });
+    ++next_height_[best.width - min_width_];
+    out = best;
+    return true;
 }
 
 }  // namespace bestagon::layout

@@ -1,6 +1,5 @@
 /// \file aspect_ratio_ladder.hpp
-/// \brief Lazy ascending-area stream of candidate layout sizes with
-///        dominance pruning over refuted sizes.
+/// \brief Lazy ascending-area stream of candidate layout sizes.
 ///
 /// The exact physical-design ladder explores aspect ratios in ascending area
 /// (ties broken toward the smaller height), so the first satisfiable size is
@@ -9,22 +8,13 @@
 /// candidate heights are already sorted, so the next size overall is the
 /// minimum over one cursor per width.
 ///
-/// Dominance pruning: the encoding is monotone in the grid — a layout for
-/// (w, h) embeds into (w+1, h) unchanged and into (w, h+1) by pushing the
-/// output row down one step (every row-(h-1) tile has a lower neighbor in
-/// the same column of the odd-r hex grid, so the push-down is injective).
-/// Hence SAT is upward-closed and UNSAT is downward-closed: a refutation at
-/// (W, H) also refutes every (w ≤ W, h ≤ H). record_refuted() keeps the
-/// Pareto-maximal refuted sizes and next() skips dominated candidates.
-/// Under the pure ascending-area order a dominated size always has strictly
-/// smaller area and thus would have been streamed earlier — the skip is a
-/// provably-inert safety net there — but it becomes load-bearing whenever a
-/// caller re-walks sizes (diagnosis, resumed ladders) or a budget cut skips
-/// ahead.
+/// No dominance pruning: UNSAT is downward-closed in the grid (a refutation
+/// at (W, H) also refutes every (w ≤ W, h ≤ H)), but every such size has
+/// strictly smaller area, so the single ascending walk has already streamed
+/// it — a refuted-size filter would never skip anything.
 
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 namespace bestagon::layout
@@ -48,19 +38,9 @@ class AspectRatioLadder
     AspectRatioLadder(unsigned min_width, unsigned max_width, unsigned min_height,
                       unsigned max_height);
 
-    /// Next candidate in ascending (area, height) order, skipping sizes
-    /// dominated by a recorded refutation; false when exhausted.
+    /// Next candidate in ascending (area, height) order; false when
+    /// exhausted.
     [[nodiscard]] bool next(AspectRatio& out);
-
-    /// Records that \p size was proven unsatisfiable, refuting everything
-    /// componentwise smaller as well.
-    void record_refuted(AspectRatio size);
-
-    /// Whether \p size is componentwise covered by a recorded refutation.
-    [[nodiscard]] bool refuted_covers(AspectRatio size) const;
-
-    /// Number of candidates next() skipped due to dominance so far.
-    [[nodiscard]] std::size_t skipped() const noexcept { return skipped_; }
 
   private:
     unsigned min_width_;
@@ -68,8 +48,6 @@ class AspectRatioLadder
     unsigned min_height_;
     unsigned max_height_;
     std::vector<unsigned> next_height_;  ///< per-width cursor, indexed by w - min_width_
-    std::vector<AspectRatio> refuted_;   ///< Pareto-maximal refuted sizes
-    std::size_t skipped_{0};
 };
 
 }  // namespace bestagon::layout

@@ -764,10 +764,6 @@ std::optional<GateLevelLayout> run_ladder(const PnrNetwork& net, const ExactPDOp
         {
             return std::nullopt;
         }
-        if (outcome.result == sat::Result::unsatisfiable)
-        {
-            ladder.record_refuted(size);
-        }
     }
     return std::nullopt;
 }
@@ -807,10 +803,6 @@ std::optional<GateLevelLayout> exact_physical_design(const logic::LogicNetwork& 
     const PnrNetwork net{network};
 
     auto layout = run_ladder(net, options, budget, limits, ladder, stats);
-    if (stats != nullptr)
-    {
-        stats->sizes_skipped = static_cast<unsigned>(ladder.skipped());
-    }
     if (layout.has_value())
     {
         return layout;

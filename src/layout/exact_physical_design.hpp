@@ -67,7 +67,12 @@ struct SizeVerdict
 struct ExactPDStats
 {
     unsigned sizes_tried{0};
-    unsigned sizes_skipped{0};  ///< pruned as dominated by a refuted size
+
+    /// Always 0: the ladder walks sizes once in ascending (area, height)
+    /// order, so a size dominated by a refuted one was already tried and
+    /// none is ever skipped. Kept because stats consumers (bench/flow) still
+    /// report it.
+    unsigned sizes_skipped{0};
     std::uint64_t total_conflicts{0};
     bool budget_exhausted{false};
     bool cancelled{false};  ///< the run's StopToken requested a stop

@@ -104,8 +104,8 @@ class DefectSurface
                                             const SimulationParameters& params) const;
 
     /// W for every site, in order. Returns an EMPTY vector when the surface
-    /// has no charged defect, so the defect-free fast path of SiDBSystem /
-    /// GateInstanceCache stays allocation-free and bit-identical.
+    /// has no charged defect, so the defect-free path of SiDBSystem stays
+    /// allocation-free and bit-identical.
     [[nodiscard]] std::vector<double> external_potentials(
         const std::vector<SiDBSite>& sites, const SimulationParameters& params) const;
 

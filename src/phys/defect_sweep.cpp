@@ -140,7 +140,7 @@ SampleOutcome evaluate_sample(const GateDesign& design, const SimulationParamete
             continue;
         }
         const DefectSurface surface = full.prefix(counts[k]);
-        const auto result = check_operational(design, params, surface, sweep.engine, run);
+        const auto result = check_operational(design, params, surface, run);
         if (result.cancelled)
         {
             return outcome;

@@ -19,7 +19,6 @@
 
 #include "core/run_control.hpp"
 #include "phys/defect.hpp"
-#include "phys/ground_state.hpp"
 #include "phys/operational.hpp"
 
 #include <cstdint>
@@ -53,8 +52,6 @@ struct DefectSweepParams
     /// parallelism budget is spent on samples), so results are identical
     /// for any value.
     unsigned num_threads{0};
-
-    Engine engine{Engine::automatic}; ///< ground-state engine per pattern
 
     /// Throws std::invalid_argument on negative/non-finite densities, a
     /// non-ascending density list, charged_fraction outside [0, 1],

@@ -17,8 +17,8 @@ namespace
 /// Score of a candidate design: number of correct patterns, with partial
 /// credit for defined-but-wrong outputs over undefined ones. The patterns
 /// are independent simulations and are scored concurrently against one
-/// shared pattern-invariant potential cache (the fixed block of V_ij is
-/// evaluated once per candidate, not once per pattern).
+/// shared GateInstanceCache (blocked-site scan and output-pair indices
+/// resolved once per candidate, not once per pattern).
 unsigned score_design(const GateDesign& design, const SimulationParameters& params,
                       const DefectSurface* defects, const core::RunBudget& run)
 {
@@ -30,7 +30,7 @@ unsigned score_design(const GateDesign& design, const SimulationParameters& para
     }
     std::vector<unsigned> pattern_scores(patterns, 0);
     core::parallel_for(params.num_threads, patterns, run, [&](std::size_t p) {
-        const auto r = simulate_gate_pattern(cache, p, Engine::automatic, run);
+        const auto r = simulate_gate_pattern(cache, p, run);
         if (r.correct)
         {
             pattern_scores[p] = 2;

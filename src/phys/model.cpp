@@ -67,50 +67,6 @@ SiDBSystem::SiDBSystem(std::vector<SiDBSite> sites, const SimulationParameters& 
     external_ = defects.external_potentials(sites_, params_);
 }
 
-SiDBSystem SiDBSystem::from_potentials(std::vector<SiDBSite> sites,
-                                       const SimulationParameters& params,
-                                       std::vector<double> potentials,
-                                       std::vector<double> external)
-{
-    if (!external.empty() && external.size() != sites.size())
-    {
-        throw std::invalid_argument{"SiDBSystem: external potential row has " +
-                                    std::to_string(external.size()) + " entries but there are " +
-                                    std::to_string(sites.size()) + " sites"};
-    }
-    auto system = from_potentials(std::move(sites), params, std::move(potentials));
-    system.external_ = std::move(external);
-    return system;
-}
-
-SiDBSystem SiDBSystem::from_potentials(std::vector<SiDBSite> sites,
-                                       const SimulationParameters& params,
-                                       std::vector<double> potentials)
-{
-    validate_parameters(params);
-    assert(potentials.size() == sites.size() * sites.size());
-    SiDBSystem system;
-    system.sites_ = std::move(sites);
-    system.params_ = params;
-    system.potentials_ = std::move(potentials);
-#ifndef NDEBUG
-    // spot-check the caller's assembly against the evaluating constructor
-    const std::size_t n = system.sites_.size();
-    for (std::size_t i = 0; i < n; ++i)
-    {
-        assert(system.potentials_[i * n + i] == 0.0);
-        const std::size_t j = (i + 1) % n;
-        if (j != i)
-        {
-            assert(system.potentials_[i * n + j] ==
-                   screened_coulomb(distance_nm(system.sites_[i], system.sites_[j]),
-                                    system.params_));
-        }
-    }
-#endif
-    return system;
-}
-
 double SiDBSystem::electrostatic_energy(const ChargeConfig& config) const
 {
     assert(config.size() == sites_.size());

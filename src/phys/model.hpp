@@ -27,10 +27,10 @@ namespace bestagon::phys
 /// Coulomb constant e / (4 pi eps_0) in eV nm.
 inline constexpr double coulomb_k = 1.43996448;
 
-/// Ground-state engine selection — the common surface every simulation entry
-/// point (check_operational, operational-domain sweeps, gate-designer
-/// scoring, flow validation) accepts. `automatic` defers to
-/// SimulationParameters::engine, so a single knob switches the whole stack.
+/// Ground-state engine, selected by SimulationParameters::engine — the one
+/// knob every simulation entry point (check_operational, operational-domain
+/// sweeps, defect yield sweeps, gate-designer scoring, flow validation)
+/// reads through find_ground_state.
 ///
 /// Two engines, one complete and one heuristic:
 ///  - `exact`: the population-bounded branch-and-bound
@@ -40,7 +40,6 @@ inline constexpr double coulomb_k = 1.43996448;
 ///    physically valid result without an optimality certificate.
 enum class Engine : std::uint8_t
 {
-    automatic,  ///< use SimulationParameters::engine
     simanneal,  ///< simulated annealing (heuristic)
     exact       ///< population-bounded exact search (the default)
 };
@@ -60,9 +59,7 @@ struct SimulationParameters
     /// seeds are derived deterministically per work item.
     unsigned num_threads{0};
 
-    /// Ground-state engine used wherever a caller selects Engine::automatic
-    /// (the default of check_operational, simulate_gate_pattern, the
-    /// operational-domain sweep and the gate designer's scoring loop).
+    /// Ground-state engine of every search run with these parameters.
     Engine engine{Engine::exact};
 
     /// Base seed of the stochastic engine (simanneal) when it is selected
@@ -122,25 +119,6 @@ class SiDBSystem
     /// singular) — callers must place SiDBs on usable sites only.
     SiDBSystem(std::vector<SiDBSite> sites, const SimulationParameters& params,
                const DefectSurface& defects);
-
-    /// Assembles a system from an externally precomputed potential matrix
-    /// (row-major n x n, symmetric, zero diagonal) without re-evaluating any
-    /// screened-Coulomb term. This is the fast path of GateInstanceCache,
-    /// which reuses the pattern-invariant block of the matrix across the 2^k
-    /// input patterns of a gate. Entries must equal what the evaluating
-    /// constructor would compute for \p sites — asserted via spot checks in
-    /// debug builds.
-    [[nodiscard]] static SiDBSystem from_potentials(std::vector<SiDBSite> sites,
-                                                    const SimulationParameters& params,
-                                                    std::vector<double> potentials);
-
-    /// from_potentials with a precomputed external-potential row (one W_i
-    /// per site, or empty for none) — the defect-aware fast path of
-    /// GateInstanceCache.
-    [[nodiscard]] static SiDBSystem from_potentials(std::vector<SiDBSite> sites,
-                                                    const SimulationParameters& params,
-                                                    std::vector<double> potentials,
-                                                    std::vector<double> external);
 
     [[nodiscard]] std::size_t size() const noexcept { return sites_.size(); }
     [[nodiscard]] const std::vector<SiDBSite>& sites() const noexcept { return sites_; }
@@ -204,8 +182,6 @@ class SiDBSystem
     void quench(ChargeConfig& config) const;
 
   private:
-    SiDBSystem() = default;  // for from_potentials
-
     std::vector<SiDBSite> sites_;
     SimulationParameters params_;
     std::vector<double> potentials_;  // row-major size() x size()

@@ -3,7 +3,6 @@
 #include "core/thread_pool.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -40,6 +39,31 @@ std::string describe_missing_site(const SiDBSite& s, const char* role)
     out << "BDL pair's " << role << " site (" << s.n << ", " << s.m << ", " << s.l
         << ") is not among the instance sites";
     return out.str();
+}
+
+void require_pattern_arity(const GateDesign& design)
+{
+    if (design.num_inputs() > max_gate_inputs)
+    {
+        throw std::invalid_argument{"check_operational: gate '" + design.name + "' has " +
+                                    std::to_string(design.num_inputs()) +
+                                    " inputs; the pattern enumeration supports at most " +
+                                    std::to_string(max_gate_inputs)};
+    }
+}
+
+/// A pattern addresses one truth-table row: it must be below 2^num_inputs
+/// (every 64-bit pattern is in range for a gate with more inputs than
+/// max_gate_inputs).
+void require_pattern_in_range(const GateDesign& design, std::uint64_t pattern)
+{
+    if (design.num_inputs() <= max_gate_inputs && (pattern >> design.num_inputs()) != 0)
+    {
+        throw std::invalid_argument{"simulate_gate_pattern: gate '" + design.name + "' has " +
+                                    std::to_string(design.num_inputs()) + " inputs; pattern " +
+                                    std::to_string(pattern) + " is not below 2^" +
+                                    std::to_string(design.num_inputs())};
+    }
 }
 
 }  // namespace
@@ -81,28 +105,23 @@ PairState read_pair_indexed(std::size_t zero_index, std::size_t one_index,
     return PairState::undefined;
 }
 
-const SiDBSite& GateInstanceCache::driver_site(std::size_t d, bool one) const
-{
-    return one ? design_->drivers[d].near_site : design_->drivers[d].far_site;
-}
-
 GateInstanceCache::GateInstanceCache(const GateDesign& design, const SimulationParameters& params,
                                      const DefectSurface* defects)
-    : design_{&design}, params_{params}
+    : design_{&design}, params_{params}, defects_{defects}
 {
     validate_parameters(params_);
     const std::size_t k = design.drivers.size();
-    num_fixed_ = design.sites.size();
-    design.instance_sites(0, base_sites_);  // driver slots hold the far (pattern-0) sites
-    const std::size_t n = base_sites_.size();
+    const std::size_t num_fixed = design.sites.size();
+    const auto sites = design.instance_sites(0);  // driver slots hold the far sites
+    const std::size_t n = sites.size();
 
-    const auto is_driver = [&](std::size_t t) { return t >= num_fixed_ && t < num_fixed_ + k; };
+    const auto is_driver = [&](std::size_t t) { return t >= num_fixed && t < num_fixed + k; };
 
     if (defects != nullptr && !defects->empty())
     {
         // blocked-site scan over every site any pattern can instantiate:
-        // the fixed sites (far drivers included via pattern 0) plus every
-        // near driver position
+        // the pattern-0 sites (far drivers included) plus every near driver
+        // position
         const auto record_blocked = [&](const SiDBSite& s) {
             if (blocked_)
             {
@@ -118,83 +137,13 @@ GateInstanceCache::GateInstanceCache(const GateDesign& design, const SimulationP
                 blocked_reason_ = out.str();
             }
         };
-        for (const auto& s : base_sites_)
+        for (const auto& s : sites)
         {
             record_blocked(s);
         }
         for (const auto& drv : design.drivers)
         {
             record_blocked(drv.near_site);
-        }
-        // external rows: one W per site (driver slots carry the far W) plus
-        // the near/far pair per driver — evaluated once per (design, params,
-        // surface), not once per pattern. Skipped entirely on a blocked
-        // design (a coincident defect would make W singular).
-        if (!blocked_ && defects->has_charged())
-        {
-            external_fixed_ = defects->external_potentials(base_sites_, params_);
-            external_driver_.assign(2 * k, 0.0);
-            for (std::size_t d = 0; d < k; ++d)
-            {
-                external_driver_[2 * d] = defects->external_potential(driver_site(d, false), params_);
-                external_driver_[2 * d + 1] =
-                    defects->external_potential(driver_site(d, true), params_);
-            }
-        }
-    }
-
-    // pattern-invariant block: every pair not involving a driver slot
-    fixed_block_.assign(n * n, 0.0);
-    for (std::size_t i = 0; i < n; ++i)
-    {
-        if (is_driver(i))
-        {
-            continue;
-        }
-        for (std::size_t j = i + 1; j < n; ++j)
-        {
-            if (is_driver(j))
-            {
-                continue;
-            }
-            const double v = screened_coulomb(distance_nm(base_sites_[i], base_sites_[j]), params_);
-            fixed_block_[i * n + j] = v;
-            fixed_block_[j * n + i] = v;
-        }
-    }
-
-    // both potential rows of every driver (index 0 = far/logic-0, 1 = near)
-    driver_rows_.assign(2 * k * n, 0.0);
-    for (std::size_t d = 0; d < k; ++d)
-    {
-        for (int s = 0; s < 2; ++s)
-        {
-            double* row = driver_rows_.data() + (2 * d + s) * n;
-            const SiDBSite& site = driver_site(d, s != 0);
-            for (std::size_t t = 0; t < n; ++t)
-            {
-                if (!is_driver(t))
-                {
-                    row[t] = screened_coulomb(distance_nm(site, base_sites_[t]), params_);
-                }
-            }
-        }
-    }
-
-    // all 4 state combinations of every ordered driver pair (d < e)
-    driver_pairs_.assign(4 * k * k, 0.0);
-    for (std::size_t d = 0; d < k; ++d)
-    {
-        for (std::size_t e = d + 1; e < k; ++e)
-        {
-            for (int sd = 0; sd < 2; ++sd)
-            {
-                for (int se = 0; se < 2; ++se)
-                {
-                    driver_pairs_[((d * k + e) * 2 + sd) * 2 + se] = screened_coulomb(
-                        distance_nm(driver_site(d, sd != 0), driver_site(e, se != 0)), params_);
-                }
-            }
         }
     }
 
@@ -206,7 +155,7 @@ GateInstanceCache::GateInstanceCache(const GateDesign& design, const SimulationP
     const auto find_fixed = [&](const SiDBSite& s) -> std::size_t {
         for (std::size_t t = 0; t < n; ++t)
         {
-            if (!is_driver(t) && base_sites_[t] == s)
+            if (!is_driver(t) && sites[t] == s)
             {
                 return t;
             }
@@ -232,50 +181,11 @@ GateInstanceCache::GateInstanceCache(const GateDesign& design, const SimulationP
 
 SiDBSystem GateInstanceCache::instantiate(std::uint64_t pattern) const
 {
-    const std::size_t n = base_sites_.size();
-    const std::size_t k = design_->drivers.size();
-
-    std::vector<SiDBSite> sites = base_sites_;
-    std::vector<double> potentials = fixed_block_;
-
-    for (std::size_t d = 0; d < k; ++d)
+    if (defects_ == nullptr)
     {
-        const bool one = ((pattern >> d) & 1ULL) != 0;
-        const std::size_t row_index = num_fixed_ + d;
-        sites[row_index] = driver_site(d, one);
-        const double* row = driver_rows_.data() + (2 * d + (one ? 1 : 0)) * n;
-        double* dst = potentials.data() + row_index * n;
-        for (std::size_t t = 0; t < n; ++t)
-        {
-            dst[t] = row[t];                     // driver row
-            potentials[t * n + row_index] = row[t];  // symmetric column
-        }
+        return SiDBSystem{design_->instance_sites(pattern), params_};
     }
-    for (std::size_t d = 0; d < k; ++d)
-    {
-        const std::size_t sd = (pattern >> d) & 1ULL;
-        for (std::size_t e = d + 1; e < k; ++e)
-        {
-            const std::size_t se = (pattern >> e) & 1ULL;
-            const double v = driver_pairs_[((d * k + e) * 2 + sd) * 2 + se];
-            potentials[(num_fixed_ + d) * n + (num_fixed_ + e)] = v;
-            potentials[(num_fixed_ + e) * n + (num_fixed_ + d)] = v;
-        }
-    }
-    if (external_fixed_.empty())
-    {
-        return SiDBSystem::from_potentials(std::move(sites), params_, std::move(potentials));
-    }
-    // charged-defect background: copy the precomputed W rows and overwrite
-    // each driver slot with the W of the position this pattern selects
-    std::vector<double> external = external_fixed_;
-    for (std::size_t d = 0; d < k; ++d)
-    {
-        const bool one = ((pattern >> d) & 1ULL) != 0;
-        external[num_fixed_ + d] = external_driver_[2 * d + (one ? 1 : 0)];
-    }
-    return SiDBSystem::from_potentials(std::move(sites), params_, std::move(potentials),
-                                       std::move(external));
+    return SiDBSystem{design_->instance_sites(pattern), params_, *defects_};
 }
 
 PairState GateInstanceCache::read_output(std::size_t o, const ChargeConfig& config) const
@@ -288,27 +198,26 @@ PairState GateInstanceCache::read_output(std::size_t o, const ChargeConfig& conf
 }
 
 PatternResult simulate_gate_pattern(const GateDesign& design, std::uint64_t pattern,
-                                    const SimulationParameters& params, Engine engine,
-                                    const core::RunBudget& run)
+                                    const SimulationParameters& params, const core::RunBudget& run)
 {
     const GateInstanceCache cache{design, params};
-    return simulate_gate_pattern(cache, pattern, engine, run);
+    return simulate_gate_pattern(cache, pattern, run);
 }
 
 PatternResult simulate_gate_pattern(const GateInstanceCache& cache, std::uint64_t pattern,
-                                    Engine engine, const core::RunBudget& run)
+                                    const core::RunBudget& run)
 {
     const GateDesign& design = cache.design();
+    require_pattern_in_range(design, pattern);
 
     PatternResult result;
     result.pattern = pattern;
 
     const SiDBSystem system = cache.instantiate(pattern);
     result.sites = system.sites();
-    // engine dispatch (incl. the stochastic engines' seed/thread wiring)
-    // lives in one place: find_ground_state resolves Engine::automatic
-    // against params.engine — Engine::exact by default
-    result.ground_state = find_ground_state(system, engine, run);
+    // engine dispatch (incl. the stochastic engine's seed/thread wiring)
+    // lives in one place: find_ground_state runs params.engine
+    result.ground_state = find_ground_state(system, run);
     if (result.ground_state.config.size() != system.size())
     {
         // a search cut before its first valid configuration has nothing to
@@ -336,20 +245,9 @@ PatternResult simulate_gate_pattern(const GateInstanceCache& cache, std::uint64_
 namespace
 {
 
-void require_pattern_arity(const GateDesign& design)
-{
-    if (design.num_inputs() > max_gate_inputs)
-    {
-        throw std::invalid_argument{"check_operational: gate '" + design.name + "' has " +
-                                    std::to_string(design.num_inputs()) +
-                                    " inputs; the pattern enumeration supports at most " +
-                                    std::to_string(max_gate_inputs)};
-    }
-}
-
 /// Shared pattern fan-out of both check_operational overloads: the prebuilt
 /// cache (defect-free or defect-aware) is shared read-only by the whole run.
-OperationalResult check_operational_cached(const GateInstanceCache& cache, Engine engine,
+OperationalResult check_operational_cached(const GateInstanceCache& cache,
                                            const core::RunBudget& run)
 {
     OperationalResult result;
@@ -365,7 +263,7 @@ OperationalResult check_operational_cached(const GateInstanceCache& cache, Engin
     }
     core::parallel_for(cache.parameters().num_threads, result.patterns_total, run,
                        [&](std::size_t pattern) {
-                           result.details[pattern] = simulate_gate_pattern(cache, pattern, engine, run);
+                           result.details[pattern] = simulate_gate_pattern(cache, pattern, run);
                        });
     result.cancelled = run.stopped();
 
@@ -383,18 +281,16 @@ OperationalResult check_operational_cached(const GateInstanceCache& cache, Engin
 }  // namespace
 
 OperationalResult check_operational(const GateDesign& design, const SimulationParameters& params,
-                                    Engine engine, const core::RunBudget& run)
+                                    const core::RunBudget& run)
 {
     require_pattern_arity(design);
-    // one pattern-invariant potential cache shared (read-only) by the whole
-    // fan-out: the fixed n x n block is evaluated once, not 2^k times
+    // one cache (output-pair indices) shared read-only by the whole fan-out
     const GateInstanceCache cache{design, params};
-    return check_operational_cached(cache, engine, run);
+    return check_operational_cached(cache, run);
 }
 
 OperationalResult check_operational(const GateDesign& design, const SimulationParameters& params,
-                                    const DefectSurface& defects, Engine engine,
-                                    const core::RunBudget& run)
+                                    const DefectSurface& defects, const core::RunBudget& run)
 {
     require_pattern_arity(design);
     const GateInstanceCache cache{design, params, &defects};
@@ -408,7 +304,7 @@ OperationalResult check_operational(const GateDesign& design, const SimulationPa
         result.blocked_reason = cache.blocked_reason();
         return result;
     }
-    return check_operational_cached(cache, engine, run);
+    return check_operational_cached(cache, run);
 }
 
 }  // namespace bestagon::phys

@@ -89,22 +89,20 @@ enum class PairState : std::uint8_t
 [[nodiscard]] PairState read_pair_indexed(std::size_t zero_index, std::size_t one_index,
                                           const ChargeConfig& config);
 
-/// Pattern-invariant simulation cache of a gate design.
+/// Per-design simulation context of a gate's 2^k input patterns.
 ///
-/// A gate's 2^k input-pattern instances share every site except the k input
-/// drivers (near/far perturber per input): the fixed block of the screened-
-/// Coulomb matrix V_ij — permanent sites, canvas dots and output perturbers
-/// against each other — is identical across patterns. The cache evaluates
-/// that block ONCE per (design, parameters), plus both the near and the far
-/// potential row of every driver and the 4 state combinations of every
-/// driver pair; `instantiate(pattern)` then assembles a ready SiDBSystem by
-/// copying precomputed rows instead of re-evaluating O(n^2) screened-Coulomb
-/// terms per pattern. Assembled systems are bit-identical to
-/// `SiDBSystem{design.instance_sites(pattern), params}`.
+/// The cache does the pattern-invariant work once per (design, parameters,
+/// surface): it scans every site any pattern can instantiate for defect
+/// blocking, and it resolves every output pair's zero/one site to its fixed
+/// site index, so per-pattern readout is O(1) per output instead of a
+/// linear scan over all sites. `instantiate(pattern)` is the plain
+/// evaluating construction `SiDBSystem{design.instance_sites(pattern),
+/// params}` (with the surface when one is given): the screened-Coulomb
+/// matrix costs far less than one ground-state search, so no potential
+/// block is shared across patterns.
 ///
-/// The cache also resolves every output pair's zero/one site to its fixed
-/// site index once, so per-pattern readout is O(1) per output instead of a
-/// linear scan over all sites.
+/// The cache holds the design and the surface by pointer: the caller owns
+/// both and must keep them alive for the cache's lifetime.
 ///
 /// Immutable after construction and safe to share across the concurrent
 /// pattern fan-out of check_operational / design_gate scoring. That is the
@@ -118,30 +116,32 @@ enum class PairState : std::uint8_t
 class GateInstanceCache
 {
   public:
-    /// With a non-null \p defects surface, charged defects contribute a
-    /// precomputed external-potential row per site (including both driver
-    /// positions of every input), and blocked sites are detected once at
-    /// construction (see blocked()). nullptr or an empty surface keeps the
-    /// legacy defect-free behavior at zero cost.
+    /// With a non-null \p defects surface, blocked sites (fixed, either
+    /// driver position, or perturber) are detected once at construction
+    /// (see blocked()), and every instance carries the charged defects'
+    /// external potentials. nullptr or an empty surface keeps the
+    /// defect-free behavior.
     GateInstanceCache(const GateDesign& design, const SimulationParameters& params,
                       const DefectSurface* defects = nullptr);
 
     [[nodiscard]] const GateDesign& design() const noexcept { return *design_; }
     [[nodiscard]] const SimulationParameters& parameters() const noexcept { return params_; }
-    [[nodiscard]] std::size_t num_sites() const noexcept { return base_sites_.size(); }
+    [[nodiscard]] std::size_t num_sites() const noexcept
+    {
+        return design_->sites.size() + design_->drivers.size() + design_->output_perturbers.size();
+    }
 
     /// True when a defect blocks any instance site (fixed, either driver
     /// position, or perturber). A blocked design cannot be fabricated as
-    /// laid out; instantiate() must not be called (the blocked site's
-    /// Coulomb terms may be singular).
+    /// laid out; instantiate() must not be called (it throws).
     [[nodiscard]] bool blocked() const noexcept { return blocked_; }
 
     /// One-line description of the first blocked site (empty when none).
     [[nodiscard]] const std::string& blocked_reason() const noexcept { return blocked_reason_; }
 
-    /// Assembles the simulation instance for \p pattern from the precomputed
-    /// blocks. Site order matches GateDesign::instance_sites: permanent
-    /// sites, then one driver per input, then output perturbers.
+    /// The simulation instance for \p pattern. Site order matches
+    /// GateDesign::instance_sites: permanent sites, then one driver per
+    /// input, then output perturbers.
     [[nodiscard]] SiDBSystem instantiate(std::uint64_t pattern) const;
 
     /// O(1) readout of output pair \p o via the pre-resolved site indices.
@@ -159,18 +159,10 @@ class GateInstanceCache
     }
 
   private:
-    [[nodiscard]] const SiDBSite& driver_site(std::size_t d, bool one) const;
-
     const GateDesign* design_;
     SimulationParameters params_;
-    std::vector<SiDBSite> base_sites_;     ///< instance layout; driver slots hold far sites
-    std::size_t num_fixed_{0};             ///< drivers occupy [num_fixed_, num_fixed_ + k)
-    std::vector<double> fixed_block_;      ///< n x n matrix, driver rows/cols zero
-    std::vector<double> driver_rows_;      ///< 2 rows (far, near) of length n per driver
-    std::vector<double> driver_pairs_;     ///< V for every driver pair x 4 state combos
-    std::vector<double> external_fixed_;   ///< W per site (driver slots: far W); empty = none
-    std::vector<double> external_driver_;  ///< W at (far, near) position per driver
-    bool blocked_{false};                  ///< a defect blocks an instance site
+    const DefectSurface* defects_;  ///< nullptr = defect-free
+    bool blocked_{false};           ///< a defect blocks an instance site
     std::string blocked_reason_;
     std::vector<std::size_t> output_zero_index_;
     std::vector<std::size_t> output_one_index_;
@@ -188,19 +180,20 @@ struct PatternResult
     bool evaluated{false};  ///< false when the pattern was skipped by a stop
 };
 
-/// Simulates one input pattern of \p design and reads the outputs.
-/// Convenience wrapper that builds a single-use GateInstanceCache; loops
-/// over patterns should build the cache once and use the overload below.
+/// Simulates one input pattern of \p design on the engine params.engine
+/// selects and reads the outputs. Convenience wrapper that builds a
+/// single-use GateInstanceCache; loops over patterns should build the cache
+/// once and use the overload below. Throws std::invalid_argument when
+/// \p pattern >= 2^num_inputs.
 [[nodiscard]] PatternResult simulate_gate_pattern(const GateDesign& design, std::uint64_t pattern,
                                                   const SimulationParameters& params,
-                                                  Engine engine = Engine::automatic,
                                                   const core::RunBudget& run = {});
 
-/// Simulates one input pattern against a prebuilt instance cache: no
-/// screened-Coulomb term is re-evaluated and no site scan is performed.
+/// Simulates one input pattern against a prebuilt instance cache: no site
+/// scan is performed. Throws std::invalid_argument when \p pattern >=
+/// 2^num_inputs.
 [[nodiscard]] PatternResult simulate_gate_pattern(const GateInstanceCache& cache,
                                                   std::uint64_t pattern,
-                                                  Engine engine = Engine::automatic,
                                                   const core::RunBudget& run = {});
 
 /// Result of a full operational check.
@@ -229,7 +222,6 @@ inline constexpr unsigned max_gate_inputs = 63;
 /// max_gate_inputs inputs.
 [[nodiscard]] OperationalResult check_operational(const GateDesign& design,
                                                   const SimulationParameters& params,
-                                                  Engine engine = Engine::automatic,
                                                   const core::RunBudget& run = {});
 
 /// Defect-aware operational check: if a defect blocks any instance site the
@@ -241,7 +233,6 @@ inline constexpr unsigned max_gate_inputs = 63;
 [[nodiscard]] OperationalResult check_operational(const GateDesign& design,
                                                   const SimulationParameters& params,
                                                   const DefectSurface& defects,
-                                                  Engine engine = Engine::automatic,
                                                   const core::RunBudget& run = {});
 
 }  // namespace bestagon::phys

@@ -28,7 +28,7 @@ namespace
 OperationalDomain compute_operational_domain_impl(const GateDesign& design,
                                                   const SimulationParameters& base,
                                                   const DomainSweep& sweep,
-                                                  const DefectSurface* defects, Engine engine,
+                                                  const DefectSurface* defects,
                                                   const core::RunBudget& run)
 {
     OperationalDomain domain;
@@ -73,13 +73,8 @@ OperationalDomain compute_operational_domain_impl(const GateDesign& design,
             params.mu_minus = point.x;
             params.epsilon_r = point.y;
         }
-        // check_operational builds one GateInstanceCache per call, i.e. one
-        // pattern-invariant potential matrix per grid point — the potentials
-        // depend on (epsilon_r, lambda_tf, mu) and cannot be shared across
-        // points, but within a point the 2^k patterns share the fixed block
-        const auto result = defects != nullptr
-                                ? check_operational(design, params, *defects, engine, run)
-                                : check_operational(design, params, engine, run);
+        const auto result = defects != nullptr ? check_operational(design, params, *defects, run)
+                                               : check_operational(design, params, run);
         point.operational = result.operational && !result.cancelled;
         point.patterns_correct = result.patterns_correct;
         // a blocked point counts as evaluated: the verdict (non-operational,
@@ -94,17 +89,16 @@ OperationalDomain compute_operational_domain_impl(const GateDesign& design,
 }  // namespace
 
 OperationalDomain compute_operational_domain(const GateDesign& design, const SimulationParameters& base,
-                                             const DomainSweep& sweep, Engine engine,
-                                             const core::RunBudget& run)
+                                             const DomainSweep& sweep, const core::RunBudget& run)
 {
-    return compute_operational_domain_impl(design, base, sweep, nullptr, engine, run);
+    return compute_operational_domain_impl(design, base, sweep, nullptr, run);
 }
 
 OperationalDomain compute_operational_domain(const GateDesign& design, const SimulationParameters& base,
                                              const DomainSweep& sweep, const DefectSurface& defects,
-                                             Engine engine, const core::RunBudget& run)
+                                             const core::RunBudget& run)
 {
-    return compute_operational_domain_impl(design, base, sweep, &defects, engine, run);
+    return compute_operational_domain_impl(design, base, sweep, &defects, run);
 }
 
 }  // namespace bestagon::phys

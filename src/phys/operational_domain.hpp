@@ -56,7 +56,6 @@ struct OperationalDomain
 [[nodiscard]] OperationalDomain compute_operational_domain(const GateDesign& design,
                                                            const SimulationParameters& base,
                                                            const DomainSweep& sweep,
-                                                           Engine engine = Engine::automatic,
                                                            const core::RunBudget& run = {});
 
 /// Defect-aware operational domain: every grid point is checked against the
@@ -68,7 +67,6 @@ struct OperationalDomain
                                                            const SimulationParameters& base,
                                                            const DomainSweep& sweep,
                                                            const DefectSurface& defects,
-                                                           Engine engine = Engine::automatic,
                                                            const core::RunBudget& run = {});
 
 }  // namespace bestagon::phys

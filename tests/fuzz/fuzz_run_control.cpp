@@ -60,7 +60,7 @@ TEST(FuzzRunControl, CutRunsStayWellFormed)
         const auto spec = testkit::random_network(rng, small_networks());
         auto options = budgeted_flow_options();
         options.validate_gates = rng.chance(0.5);
-        options.validation_engine =
+        options.sim_params.engine =
             rng.chance(0.5) ? phys::Engine::exact : phys::Engine::simanneal;
         options.validation_retries = static_cast<unsigned>(rng.below(3));
 

@@ -41,7 +41,6 @@ TEST(AspectRatioLadder, StreamsAscendingAreaWithHeightTiebreak)
         return a.area() != b.area() ? a.area() < b.area() : a.height < b.height;
     });
     EXPECT_EQ(sizes, expected);
-    EXPECT_EQ(ladder.skipped(), 0U);
 }
 
 TEST(AspectRatioLadder, DegenerateBoundsYieldEmptyStream)
@@ -52,61 +51,6 @@ TEST(AspectRatioLadder, DegenerateBoundsYieldEmptyStream)
 
     AspectRatioLadder flat{1, 3, 7, 6};
     EXPECT_FALSE(flat.next(size));
-}
-
-TEST(AspectRatioLadder, RefutedSizeDominatesSmallerCandidates)
-{
-    AspectRatioLadder ladder{2, 4, 2, 4};
-    // refuting (3, 3) covers every (w <= 3, h <= 3) candidate
-    ladder.record_refuted({3, 3});
-    const auto sizes = drain(ladder);
-    for (const auto& s : sizes)
-    {
-        EXPECT_FALSE(s.width <= 3 && s.height <= 3)
-            << s.width << "x" << s.height << " is dominated by the refuted 3x3";
-    }
-    // 2x2, 2x3, 3x2, 3x3 pruned from the 3x3 grid of candidates
-    EXPECT_EQ(sizes.size(), 5U);
-    EXPECT_EQ(ladder.skipped(), 4U);
-}
-
-TEST(AspectRatioLadder, RefutedCornersStayParetoMaximal)
-{
-    AspectRatioLadder ladder{1, 8, 1, 8};
-    ladder.record_refuted({2, 5});
-    ladder.record_refuted({5, 2});
-    ladder.record_refuted({1, 3});  // dominated by (2, 5): must be absorbed
-    EXPECT_TRUE(ladder.refuted_covers({1, 3}));
-    EXPECT_TRUE(ladder.refuted_covers({2, 5}));
-    EXPECT_TRUE(ladder.refuted_covers({5, 2}));
-    EXPECT_TRUE(ladder.refuted_covers({4, 1}));
-    EXPECT_FALSE(ladder.refuted_covers({3, 3}));
-    EXPECT_FALSE(ladder.refuted_covers({6, 2}));
-    EXPECT_FALSE(ladder.refuted_covers({2, 6}));
-
-    // a later, larger refutation subsumes an earlier corner
-    ladder.record_refuted({5, 5});
-    EXPECT_TRUE(ladder.refuted_covers({5, 5}));
-    EXPECT_TRUE(ladder.refuted_covers({2, 5}));
-    EXPECT_FALSE(ladder.refuted_covers({6, 1}));
-}
-
-/// Under the pure ascending-area order a refutation recorded in stream order
-/// never prunes anything (dominated sizes were streamed earlier) — the
-/// safety-net property documented in the header.
-TEST(AspectRatioLadder, InOrderRefutationsAreInert)
-{
-    AspectRatioLadder pruned{2, 4, 3, 5};
-    AspectRatioLadder plain{2, 4, 3, 5};
-    std::vector<AspectRatio> streamed;
-    AspectRatio size;
-    while (pruned.next(size))
-    {
-        streamed.push_back(size);
-        pruned.record_refuted(size);  // refute everything, in stream order
-    }
-    EXPECT_EQ(streamed, drain(plain));
-    EXPECT_EQ(pruned.skipped(), 0U);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 /// \file test_charge_state.cpp
 /// \brief Unit tests of the incremental charge-state kernel and the
-///        pattern-invariant gate-instance potential cache.
+///        gate-instance cache.
 
 #include "phys/charge_state.hpp"
+#include "phys/defect.hpp"
 #include "phys/operational.hpp"
 
 #include <gtest/gtest.h>
@@ -225,8 +226,9 @@ struct ReferenceRowUpdates
     }
 };
 
-/// Random system of \p n sites; with \p background, a random external
-/// potential row (a charged-defect background) on top.
+/// Random system of \p n sites; with \p background, three charged defects
+/// of random charge in the rows below the sites add an external potential
+/// row on top.
 SiDBSystem random_system(std::size_t n, bool background, std::mt19937_64& rng)
 {
     std::vector<SiDBSite> sites;
@@ -240,26 +242,22 @@ SiDBSystem random_system(std::size_t n, bool background, std::mt19937_64& rng)
         }
     }
     const SimulationParameters params{};
-    const SiDBSystem plain{sites, params};
     if (!background)
     {
-        return plain;
+        return SiDBSystem{sites, params};
     }
-    std::vector<double> potentials(n * n);
-    for (std::size_t i = 0; i < n; ++i)
+    std::uniform_real_distribution<double> charge{-1.0, 1.0};
+    DefectSurface defects;
+    for (int d = 0; d < 3; ++d)
     {
-        for (std::size_t j = 0; j < n; ++j)
-        {
-            potentials[i * n + j] = plain.potential(i, j);
-        }
+        // rows 14.. lie below every site (m < 12), so no site is blocked
+        SurfaceDefect defect;
+        defect.site = {static_cast<int>(rng() % 24), 14 + static_cast<int>(rng() % 6),
+                       static_cast<int>(rng() % 2)};
+        defect.charge = charge(rng);
+        defects.add(defect);
     }
-    std::uniform_real_distribution<double> w{-0.05, 0.05};
-    std::vector<double> external(n);
-    for (auto& x : external)
-    {
-        x = w(rng);
-    }
-    return SiDBSystem::from_potentials(sites, params, std::move(potentials), std::move(external));
+    return SiDBSystem{sites, params, defects};
 }
 
 TEST(ChargeState, RowUpdatesAreBitExactToThePerElementLoops)
@@ -380,8 +378,8 @@ TEST(GateInstanceCache, CachedPatternSimulationMatchesNaivePath)
     const GateInstanceCache cache{design, params};
     for (std::uint64_t pattern = 0; pattern < 4; ++pattern)
     {
-        const auto cached = simulate_gate_pattern(cache, pattern, Engine::exact);
-        const auto direct = simulate_gate_pattern(design, pattern, params, Engine::exact);
+        const auto cached = simulate_gate_pattern(cache, pattern);
+        const auto direct = simulate_gate_pattern(design, pattern, params);
         EXPECT_EQ(cached.ground_state.config, direct.ground_state.config) << pattern;
         EXPECT_EQ(cached.ground_state.grand_potential, direct.ground_state.grand_potential)
             << pattern;

@@ -388,25 +388,8 @@ TEST(SimAnneal, DegeneracyIsDistinctConfigurationLowerBound)
 
 // --- engine selection surface -----------------------------------------------
 
-TEST(EngineSelection, ResolveEngine)
-{
-    SimulationParameters p;  // default: Engine::exact
-    EXPECT_EQ(resolve_engine(Engine::automatic, p), Engine::exact);
-    EXPECT_EQ(resolve_engine(Engine::simanneal, p), Engine::simanneal);
-
-    p.engine = Engine::simanneal;
-    EXPECT_EQ(resolve_engine(Engine::automatic, p), Engine::simanneal);
-    EXPECT_EQ(resolve_engine(Engine::exact, p), Engine::exact);  // explicit wins
-
-    p.engine = Engine::automatic;  // never-set guard falls back to the default
-    EXPECT_EQ(resolve_engine(Engine::automatic, p), Engine::exact);
-
-    EXPECT_TRUE(stochastic_engine(Engine::simanneal));
-    EXPECT_FALSE(stochastic_engine(Engine::exact));
-}
-
-/// find_ground_state must dispatch to the very engine entry points, with
-/// simanneal seeded from SimulationParameters::anneal_seed.
+/// find_ground_state must dispatch to the engine SimulationParameters::engine
+/// names, with simanneal seeded from SimulationParameters::anneal_seed.
 TEST(EngineSelection, FindGroundStateMatchesDirectEngineCalls)
 {
     std::mt19937 rng{7777};
@@ -414,17 +397,19 @@ TEST(EngineSelection, FindGroundStateMatchesDirectEngineCalls)
     p.mu_minus = -0.32;
     const SiDBSystem sys{random_sites(8, rng), p};
 
-    const auto exact = find_ground_state(sys);  // default: automatic -> exact
+    const auto exact = find_ground_state(sys);  // default: Engine::exact
     const auto exact_direct = exact_ground_state(sys);
     EXPECT_EQ(exact.config, exact_direct.config);
     EXPECT_EQ(exact.grand_potential, exact_direct.grand_potential);
     EXPECT_EQ(exact.degeneracy, exact_direct.degeneracy);
     EXPECT_TRUE(exact.complete);
 
+    p.engine = Engine::simanneal;
+    const SiDBSystem annealing_sys{sys.sites(), p};
     SimAnnealParameters sp;
     sp.num_threads = p.num_threads;
     sp.seed = p.anneal_seed;
-    const auto annealed = find_ground_state(sys, Engine::simanneal);
+    const auto annealed = find_ground_state(annealing_sys);
     const auto annealed_direct = simulated_annealing(sys, sp);
     EXPECT_EQ(annealed.config, annealed_direct.config);
     EXPECT_EQ(annealed.grand_potential, annealed_direct.grand_potential);

@@ -58,7 +58,7 @@ TEST(Operational, VerticalWireIsOperationalAtBothMuValues)
     {
         SimulationParameters p;
         p.mu_minus = mu;
-        const auto result = check_operational(vertical_wire(), p, Engine::exact);
+        const auto result = check_operational(vertical_wire(), p);
         EXPECT_TRUE(result.operational) << "mu = " << mu;
         EXPECT_EQ(result.patterns_correct, 2U);
     }
@@ -68,7 +68,8 @@ TEST(Operational, WireAlsoPassesWithSimAnneal)
 {
     SimulationParameters p;
     p.mu_minus = -0.32;
-    const auto result = check_operational(vertical_wire(), p, Engine::simanneal);
+    p.engine = Engine::simanneal;
+    const auto result = check_operational(vertical_wire(), p);
     EXPECT_TRUE(result.operational);
 }
 
@@ -79,8 +80,28 @@ TEST(Operational, BrokenWireIsDetected)
     d.sites.erase(d.sites.begin() + 4, d.sites.begin() + 10);
     SimulationParameters p;
     p.mu_minus = -0.32;
-    const auto result = check_operational(d, p, Engine::exact);
+    const auto result = check_operational(d, p);
     EXPECT_FALSE(result.operational);
+}
+
+/// A pattern indexes one truth-table row; one at or above 2^k must be
+/// rejected instead of reading past the table.
+TEST(Operational, OutOfRangePatternThrows)
+{
+    const auto wire = vertical_wire();  // one input: patterns 0 and 1
+    SimulationParameters p;
+    p.mu_minus = -0.32;
+    const GateInstanceCache cache{wire, p};
+    for (const std::uint64_t pattern : {std::uint64_t{2}, std::uint64_t{1} << 40, ~std::uint64_t{0}})
+    {
+        EXPECT_THROW(static_cast<void>(simulate_gate_pattern(cache, pattern)),
+                     std::invalid_argument)
+            << pattern;
+        EXPECT_THROW(static_cast<void>(simulate_gate_pattern(wire, pattern, p)),
+                     std::invalid_argument)
+            << pattern;
+    }
+    EXPECT_TRUE(simulate_gate_pattern(cache, 1).correct);
 }
 
 TEST(GateDesigner, FindsTrivialCompletionOfAWire)
@@ -105,7 +126,7 @@ TEST(GateDesigner, FindsTrivialCompletionOfAWire)
     opt.max_iterations = 2000;
     const auto result = design_gate(skeleton, candidates, opt, p);
     ASSERT_TRUE(result.has_value());
-    const auto check = check_operational(result->design, p, Engine::exact);
+    const auto check = check_operational(result->design, p);
     EXPECT_TRUE(check.operational);
 }
 

@@ -64,15 +64,16 @@ TEST(ParallelDeterminism, CheckOperationalMatchesSerial)
     {
         SimulationParameters serial;
         serial.num_threads = 1;
-        const auto reference = check_operational(design, serial, engine);
+        serial.engine = engine;
+        const auto reference = check_operational(design, serial);
         for (const unsigned threads : {2U, 4U, 8U})
         {
             SimulationParameters parallel = serial;
             parallel.num_threads = threads;
-            expect_identical(reference, check_operational(design, parallel, engine));
+            expect_identical(reference, check_operational(design, parallel));
         }
         // repeated runs are stable too
-        expect_identical(reference, check_operational(design, serial, engine));
+        expect_identical(reference, check_operational(design, serial));
     }
 }
 

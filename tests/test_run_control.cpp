@@ -308,7 +308,7 @@ TEST(RunControl, ValidationRetriesAreBoundedAndRecorded)
 {
     FlowOptions options;
     options.validate_gates = true;
-    options.validation_engine = phys::Engine::simanneal;
+    options.sim_params.engine = phys::Engine::simanneal;
     options.validation_retries = 2;
     options.sim_params.num_threads = 2;
     const auto result =
@@ -439,7 +439,7 @@ TEST(RunControl, OperationalCheckCancellationKeepsPatternIndices)
     phys::SimulationParameters params;
     params.mu_minus = -0.32;
     const auto result =
-        phys::check_operational(wire->design, params, phys::Engine::exact, tripped_budget());
+        phys::check_operational(wire->design, params, tripped_budget());
     EXPECT_TRUE(result.cancelled);
     EXPECT_FALSE(result.operational) << "unevaluated patterns must count against operivity";
     for (std::size_t p = 0; p < result.details.size(); ++p)
@@ -457,8 +457,9 @@ TEST(RunControl, PatternCutBeforeAnyConfigurationStaysUnevaluated)
     const auto* wire = lib.lookup(logic::GateType::buf, layout::Port::nw, std::nullopt,
                                   layout::Port::sw, std::nullopt);
     ASSERT_NE(wire, nullptr);
-    const auto result = phys::simulate_gate_pattern(wire->design, 0, phys::SimulationParameters{},
-                                                    phys::Engine::simanneal, tripped_budget());
+    phys::SimulationParameters params;
+    params.engine = phys::Engine::simanneal;
+    const auto result = phys::simulate_gate_pattern(wire->design, 0, params, tripped_budget());
     EXPECT_TRUE(result.ground_state.cancelled);
     EXPECT_FALSE(result.evaluated);
     EXPECT_FALSE(result.correct);
@@ -481,8 +482,8 @@ TEST(RunControl, OperationalDomainCancellationKeepsCoordinates)
     sweep.y_min = 4.0;
     sweep.y_max = 6.0;
     sweep.y_steps = 3;
-    const auto domain = phys::compute_operational_domain(wire->design, base, sweep,
-                                                         phys::Engine::exact, tripped_budget());
+    const auto domain =
+        phys::compute_operational_domain(wire->design, base, sweep, tripped_budget());
     EXPECT_TRUE(domain.cancelled);
     ASSERT_EQ(domain.points.size(), 9U);
     for (const auto& p : domain.points)

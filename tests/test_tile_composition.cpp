@@ -79,7 +79,7 @@ TEST(TileComposition, TwoCascadedWireTilesTransmit)
 
     phys::SimulationParameters params;
     params.mu_minus = -0.32;
-    const auto result = phys::check_operational(chain, params, phys::Engine::exact);
+    const auto result = phys::check_operational(chain, params);
     EXPECT_TRUE(result.operational);
 }
 
@@ -110,7 +110,7 @@ TEST(TileComposition, OrGateDrivesADownstreamWire)
 
     phys::SimulationParameters params;
     params.mu_minus = -0.32;
-    const auto result = phys::check_operational(cascade, params, phys::Engine::exact);
+    const auto result = phys::check_operational(cascade, params);
     // cross-tile gate->wire coupling is marginal for one input pattern: the
     // near/far perturber emulation used during gate design omits the rest of
     // the upstream tile's charges, so the cascaded OR currently reaches 3/4
