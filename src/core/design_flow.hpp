@@ -5,7 +5,8 @@
 ///   (2) cut-based rewriting with an exact NPN database,
 ///   (3) technology mapping onto the Bestagon gate set,
 ///   (4) SAT-based exact physical design on the hexagonal floor plan
-///       (with the scalable heuristic as optional engine),
+///       (with the scalable heuristic as fallback when exact finds no
+///       layout),
 ///   (5) SAT-based equivalence checking of specification vs. layout,
 ///   (6) super-tile merging via clock-zone expansion,
 ///   (7) application of the Bestagon library -> dot-accurate SiDB layout,
@@ -37,18 +38,12 @@
 namespace bestagon::core
 {
 
-/// Which placement & routing engine to use in step (4).
-enum class PhysicalDesignEngine : std::uint8_t
-{
-    exact,                      ///< SAT-based, area-minimal [46]
-    scalable,                   ///< constructive heuristic [49]
-    exact_with_fallback         ///< exact first, heuristic if budget exhausted
-};
-
 struct FlowOptions
 {
     bool rewrite{true};                         ///< enable step (2)
-    PhysicalDesignEngine engine{PhysicalDesignEngine::exact_with_fallback};
+
+    /// Step (4): exact P&R options. The scalable fallback avoids the same
+    /// exact_options.defects surface.
     layout::ExactPDOptions exact_options{};
     unsigned supertile_expansion{0};            ///< 0 = minimum feasible factor
 
@@ -64,14 +59,8 @@ struct FlowOptions
     /// engine (Engine::exact by default).
     phys::SimulationParameters sim_params{};
 
-    /// With sim_params.engine == Engine::simanneal, a tile that fails its
-    /// check is retried up to this many times with a deterministically
-    /// rotated anneal seed (retries are recorded in the stage diagnostics);
-    /// the exact engine never retries.
-    unsigned validation_retries{0};
-
     // ------------------------------------------------------------------
-    // run control: with all fields at their defaults the flow behaves
+    // run control: with both fields at their defaults the flow behaves
     // bit-identically to an uncontrolled run
     // ------------------------------------------------------------------
 
@@ -83,14 +72,9 @@ struct FlowOptions
     /// Global wall-clock deadline for the whole flow in ms (< 0 = unlimited).
     /// On expiry the flow degrades instead of dying: exact P&R falls back to
     /// the scalable engine, equivalence reports `unknown`, step (7b) is
-    /// skipped-with-record.
-    std::int64_t deadline_ms{-1};
-
-    /// Per-stage wall-clock budgets in ms (< 0 = unlimited); each clips the
-    /// global deadline for its stage. The exact P&R stage budget lives in
+    /// skipped-with-record. The exact P&R stage budget lives in
     /// exact_options.time_budget_ms.
-    std::int64_t equivalence_budget_ms{-1};
-    std::int64_t validation_budget_ms{-1};
+    std::int64_t deadline_ms{-1};
 };
 
 /// Outcome of re-validating one library tile in step (7b).
@@ -100,7 +84,6 @@ struct GateValidation
     bool operational{false};
     std::uint64_t patterns_correct{0};
     std::uint64_t patterns_total{0};
-    unsigned retries{0};               ///< seed-rotation retries spent on this tile
     bool evaluated{false};             ///< false when the check was skipped/cut by a stop
 };
 
@@ -121,8 +104,8 @@ struct FlowResult
     std::string engine_used;                    ///< "exact" or "scalable"
     std::vector<GateValidation> gate_validation;  ///< step (7b), if enabled
 
-    /// Per-stage account of the run: what completed, degraded, retried or
-    /// was cut (see run_control.hpp). Stages appear in execution order.
+    /// Per-stage account of the run: what completed, degraded or was cut
+    /// (see run_control.hpp). Stages appear in execution order.
     FlowDiagnostics diagnostics;
 
     /// A verified layout whose dot-accurate SiDB layout (the `.sqd`) exists.

@@ -74,7 +74,7 @@ bool FlowDiagnostics::interrupted() const noexcept
 
 std::string FlowDiagnostics::table() const
 {
-    // fixed-width columns: stage | status | wall ms | retries | detail
+    // fixed-width columns: stage | status | wall ms | detail
     std::size_t name_w = 5;  // "stage"
     for (const auto& s : stages)
     {
@@ -83,12 +83,12 @@ std::string FlowDiagnostics::table() const
     std::ostringstream out;
     char line[64];
     out << "stage";
-    out << std::string(name_w - 5, ' ') << "  status     wall_ms  retries  detail\n";
+    out << std::string(name_w - 5, ' ') << "  status       wall_ms  detail\n";
     for (const auto& s : stages)
     {
         out << s.stage << std::string(name_w - s.stage.size(), ' ');
-        std::snprintf(line, sizeof line, "  %-9s %8lld  %7u  ", to_string(s.status),
-                      static_cast<long long>(s.wall_ms), s.retries);
+        std::snprintf(line, sizeof line, "  %-9s %10.3f  ", to_string(s.status),
+                      static_cast<double>(s.wall_us) / 1000.0);
         out << line << s.detail << '\n';
     }
     return out.str();

@@ -19,8 +19,8 @@
 ///    no-op, keeping the no-stop fast path bit-identical to the uncontrolled
 ///    code.
 ///  - `StageReport` / `FlowDiagnostics` record, per flow stage, what ran,
-///    what degraded, what retried and what was cut — the account a caller
-///    needs to interpret a partial result.
+///    what degraded and what was cut — the account a caller needs to
+///    interpret a partial result.
 ///
 /// CLI drivers use `install_sigint_stop()`: the first Ctrl-C trips a
 /// process-wide StopSource (engines wind down and partial artifacts are
@@ -101,15 +101,6 @@ class StopSource
 
     std::shared_ptr<std::atomic<bool>> state_;
 };
-
-/// Milliseconds on the steady clock since its epoch — the one clock of the
-/// stage timers and the solvers' time budgets. Only the difference of two
-/// readings means anything.
-[[nodiscard]] inline std::int64_t now_ms() noexcept
-{
-    using namespace std::chrono;
-    return duration_cast<milliseconds>(steady_clock::now().time_since_epoch()).count();
-}
 
 /// An absolute wall-clock limit on the steady clock. Default-constructed
 /// deadlines are unlimited. Deadlines are values: copy freely, compose with
@@ -226,14 +217,13 @@ enum class StageStatus : std::uint8_t
 /// Stable lower-case name of a stage status ("completed", "timed_out", ...).
 [[nodiscard]] const char* to_string(StageStatus status) noexcept;
 
-/// One flow stage's account: what ran, for how long, how often it retried
-/// and why it ended the way it did.
+/// One flow stage's account: what ran, for how long and why it ended the
+/// way it did.
 struct StageReport
 {
     std::string stage;                        ///< stable stage name, e.g. "physical_design"
     StageStatus status{StageStatus::skipped};
-    std::int64_t wall_ms{0};                  ///< wall-clock time spent in the stage
-    unsigned retries{0};                      ///< extra attempts beyond the first
+    std::int64_t wall_us{0};                  ///< steady-clock time spent in the stage, in µs
     std::string detail;                       ///< human-readable explanation
 };
 
@@ -256,8 +246,8 @@ struct FlowDiagnostics
     /// True iff any stage reports timed_out or cancelled.
     [[nodiscard]] bool interrupted() const noexcept;
 
-    /// Renders a fixed-width diagnostics table (one line per stage) for CLI
-    /// output and logs.
+    /// Renders a fixed-width diagnostics table (one line per stage, stage
+    /// time in ms with 3 decimals) for CLI output and logs.
     [[nodiscard]] std::string table() const;
 };
 

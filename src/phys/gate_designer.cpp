@@ -193,38 +193,24 @@ std::optional<DesignerResult> design_gate(const GateDesign& skeleton,
         return std::nullopt;
     }
 
-    // independent restarts: restart 0 keeps the attempt's base seed verbatim
-    // (the exact legacy trajectory on attempt 0); the winner is the lowest
-    // restart index that succeeds, so the result is thread-count invariant.
-    // No cross-restart cancellation — aborting a low-index restart because a
+    // independent restarts: restart 0 keeps the base seed verbatim (the
+    // single-restart trajectory); the winner is the lowest restart index
+    // that succeeds, so the result is thread-count invariant. No
+    // cross-restart cancellation — aborting a low-index restart because a
     // high-index one succeeded first would make the outcome
-    // scheduling-dependent. Failed attempts retry (bounded by max_retries)
-    // with a deterministically rotated base seed; the salt keeps the retry
-    // streams disjoint from the derive_seed(seed, r) restart streams.
-    constexpr std::uint64_t retry_salt = 0x52e7'52e7'52e7'52e7ULL;
+    // scheduling-dependent.
     const unsigned restarts = std::max(1U, options.num_restarts);
-    for (unsigned attempt = 0; attempt <= options.max_retries; ++attempt)
+    std::vector<std::optional<DesignerResult>> outcomes(restarts);
+    core::parallel_for(options.num_threads, restarts, options.run, [&](std::size_t r) {
+        const std::uint64_t seed = r == 0 ? options.seed : core::derive_seed(options.seed, r);
+        outcomes[r] = run_search(skeleton, usable, options, params, seed);
+    });
+    for (unsigned r = 0; r < restarts; ++r)
     {
-        if (options.run.stopped())
+        if (outcomes[r].has_value())
         {
-            return std::nullopt;
-        }
-        const std::uint64_t base_seed =
-            attempt == 0 ? options.seed : core::derive_seed(options.seed ^ retry_salt, attempt);
-        std::vector<std::optional<DesignerResult>> outcomes(restarts);
-        core::parallel_for(options.num_threads, restarts, options.run, [&](std::size_t r) {
-            const std::uint64_t seed = r == 0 ? base_seed : core::derive_seed(base_seed, r);
-            outcomes[r] = run_search(skeleton, usable, options, params, seed);
-        });
-
-        for (unsigned r = 0; r < restarts; ++r)
-        {
-            if (outcomes[r].has_value())
-            {
-                outcomes[r]->restart_used = r;
-                outcomes[r]->retries_used = attempt;
-                return outcomes[r];
-            }
+            outcomes[r]->restart_used = r;
+            return outcomes[r];
         }
     }
     return std::nullopt;

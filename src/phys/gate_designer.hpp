@@ -37,13 +37,6 @@ struct DesignerOptions
     /// patterns according to SimulationParameters::num_threads.)
     unsigned num_threads{0};
 
-    /// Extra full search attempts when all restarts of an attempt fail.
-    /// Every retry rotates the base seed deterministically (derive_seed over
-    /// a salted stream that cannot collide with the restart streams), so a
-    /// bounded amount of fresh randomness is spent before giving up. The
-    /// winning attempt index is recorded in DesignerResult::retries_used.
-    unsigned max_retries{0};
-
     /// Cooperative cancellation / deadline: polled between search iterations
     /// and between pattern simulations. A stopped run returns std::nullopt.
     core::RunBudget run{};
@@ -62,7 +55,6 @@ struct DesignerResult
     std::vector<SiDBSite> canvas;  ///< the chosen canvas dots
     unsigned iterations_used{0};   ///< iterations within the winning restart
     unsigned restart_used{0};      ///< index of the winning restart
-    unsigned retries_used{0};      ///< full-search retries before the winner
 };
 
 /// Searches for canvas dots (chosen from \p candidates) that make

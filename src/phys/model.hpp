@@ -65,8 +65,7 @@ struct SimulationParameters
     /// Base seed of the stochastic engine (simanneal) when it is selected
     /// for ground-state searches. The default matches
     /// SimAnnealParameters::seed, so results are unchanged unless a caller
-    /// rotates it (e.g. a bounded validation retry with a derive_seed-rotated
-    /// stream).
+    /// sets it.
     std::uint64_t anneal_seed{0x5eed};
 
     /// Numerical tolerance of the stability checks and the greedy quench:

@@ -1146,7 +1146,7 @@ OracleVerdict run_control_differential(const logic::LogicNetwork& spec,
     }
     for (const auto& stage : result.diagnostics.stages)
     {
-        if (stage.wall_ms < 0)
+        if (stage.wall_us < 0)
         {
             return fail("stage '" + stage.stage + "' reports negative wall-clock time");
         }
@@ -1172,13 +1172,10 @@ OracleVerdict run_control_differential(const logic::LogicNetwork& spec,
         }
     }
     else if (pd != nullptr &&
-             (pd->status == core::StageStatus::degraded ||
-              (pd->status == core::StageStatus::completed && pd->detail.empty())))
+             (pd->status == core::StageStatus::degraded || pd->status == core::StageStatus::completed))
     {
-        // completed-without-layout is legal only for a declined exact-only
-        // run, which always carries an explanatory detail
         return fail(std::string{"physical_design reports '"} + core::to_string(pd->status) +
-                    "' but no layout exists");
+                    "' without a layout");
     }
     if ((result.supertiles.has_value() || result.sidb.has_value()) && !result.layout.has_value())
     {

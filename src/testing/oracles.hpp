@@ -278,7 +278,7 @@ struct RunControlOracleStats
 
 /// Runs the full design flow on \p spec under whatever run-control event
 /// \p options injects (a pre-tripped or concurrently tripped stop token, a
-/// global deadline, per-stage budgets) and checks the invariants every
+/// global deadline, an exact P&R budget) and checks the invariants every
 /// controlled run must satisfy:
 ///
 ///  - the flow never throws, whatever is cut when;

@@ -1,6 +1,7 @@
 #include "core/design_flow.hpp"
 
 #include "io/verilog.hpp"
+#include "layout/defect_map.hpp"
 #include "logic/benchmarks.hpp"
 #include "logic/rewriting.hpp"
 #include "logic/tech_mapping.hpp"
@@ -21,7 +22,6 @@ namespace
 
 using namespace bestagon;
 using core::FlowOptions;
-using core::PhysicalDesignEngine;
 
 TEST(DesignFlow, Xor2EndToEnd)
 {
@@ -38,22 +38,27 @@ TEST(DesignFlow, Xor2EndToEnd)
 
 TEST(DesignFlow, ValidateGatesStepChecksEveryDistinctTileInUse)
 {
-    FlowOptions opt;
-    opt.validate_gates = true;
-    opt.sim_params.num_threads = 4;
-    const auto result = core::run_design_flow(logic::find_benchmark("xor2")->build(), opt);
-    ASSERT_TRUE(result.success());
-    ASSERT_FALSE(result.apply_stats.implementations_used.empty());
-    ASSERT_EQ(result.gate_validation.size(), result.apply_stats.implementations_used.size());
-    for (std::size_t i = 0; i < result.gate_validation.size(); ++i)
+    for (const auto engine : {phys::Engine::exact, phys::Engine::simanneal})
     {
-        const auto& v = result.gate_validation[i];
-        EXPECT_EQ(v.name, result.apply_stats.implementations_used[i]->design.name);
-        EXPECT_GT(v.patterns_total, 0U);
-        // a pre-validated library tile must re-validate at the calibration point
-        if (result.apply_stats.implementations_used[i]->simulation_validated)
+        FlowOptions opt;
+        opt.validate_gates = true;
+        opt.sim_params.engine = engine;
+        opt.sim_params.num_threads = 4;
+        const auto result = core::run_design_flow(logic::find_benchmark("xor2")->build(), opt);
+        ASSERT_TRUE(result.success());
+        ASSERT_FALSE(result.apply_stats.implementations_used.empty());
+        ASSERT_EQ(result.gate_validation.size(), result.apply_stats.implementations_used.size());
+        for (std::size_t i = 0; i < result.gate_validation.size(); ++i)
         {
-            EXPECT_TRUE(v.operational) << v.name;
+            const auto& v = result.gate_validation[i];
+            EXPECT_EQ(v.name, result.apply_stats.implementations_used[i]->design.name);
+            EXPECT_TRUE(v.evaluated) << v.name;
+            EXPECT_GT(v.patterns_total, 0U);
+            // a pre-validated library tile must re-validate at the calibration point
+            if (result.apply_stats.implementations_used[i]->simulation_validated)
+            {
+                EXPECT_TRUE(v.operational) << v.name;
+            }
         }
     }
 
@@ -90,10 +95,13 @@ TEST(DesignFlow, RewritingCanBeDisabled)
     EXPECT_LE(with.layout->area(), without.layout->area());
 }
 
+/// The scalable engine runs only as the fallback of exact P&R; a tile budget
+/// exact P&R cannot meet forces it.
 TEST(DesignFlow, ScalableEngineWorksOnSimpleBenchmarks)
 {
     FlowOptions opt;
-    opt.engine = PhysicalDesignEngine::scalable;
+    opt.exact_options.max_width = 1;  // force exact failure
+    opt.exact_options.max_height = 2;
     const auto result = core::run_design_flow(logic::find_benchmark("par_check")->build(), opt);
     ASSERT_TRUE(result.success());
     EXPECT_EQ(result.engine_used, "scalable");
@@ -102,8 +110,7 @@ TEST(DesignFlow, ScalableEngineWorksOnSimpleBenchmarks)
 TEST(DesignFlow, FallbackReportsEngine)
 {
     FlowOptions opt;
-    opt.engine = PhysicalDesignEngine::exact_with_fallback;
-    opt.exact_options.max_width = 1;   // force exact failure
+    opt.exact_options.max_width = 1;  // force exact failure
     opt.exact_options.max_height = 2;
     const auto result = core::run_design_flow(logic::find_benchmark("par_gen")->build(), opt);
     ASSERT_TRUE(result.layout.has_value());
@@ -111,10 +118,51 @@ TEST(DesignFlow, FallbackReportsEngine)
     EXPECT_TRUE(result.success());
 }
 
+/// The scalable fallback honors the same defect surface as exact P&R: a
+/// structural defect on the first occupied tile of the defect-free fallback
+/// layout makes the march translate the layout off it.
+TEST(DesignFlow, FallbackAvoidsDefects)
+{
+    FlowOptions opt;
+    opt.exact_options.max_width = 1;  // force exact failure
+    opt.exact_options.max_height = 2;
+    const auto spec = logic::find_benchmark("par_gen")->build();
+    const auto plain = core::run_design_flow(spec, opt);
+    ASSERT_TRUE(plain.layout.has_value());
+    for (const auto& tile : plain.layout->all_tiles())
+    {
+        if (!plain.layout->is_empty(tile))
+        {
+            phys::SurfaceDefect d;
+            d.site = layout::tile_origin(tile);
+            d.kind = phys::DefectKind::structural;
+            d.charge = 0.0;
+            d.exclusion_radius_nm = 0.5;
+            opt.exact_options.defects.add(d);
+            break;
+        }
+    }
+    ASSERT_FALSE(opt.exact_options.defects.empty());
+
+    const auto result = core::run_design_flow(spec, opt);
+    ASSERT_TRUE(result.success());
+    EXPECT_EQ(result.engine_used, "scalable");
+    EXPECT_EQ(result.scalable_stats.defect_shift_x, 1U);
+    EXPECT_EQ(result.scalable_stats.defect_shift_y, 0U);
+    for (const auto& tile : result.layout->all_tiles())
+    {
+        if (!result.layout->is_empty(tile))
+        {
+            EXPECT_FALSE(layout::tile_blocked(tile, opt.exact_options.defects))
+                << tile.x << ',' << tile.y;
+        }
+    }
+}
+
 /// Specifications with a constant output: the exact engine rejects a network
-/// with constant nodes, and exact_with_fallback must then still run the
-/// scalable engine. The specs are the constant-output draws among the first
-/// 189 of bench/flow's random_flow corpus. The scalable engine rejects
+/// with constant nodes, and the flow must then still run the scalable
+/// engine. The specs are the constant-output draws among the first 189 of
+/// bench/flow's random_flow corpus. The scalable engine rejects
 /// constants too, so the stage fails, and its detail gives both engines'
 /// reasons.
 TEST(DesignFlow, ExactRejectionRunsTheScalableFallback)
@@ -177,6 +225,86 @@ TEST(DesignFlow, NoSiDBLayoutIsNoSuccess)
     const auto* apply = result.diagnostics.find("apply_library");
     ASSERT_NE(apply, nullptr);
     EXPECT_EQ(apply->status, core::StageStatus::failed);
+}
+
+/// A flow run's stage record without its timings: the engine that placed
+/// the layout, then one "stage status detail" line per stage, in order.
+std::string stage_record(const core::FlowResult& result)
+{
+    std::string out = "engine=" + result.engine_used + '\n';
+    for (const auto& s : result.diagnostics.stages)
+    {
+        out += s.stage + ' ' + core::to_string(s.status) + ' ' + s.detail + '\n';
+    }
+    return out;
+}
+
+/// Pins what the flow reports about each stage on every path through it:
+/// plain, forced fallback, exact rejection, parse failure, expired deadline,
+/// cancellation and gate validation.
+TEST(DesignFlow, StageRecordIsPinned)
+{
+    const std::string front = "to_xag completed \nrewrite completed \ntech_mapping completed \n";
+    const std::string back = "supertiles completed \ndrc completed clean\napply_library completed \n";
+    const auto xor2 = logic::find_benchmark("xor2")->build();
+
+    EXPECT_EQ(stage_record(core::run_design_flow(xor2)),
+              "engine=exact\n" + front + "physical_design completed exact\n" +
+                  "equivalence completed equivalent\n" + back);
+
+    FlowOptions fallback;
+    fallback.exact_options.max_width = 1;
+    fallback.exact_options.max_height = 2;
+    EXPECT_EQ(stage_record(core::run_design_flow(logic::find_benchmark("par_gen")->build(), fallback)),
+              "engine=scalable\n" + front +
+                  "physical_design degraded exact engine declined; scalable fallback\n" +
+                  "equivalence completed equivalent\n" + back);
+
+    // spec 0 of ExactRejectionRunsTheScalableFallback has a constant output
+    testkit::XagOptions random;
+    random.min_gates = 6;
+    random.max_gates = 14;
+    testkit::Rng rng{testkit::case_seed(0xbe57a611, 0)};
+    EXPECT_EQ(stage_record(core::run_design_flow(testkit::random_network(rng, random))),
+              "engine=scalable\n" + front +
+                  "physical_design failed exact engine rejected the input "
+                  "(exact_physical_design: constant nodes unsupported); "
+                  "scalable_physical_design: constants unsupported\n");
+
+    // the parse detail is the reader's message; MalformedVerilogDoesNotThrow
+    // and MalformedBenchDoesNotThrow check that its prefix appears once
+    const auto parse_failure = [](const core::FlowResult& result, const std::string& message) {
+        EXPECT_EQ(result.engine_used, "");
+        ASSERT_EQ(result.diagnostics.stages.size(), 1U);
+        const auto& parse = result.diagnostics.stages.front();
+        EXPECT_EQ(parse.stage, "parse");
+        EXPECT_EQ(parse.status, core::StageStatus::failed);
+        ASSERT_GE(parse.detail.size(), message.size()) << parse.detail;
+        EXPECT_EQ(parse.detail.substr(parse.detail.size() - message.size()), message);
+    };
+    parse_failure(core::run_design_flow_verilog("c17"), "verilog: expected 'module', got 'c17'");
+    parse_failure(core::run_design_flow_bench("INPUT(a\nG1 = NONSENSE(a)\n"),
+                  "bench: malformed I/O declaration: INPUT(a");
+
+    FlowOptions expired;
+    expired.deadline_ms = 0;
+    EXPECT_EQ(stage_record(core::run_design_flow(xor2, expired)),
+              "engine=scalable\n" + front +
+                  "physical_design degraded exact budget exhausted; scalable fallback\n" +
+                  "equivalence timed_out check cut short; result is unknown\n" + back);
+
+    core::StopSource source;
+    source.request_stop();
+    FlowOptions cancelled;
+    cancelled.stop = source.token();
+    EXPECT_EQ(stage_record(core::run_design_flow(xor2, cancelled)),
+              "engine=exact\n" + front + "physical_design cancelled exact engine cancelled\n");
+
+    FlowOptions validated;
+    validated.validate_gates = true;
+    EXPECT_EQ(stage_record(core::run_design_flow(xor2, validated)),
+              "engine=exact\n" + front + "physical_design completed exact\n" +
+                  "equivalence completed equivalent\n" + back + "gate_validation completed \n");
 }
 
 class FlowBenchmark : public ::testing::TestWithParam<std::string>

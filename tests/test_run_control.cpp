@@ -165,15 +165,15 @@ TEST(RunControl, StageStatusNames)
 TEST(RunControl, DiagnosticsQueries)
 {
     core::FlowDiagnostics diag;
-    diag.stages.push_back({"to_xag", StageStatus::completed, 1, 0, ""});
-    diag.stages.push_back({"physical_design", StageStatus::degraded, 40, 0, "fallback"});
+    diag.stages.push_back({"to_xag", StageStatus::completed, 1000, ""});
+    diag.stages.push_back({"physical_design", StageStatus::degraded, 40250, "fallback"});
     EXPECT_FALSE(diag.all_completed()) << "degraded counts as not completed";
     EXPECT_EQ(diag.first_cut(), nullptr) << "degraded stages are usable, not cut";
     EXPECT_FALSE(diag.interrupted());
     ASSERT_NE(diag.find("to_xag"), nullptr);
     EXPECT_EQ(diag.find("nonexistent"), nullptr);
 
-    diag.stages.push_back({"equivalence", StageStatus::timed_out, 12, 0, "cut"});
+    diag.stages.push_back({"equivalence", StageStatus::timed_out, 12, "cut"});
     EXPECT_TRUE(diag.interrupted());
     ASSERT_NE(diag.first_cut(), nullptr);
     EXPECT_EQ(diag.first_cut()->stage, "equivalence");
@@ -182,6 +182,8 @@ TEST(RunControl, DiagnosticsQueries)
     EXPECT_NE(table.find("physical_design"), std::string::npos);
     EXPECT_NE(table.find("degraded"), std::string::npos);
     EXPECT_NE(table.find("timed_out"), std::string::npos);
+    EXPECT_NE(table.find(" 40.250  fallback"), std::string::npos) << "stage time in ms, 3 decimals";
+    EXPECT_NE(table.find(" 0.012  cut"), std::string::npos) << table;
 }
 
 // --- solver budgets (satellite: prompt time-budget enforcement) -------------
@@ -226,7 +228,6 @@ TEST(RunControl, ExhaustedExactBudgetDegradesToScalable)
     // a zero conflict budget is deterministically exhausted on the first
     // aspect ratio: the flow must fall back to the scalable engine and say so
     FlowOptions options;
-    options.engine = core::PhysicalDesignEngine::exact_with_fallback;
     options.exact_options.conflicts_per_size = 0;
     const auto result =
         core::run_design_flow(logic::find_benchmark("xor2")->build(), options);
@@ -304,26 +305,6 @@ TEST(RunControl, ZeroDeadlineSkipsGateValidationWithRecord)
     EXPECT_TRUE(result.gate_validation.empty());
 }
 
-TEST(RunControl, ValidationRetriesAreBoundedAndRecorded)
-{
-    FlowOptions options;
-    options.validate_gates = true;
-    options.sim_params.engine = phys::Engine::simanneal;
-    options.validation_retries = 2;
-    options.sim_params.num_threads = 2;
-    const auto result =
-        core::run_design_flow(logic::find_benchmark("xor2")->build(), options);
-    ASSERT_TRUE(result.success());
-    const auto* val = result.diagnostics.find("gate_validation");
-    ASSERT_NE(val, nullptr);
-    EXPECT_EQ(val->status, StageStatus::completed);
-    for (const auto& v : result.gate_validation)
-    {
-        EXPECT_TRUE(v.evaluated);
-        EXPECT_LE(v.retries, options.validation_retries) << v.name;
-    }
-}
-
 TEST(RunControl, UnlimitedDeadlineIsBitIdenticalToNoDeadline)
 {
     const auto spec = logic::find_benchmark("xor2")->build();
@@ -359,6 +340,8 @@ TEST(RunControl, MalformedVerilogDoesNotThrow)
     EXPECT_EQ(result.diagnostics.stages[0].status, StageStatus::failed);
     EXPECT_EQ(result.diagnostics.stages[0].detail.rfind("verilog: ", 0), 0U)
         << result.diagnostics.stages[0].detail;
+    EXPECT_EQ(result.diagnostics.stages[0].detail.find("verilog: ", 1), std::string::npos)
+        << "the reader's prefix appears once: " << result.diagnostics.stages[0].detail;
 }
 
 TEST(RunControl, MalformedBenchDoesNotThrow)
@@ -370,6 +353,8 @@ TEST(RunControl, MalformedBenchDoesNotThrow)
     EXPECT_EQ(result.diagnostics.stages[0].status, StageStatus::failed);
     EXPECT_EQ(result.diagnostics.stages[0].detail.rfind("bench: ", 0), 0U)
         << result.diagnostics.stages[0].detail;
+    EXPECT_EQ(result.diagnostics.stages[0].detail.find("bench: ", 1), std::string::npos)
+        << "the reader's prefix appears once: " << result.diagnostics.stages[0].detail;
 }
 
 TEST(RunControl, WellFormedVerilogRecordsParseStage)
@@ -499,7 +484,7 @@ TEST(RunControl, OperationalDomainCancellationKeepsCoordinates)
 TEST(RunControl, GateDesignerHonorsCancellation)
 {
     // a pre-tripped token must abort the stochastic search before any
-    // simulation work, retries included
+    // simulation work, in every restart
     phys::GateDesign d;
     d.name = "wire";
     for (const int m : {1, 2, 5, 6})
@@ -512,7 +497,7 @@ TEST(RunControl, GateDesignerHonorsCancellation)
     std::vector<phys::SiDBSite> candidates = {{10, 3, 0}, {11, 3, 0}, {12, 3, 1}};
     phys::DesignerOptions options;
     options.max_iterations = 1000000;
-    options.max_retries = 5;
+    options.num_restarts = 5;
     StopSource source;
     source.request_stop();
     options.run.token = source.token();

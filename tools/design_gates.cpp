@@ -2,13 +2,11 @@
 /// \brief Offline gate-design runner — the tool that produced the canvas
 ///        coordinates frozen in src/layout/bestagon_library.cpp.
 ///
-/// Usage: design_gates <gate> [seed] [iterations] [restarts] [threads] [retries]
+/// Usage: design_gates <gate> [seed] [iterations] [restarts] [threads]
 ///   gate in {or, and, nor, nand, xor, xnor, inv, inv_diag, fanout, ha}
 ///   restarts: independent search restarts (default 1; restart 0 reproduces
 ///             the single-restart trajectory bit-for-bit)
 ///   threads:  0 = hardware concurrency (default), 1 = serial
-///   retries:  extra full-search attempts with a rotated base seed when all
-///             restarts fail (default 0)
 ///
 /// Ctrl-C stops the search cooperatively at the next poll point; a second
 /// Ctrl-C hard-exits.
@@ -111,7 +109,7 @@ int main(int argc, char** argv)
     if (argc < 2)
     {
         std::printf("usage: design_gates <or|and|nor|nand|xor|xnor|inv|inv_diag|fanout|ha> "
-                    "[seed] [iterations] [restarts] [threads] [retries]\n");
+                    "[seed] [iterations] [restarts] [threads]\n");
         return 2;
     }
     const std::string gate = argv[1];
@@ -119,7 +117,6 @@ int main(int argc, char** argv)
     const unsigned iterations = argc > 3 ? static_cast<unsigned>(std::atoi(argv[3])) : 20000;
     const unsigned restarts = argc > 4 ? static_cast<unsigned>(std::atoi(argv[4])) : 1;
     const unsigned threads = argc > 5 ? static_cast<unsigned>(std::atoi(argv[5])) : 0;
-    const unsigned retries = argc > 6 ? static_cast<unsigned>(std::atoi(argv[6])) : 0;
 
     phys::SimulationParameters params;  // library calibration point
     params.num_threads = threads;
@@ -133,7 +130,6 @@ int main(int argc, char** argv)
     options.max_canvas_dots = 6;
     options.num_restarts = restarts;
     options.num_threads = threads;
-    options.max_retries = retries;
     options.run.token = core::install_sigint_stop();
 
     if (gate == "or" || gate == "and" || gate == "xor")
@@ -248,13 +244,12 @@ int main(int argc, char** argv)
                         gate.c_str(), seed);
             return 130;
         }
-        std::printf("GATE %s seed=%u FAILED after %u iterations x %u restarts x %u attempt(s)\n",
-                    gate.c_str(), seed, iterations, restarts, retries + 1);
+        std::printf("GATE %s seed=%u FAILED after %u iterations x %u restarts\n", gate.c_str(),
+                    seed, iterations, restarts);
         return 1;
     }
-    std::printf("GATE %s seed=%u OK after %u iterations (restart %u, retry %u); canvas:",
-                gate.c_str(), seed, result->iterations_used, result->restart_used,
-                result->retries_used);
+    std::printf("GATE %s seed=%u OK after %u iterations (restart %u); canvas:", gate.c_str(),
+                seed, result->iterations_used, result->restart_used);
     for (const auto& s : result->canvas)
     {
         std::printf(" {%d, %d, %d},", s.n, s.m, s.l);
