@@ -79,6 +79,7 @@ BENCHMARK_CAPTURE(BM_ExactPnrLadder, mux21, std::string{"mux21"})->Unit(benchmar
 BENCHMARK_CAPTURE(BM_ExactPnrLadder, par_check, std::string{"par_check"})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ExactPnrLadder, c17, std::string{"c17"})->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ExactPnrLadder, newtag, std::string{"newtag"})->Unit(benchmark::kMillisecond);
 
 /// The Table-1-scale number: exact P&R over every benchmark of the paper's
 /// Table 1 back to back, sharing nothing across networks.

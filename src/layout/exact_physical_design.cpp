@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -33,43 +35,85 @@ struct Edge
     NodeId target;
 };
 
-/// Longest path from any PI, counted in nodes (PIs have level 0).
-std::vector<unsigned> node_levels(const LogicNetwork& network)
+/// Rows every layout must leave above and below each node (the lemma of
+/// minimum_height): a node lies in rows [lo, h - 1 - tail] of any w x h
+/// layout.
+struct RowWindows
 {
-    std::vector<unsigned> level(network.size(), 0);
-    for (const auto id : network.topological_order())
+    std::vector<unsigned> lo;    ///< max(|PI(v)| - 1, max over fan-ins u of lo(u) + 1)
+    std::vector<unsigned> tail;  ///< max(|PO(v)| - 1, max over fan-outs w of tail(w) + 1)
+    unsigned min_height{1};      ///< max over v of lo(v) + tail(v) + 1
+};
+
+/// One topological pass each way; |PI(v)| and |PO(v)| are counted on a
+/// bitset per node over the PIs of its fan-in cone and the POs of its
+/// fan-out cone.
+RowWindows row_windows(const LogicNetwork& network)
+{
+    const auto size = network.size();
+    const auto order = network.topological_order();
+    RowWindows windows{std::vector<unsigned>(size, 0), std::vector<unsigned>(size, 0)};
+
+    const std::size_t pi_words = (network.num_pis() + 63) / 64;
+    const std::size_t po_words = (network.num_pos() + 63) / 64;
+    std::vector<std::uint64_t> pis_above(size * pi_words, 0);
+    std::vector<std::uint64_t> pos_below(size * po_words, 0);
+    for (std::size_t i = 0; i < network.pis().size(); ++i)
     {
-        const auto& n = network.node(id);
+        pis_above[network.pis()[i] * pi_words + i / 64] |= std::uint64_t{1} << (i % 64);
+    }
+    for (std::size_t i = 0; i < network.pos().size(); ++i)
+    {
+        pos_below[network.pos()[i] * po_words + i / 64] |= std::uint64_t{1} << (i % 64);
+    }
+    // cone span: terminals on distinct tiles of one row, less one
+    const auto span = [](const std::uint64_t* bits, std::size_t words) {
+        unsigned count = 0;
+        for (std::size_t k = 0; k < words; ++k)
+        {
+            count += static_cast<unsigned>(std::popcount(bits[k]));
+        }
+        return count > 0 ? count - 1 : 0U;
+    };
+
+    for (const auto v : order)
+    {
+        const auto& n = network.node(v);
         for (unsigned i = 0; i < gate_arity(n.type); ++i)
         {
-            level[id] = std::max(level[id], level[n.fanin[i]] + 1);
+            const auto u = n.fanin[i];
+            windows.lo[v] = std::max(windows.lo[v], windows.lo[u] + 1);
+            for (std::size_t k = 0; k < pi_words; ++k)
+            {
+                pis_above[v * pi_words + k] |= pis_above[u * pi_words + k];
+            }
         }
+        windows.lo[v] = std::max(windows.lo[v], span(&pis_above[v * pi_words], pi_words));
     }
-    return level;
-}
-
-/// Longest path to any PO, counted in nodes (POs have 0).
-std::vector<unsigned> node_depths_to_po(const LogicNetwork& network)
-{
-    std::vector<unsigned> depth(network.size(), 0);
-    const auto order = network.topological_order();
     for (auto it = order.rbegin(); it != order.rend(); ++it)
     {
-        const auto& n = network.node(*it);
+        const auto v = *it;
+        windows.tail[v] = std::max(windows.tail[v], span(&pos_below[v * po_words], po_words));
+        windows.min_height = std::max(windows.min_height, windows.lo[v] + windows.tail[v] + 1);
+        const auto& n = network.node(v);
         for (unsigned i = 0; i < gate_arity(n.type); ++i)
         {
-            depth[n.fanin[i]] = std::max(depth[n.fanin[i]], depth[*it] + 1);
+            const auto u = n.fanin[i];
+            windows.tail[u] = std::max(windows.tail[u], windows.tail[v] + 1);
+            for (std::size_t k = 0; k < po_words; ++k)
+            {
+                pos_below[u * po_words + k] |= pos_below[v * po_words + k];
+            }
         }
     }
-    return depth;
+    return windows;
 }
 
 /// What the encoder needs of the network, computed once per
 /// exact_physical_design call and shared by every aspect ratio.
 struct PnrNetwork
 {
-    explicit PnrNetwork(const LogicNetwork& n)
-        : network{n}, levels{node_levels(n)}, depths{node_depths_to_po(n)}
+    explicit PnrNetwork(const LogicNetwork& n) : network{n}, windows{row_windows(n)}
     {
         for (const auto id : network.topological_order())
         {
@@ -88,8 +132,7 @@ struct PnrNetwork
     }
 
     const LogicNetwork& network;
-    std::vector<unsigned> levels;
-    std::vector<unsigned> depths;
+    RowWindows windows;
     /// Topological order, which is ascending node id (LogicNetwork creates
     /// nodes in topological order).
     std::vector<NodeId> nodes;
@@ -276,6 +319,8 @@ class SizeEncoding
                c.y < static_cast<std::int32_t>(h_);
     }
 
+    /// The rows \p v may take: its window, narrowed to row 0 for PIs and to
+    /// the last row for POs. Non-empty once h_ >= min_height.
     [[nodiscard]] std::pair<unsigned, unsigned> row_range(NodeId v) const
     {
         const auto type = net_.network.type_of(v);
@@ -287,9 +332,7 @@ class SizeEncoding
         {
             return {h_ - 1, h_ - 1};
         }
-        const unsigned lo = net_.levels[v];
-        const unsigned hi = h_ - 1 - std::min<unsigned>(h_ - 1, net_.depths[v]);
-        return {lo, hi};
+        return {net_.windows.lo[v], h_ - 1 - net_.windows.tail[v]};
     }
 
     [[nodiscard]] sat::Var& place_var(NodeId v, std::size_t t)
@@ -346,15 +389,11 @@ class SizeEncoding
         const auto& nodes = net_.nodes;
         const auto& edges = net_.edges;
 
-        // feasibility: node row ranges must be non-empty
-        for (const auto v : nodes)
+        // feasibility: below the structural bound some row window is empty
+        if (h_ < net_.windows.min_height)
         {
-            const auto [lo, hi] = row_range(v);
-            if (lo > hi)
-            {
-                trivially_unsat_ = true;
-                return;
-            }
+            trivially_unsat_ = true;
+            return;
         }
         if (guarded_)
         {
@@ -772,13 +811,7 @@ std::optional<GateLevelLayout> run_ladder(const PnrNetwork& net, const ExactPDOp
 
 unsigned minimum_height(const logic::LogicNetwork& network)
 {
-    const auto levels = node_levels(network);
-    unsigned h = 0;
-    for (const auto po : network.pos())
-    {
-        h = std::max(h, levels[po]);
-    }
-    return h + 1;
+    return row_windows(network).min_height;
 }
 
 std::optional<GateLevelLayout> exact_physical_design(const logic::LogicNetwork& network,
@@ -790,17 +823,16 @@ std::optional<GateLevelLayout> exact_physical_design(const logic::LogicNetwork& 
         throw std::invalid_argument{"exact_physical_design: network not Bestagon-compliant: " + why};
     }
 
-    const unsigned h_min = minimum_height(network);
+    const PnrNetwork net{network};
     const unsigned w_min =
         std::max<unsigned>(1, std::max(network.num_pis(), network.num_pos()));
 
     // the engine's own wall-clock budget composes with (is clipped by) the
     // caller's run deadline; all paths below poll the one composed budget
     const auto budget = options.run.clipped_ms(options.time_budget_ms);
-    AspectRatioLadder ladder{w_min, options.max_width, h_min, options.max_height};
+    AspectRatioLadder ladder{w_min, options.max_width, net.windows.min_height, options.max_height};
 
     const sat::SolveLimits limits{options.conflicts_per_size, budget};
-    const PnrNetwork net{network};
 
     auto layout = run_ladder(net, options, budget, limits, ladder, stats);
     if (layout.has_value())
@@ -813,9 +845,10 @@ std::optional<GateLevelLayout> exact_physical_design(const logic::LogicNetwork& 
     }
 
     // infeasibility diagnosis: only meaningful when every size was genuinely
-    // refuted (a budget-truncated or cancelled decline proves nothing)
+    // refuted (a budget-truncated or cancelled decline proves nothing); an
+    // empty ladder, with limits below the structural bounds, is diagnosed too
     if (options.diagnose_infeasibility && stats != nullptr && !stats->budget_exhausted &&
-        !stats->cancelled && stats->sizes_tried > 0 && budget.deadline.remaining_ms() > 0)
+        !stats->cancelled && budget.deadline.remaining_ms() > 0)
     {
         // the most permissive aspect ratio, encoded once with group guards;
         // the core minimization re-solves on that one solver

@@ -8,6 +8,11 @@
 /// which makes all signal paths balanced by construction and yields the
 /// paper's 1/1 throughput). Aspect ratios are enumerated in ascending area,
 /// so the first satisfiable size is area-minimal.
+///
+/// Each node's placement is restricted to a row window that every layout
+/// obeys (see minimum_height()), and the ladder starts at the smallest
+/// height for which all windows are non-empty. Heights below it are never
+/// encoded or solved.
 
 #pragma once
 
@@ -44,7 +49,9 @@ struct ExactPDOptions
 
     /// On a declined instance (no layout, budget NOT exhausted), re-encode
     /// the largest aspect ratio with per-constraint-group guard literals and
-    /// extract which groups refute it (ExactPDStats::refuting_groups).
+    /// extract which groups refute it (ExactPDStats::refuting_groups). This
+    /// also runs when the limits leave the ladder empty: a max_height below
+    /// minimum_height() reports "clocking" (an empty row window).
     bool diagnose_infeasibility{false};
 
     /// Fabrication defects to avoid: tiles whose lattice footprint collides
@@ -101,7 +108,25 @@ struct ExactPDStats
                                                                    const ExactPDOptions& options = {},
                                                                    ExactPDStats* stats = nullptr);
 
-/// Lower bound on the layout height (longest PI->PO path in tiles).
+/// Lower bound on the height of every layout of \p network, from its path
+/// lengths and its I/O span.
+///
+/// Lemma: PIs sit on row 0 and POs on the last row, each on its own tile.
+/// In odd-r hex coordinates every SW or SE step lowers exactly one of the
+/// cube coordinates q and s by one, so along a routed path neither grows.
+/// A node on row r reached from PIs on row-0 tiles x_i has q <= x_i <= q + r,
+/// so k distinct PIs in its fan-in cone put it on row r >= k - 1.
+/// Symmetrically, m distinct POs in its fan-out cone put it at least m - 1
+/// rows above the last row. Defects only remove tiles, so the lemma holds
+/// on a defective surface too.
+///
+/// Windows: with |PI(v)| the PIs of v's fan-in cone and |PO(v)| the POs of
+/// its fan-out cone,
+///   lo(v)   = max(|PI(v)| - 1, max over fan-ins u of lo(u) + 1),
+///   tail(v) = max(|PO(v)| - 1, max over fan-outs w of tail(w) + 1),
+/// and v lies in rows [lo(v), h - 1 - tail(v)] of every w x h layout.
+/// Returns max over v of lo(v) + tail(v) + 1: the smallest height at which
+/// every window is non-empty.
 [[nodiscard]] unsigned minimum_height(const logic::LogicNetwork& network);
 
 }  // namespace bestagon::layout

@@ -56,7 +56,6 @@ void add_at_most_one(Solver& solver, std::span<const Lit> lits, std::optional<Li
 
 void add_exactly_one(Solver& solver, std::span<const Lit> lits, std::optional<Lit> guard)
 {
-    assert(!lits.empty());
     emit_guarded(solver, guard, std::vector<Lit>(lits.begin(), lits.end()));
     add_at_most_one(solver, lits, guard);
 }

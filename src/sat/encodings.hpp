@@ -28,7 +28,8 @@ namespace bestagon::sat
 void add_at_most_one(Solver& solver, std::span<const Lit> lits,
                      std::optional<Lit> guard = std::nullopt);
 
-/// Adds clauses enforcing that exactly one of \p lits is true.
+/// Adds clauses enforcing that exactly one of \p lits is true; an empty
+/// \p lits adds the empty clause (no literal can be the one).
 /// \p guard has the same semantics as in add_at_most_one().
 void add_exactly_one(Solver& solver, std::span<const Lit> lits,
                      std::optional<Lit> guard = std::nullopt);

@@ -6,11 +6,17 @@
 ///        proof, and the exact engine may never lose on area inside its own
 ///        search bounds.
 
+#include "layout/exact_physical_design.hpp"
+#include "logic/tech_mapping.hpp"
 #include "testing/oracles.hpp"
 #include "testing/random.hpp"
 #include "testing/reproducer.hpp"
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace
 {
@@ -65,6 +71,83 @@ TEST(FuzzPhysicalDesign, BothEnginesImplementTheSpecification)
     // the ascending-area search refutes smaller sizes before finding a layout;
     // every such UNSAT verdict must have been DRAT-certified along the way
     EXPECT_GT(proofs_checked, 0U) << "no refuted size was ever certified";
+}
+
+/// A wide, shallow network: 5-6 PIs in random order, reduced level by level
+/// by random two-input gates to 1 or 2 POs, a balanced tree of at most 5
+/// gates. random_network reduces its open signals in a chain, so its
+/// networks are deep; here the longest path is short and the PIs under one
+/// gate are many, so the PI span, not the path, sets the row windows.
+logic::LogicNetwork wide_shallow_network(testkit::Rng& rng)
+{
+    logic::LogicNetwork spec;
+    std::vector<logic::LogicNetwork::NodeId> level;
+    const unsigned num_pis = rng.range(5, 6);
+    for (unsigned i = 0; i < num_pis; ++i)
+    {
+        level.push_back(spec.create_pi("x" + std::to_string(i)));
+    }
+    for (std::size_t i = level.size(); i > 1; --i)
+    {
+        std::swap(level[i - 1], level[rng.below(i)]);
+    }
+    const unsigned num_pos = rng.range(1, 2);
+    while (level.size() > num_pos)
+    {
+        std::vector<logic::LogicNetwork::NodeId> next;
+        // pair neighbours until the level would shrink below num_pos signals
+        for (std::size_t i = 0; i + 1 < level.size() && level.size() - next.size() > num_pos;
+             i += 2)
+        {
+            const auto a = level[i];
+            const auto b = level[i + 1];
+            switch (rng.range(0, 3))
+            {
+                case 0: next.push_back(spec.create_and(a, b)); break;
+                case 1: next.push_back(spec.create_xor(a, b)); break;
+                case 2: next.push_back(spec.create_or(a, b)); break;
+                default: next.push_back(spec.create_nand(a, b)); break;
+            }
+        }
+        // carry the unpaired signals to the next level
+        for (std::size_t i = 2 * next.size(); i < level.size(); ++i)
+        {
+            next.push_back(level[i]);
+        }
+        level = std::move(next);
+    }
+    for (std::size_t o = 0; o < level.size(); ++o)
+    {
+        spec.create_po(level[o], "f" + std::to_string(o));
+    }
+    return spec;
+}
+
+/// The span bound under the differential oracle: on wide, shallow networks
+/// it raises the exact engine's first rung above the longest path, and every
+/// layout it admits still passes the DRAT, DRC, miter and area checks.
+TEST(FuzzPhysicalDesign, WideShallowNetworksMeetTheSpanBound)
+{
+    const auto budget = testkit::fuzz_budget(0x9d0'0003, 12);
+    unsigned exact_runs = 0;
+    unsigned span_binds = 0;
+    for (std::uint64_t i = 0; i < budget.iterations; ++i)
+    {
+        testkit::Rng rng{testkit::case_seed(budget.base_seed, i)};
+        const auto spec = wide_shallow_network(rng);
+        testkit::PdOracleStats stats;
+        const auto verdict =
+            testkit::physical_design_differential(spec, budgeted_exact_options(), &stats);
+        ASSERT_TRUE(verdict.ok) << verdict.detail << '\n'
+                                << testkit::reproducer("physical-design-shallow",
+                                                       budget.base_seed, i);
+        exact_runs += stats.exact_ran ? 1 : 0;
+        // the longest PI->PO path spans depth() + 2 rows (PI and PO included)
+        const auto mapped = logic::map_to_bestagon(spec);
+        span_binds += layout::minimum_height(mapped) > mapped.depth() + 2 ? 1 : 0;
+    }
+    EXPECT_GT(exact_runs, 0U) << "exact engine never completed within its budget";
+    EXPECT_GT(span_binds, 0U) << "the PI span never exceeded the longest path";
 }
 
 TEST(FuzzPhysicalDesign, ScalableEngineSurvivesWiderNetworks)

@@ -386,9 +386,9 @@ TEST(WorkCounters, Table1Flow)
             << name;
         equivalence_conflicts += stats.conflicts;
     }
-    EXPECT_EQ(pnr_conflicts, 8684U);
-    EXPECT_EQ(rungs, 35U);
-    EXPECT_EQ(rungs_unsat, 21U);
+    EXPECT_EQ(pnr_conflicts, 3667U);
+    EXPECT_EQ(rungs, 24U);
+    EXPECT_EQ(rungs_unsat, 10U);
     EXPECT_EQ(area_tiles, 470U);
     EXPECT_EQ(equivalence_conflicts, 181U);
     EXPECT_EQ(rewritten_gates, 80U);

@@ -29,14 +29,68 @@ logic::LogicNetwork mapped_benchmark(const std::string& name)
     return logic::map_to_bestagon(logic::rewrite(logic::to_xag(bm->build()), db));
 }
 
-TEST(ExactPD, MinimumHeightIsCriticalPathPlusOne)
+TEST(ExactPD, MinimumHeightIsTheWidestRowWindow)
 {
     logic::LogicNetwork n;
     const auto a = n.create_pi();
     const auto b = n.create_pi();
     n.create_po(n.create_xor(a, b));
-    // PI (row 0) -> gate (row 1) -> PO (row 2)
+    // PI (row 0) -> gate (row 1) -> PO (row 2); the gate's two PIs need
+    // only one row above it
     EXPECT_EQ(minimum_height(n), 3U);
+}
+
+/// A balanced 4-input XOR tree: the longest path asks for 4 rows, but the
+/// root's four PIs sit on distinct row-0 tiles and reach it only after 3
+/// rows, so the PO needs row 4. Exact P&R meets the bound.
+TEST(ExactPD, MinimumHeightCountsThePiSpanAndIsTight)
+{
+    logic::LogicNetwork n;
+    const auto a = n.create_pi("a");
+    const auto b = n.create_pi("b");
+    const auto c = n.create_pi("c");
+    const auto d = n.create_pi("d");
+    n.create_po(n.create_xor(n.create_xor(a, b), n.create_xor(c, d)), "f");
+    ASSERT_TRUE(n.is_bestagon_compliant());
+    EXPECT_EQ(minimum_height(n), 5U);
+
+    ExactPDStats stats;
+    const auto layout = exact_physical_design(n, {}, &stats);
+    ASSERT_TRUE(layout.has_value());
+    EXPECT_EQ(layout->height(), 5U);
+    EXPECT_EQ(stats.size_verdicts.front().size.height, 5U);  // the ladder starts there
+}
+
+/// Fan-out trees of one PI: the POs sit on distinct tiles of the last row,
+/// so a fan-out feeding m of them lies at least m - 1 rows above it.
+TEST(ExactPD, MinimumHeightCountsThePoSpan)
+{
+    // 3 outputs: PI -> f1 -> {PO, f2 -> {PO, PO}}; f1 sits on row >= 1 and
+    // has 2 rows below it for its 3 POs, which ties the longest path
+    logic::LogicNetwork three;
+    const auto f1 = three.create_fanout(three.create_pi("a"));
+    const auto f2 = three.create_fanout(f1);
+    three.create_po(f1, "y0");
+    three.create_po(f2, "y1");
+    three.create_po(f2, "y2");
+    ASSERT_TRUE(three.is_bestagon_compliant());
+    EXPECT_EQ(minimum_height(three), 4U);
+
+    // 4 outputs on a balanced tree: the longest path asks for 4 rows, the
+    // root fan-out's 4 POs for 3 rows below row 1
+    logic::LogicNetwork four;
+    const auto root = four.create_fanout(four.create_pi("a"));
+    const auto left = four.create_fanout(root);
+    const auto right = four.create_fanout(root);
+    four.create_po(left, "y0");
+    four.create_po(left, "y1");
+    four.create_po(right, "y2");
+    four.create_po(right, "y3");
+    ASSERT_TRUE(four.is_bestagon_compliant());
+    EXPECT_EQ(minimum_height(four), 5U);
+    const auto layout = exact_physical_design(four);
+    ASSERT_TRUE(layout.has_value());
+    EXPECT_EQ(layout->height(), 5U);
 }
 
 TEST(ExactPD, Xor2MatchesPaperAspectRatio)
@@ -249,6 +303,35 @@ TEST(ExactPD, DiagnosesRefutingConstraintGroups)
               (std::vector<std::string>{"exclusivity", "placement"}));
 }
 
+/// Limits below the structural bounds leave the ladder empty; the
+/// diagnosis still runs on the max-size encoding and names what refutes it.
+TEST(ExactPD, DiagnosesAnEmptyLadder)
+{
+    const auto diagnose = [](const std::string& name, unsigned w, unsigned h) {
+        ExactPDOptions opt;
+        opt.max_width = w;
+        opt.max_height = h;
+        opt.diagnose_infeasibility = true;
+        ExactPDStats stats;
+        EXPECT_FALSE(exact_physical_design(mapped_benchmark(name), opt, &stats).has_value());
+        EXPECT_EQ(stats.sizes_tried, 0U) << name;
+        EXPECT_FALSE(stats.budget_exhausted) << name;
+        EXPECT_NE(stats.message.find("no layout within size limits"), std::string::npos)
+            << stats.message;
+        return stats.refuting_groups;
+    };
+    using Groups = std::vector<std::string>;
+    // newtag's 8 PIs put the gate that sees them all on row 7 or lower and
+    // its PO on row 8, so at height 8 that window is empty
+    EXPECT_EQ(diagnose("newtag", 12, 8), Groups{"clocking"});
+    EXPECT_EQ(diagnose("xor2", 2, 2), Groups{"clocking"});
+    // two PIs pinned to a one-tile row 0
+    EXPECT_EQ(diagnose("xor2", 1, 3), (Groups{"exclusivity", "placement"}));
+    // no tile at all: no node can be placed
+    EXPECT_EQ(diagnose("xor2", 0, 3), Groups{"placement"});
+    EXPECT_EQ(diagnose("xor2", 0, 0), Groups{"clocking"});
+}
+
 TEST(ExactPD, NoDiagnosisWhenLayoutExists)
 {
     const auto mapped = mapped_benchmark("xor2");
@@ -394,7 +477,7 @@ TEST(WorkCounters, ExactPnrLadderOnMux21)
 
 TEST(WorkCounters, ExactPnrLadderOnParCheck)
 {
-    expect_pinned_ladder("par_check", 51, "4x4:U 5x4:U 4x5:S");
+    expect_pinned_ladder("par_check", 6, "4x5:S");
 }
 
 TEST(WorkCounters, ExactPnrLadderOnC17)
@@ -417,7 +500,7 @@ TEST(WorkCounters, ExactPnrLadderOnMajority5R1)
 TEST(WorkCounters, ExactPnrConflictsPerRung)
 {
     for (const auto& [name, trace] : std::vector<std::pair<std::string, std::string>>{
-             {"par_check", "4x4:U/17 5x4:U/21 4x5:S/13"},
+             {"par_check", "4x5:S/6"},
              {"cm82a_5", "5x12:U/14 5x13:U/122 5x14:S/303"},
              {"majority_5_r1", "5x11:U/33 5x12:U/255 5x13:S/466"}})
     {

@@ -3,6 +3,8 @@
 ///        minimality invariants that individual unit tests do not cover.
 
 #include "layout/exact_physical_design.hpp"
+#include "layout/gate_level_layout.hpp"
+#include "layout/scalable_physical_design.hpp"
 #include "logic/benchmarks.hpp"
 #include "logic/exact_synthesis.hpp"
 #include "logic/rewriting.hpp"
@@ -11,7 +13,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <optional>
 #include <random>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace
 {
@@ -92,11 +102,12 @@ TEST(Properties, ExactNeverLosesToScalable)
     }
 }
 
-/// Random XAGs: rewriting and mapping preserve functionality end to end.
-TEST(Properties, RandomXagsSurviveTheFrontEnd)
+/// The random XAG corpus: 10 networks of 3-5 PIs and 4-13 AND/XOR/NOT
+/// gates with one PO, from a fixed seed.
+std::vector<logic::LogicNetwork> random_xag_corpus()
 {
     std::mt19937 rng{20260705};
-    logic::NpnDatabase db;
+    std::vector<logic::LogicNetwork> corpus;
     for (int iter = 0; iter < 10; ++iter)
     {
         logic::LogicNetwork net;
@@ -119,13 +130,212 @@ TEST(Properties, RandomXagsSurviveTheFrontEnd)
             }
         }
         net.create_po(signals.back(), "f");
+        corpus.push_back(std::move(net));
+    }
+    return corpus;
+}
 
+/// Random XAGs: rewriting and mapping preserve functionality end to end.
+TEST(Properties, RandomXagsSurviveTheFrontEnd)
+{
+    logic::NpnDatabase db;
+    const auto corpus = random_xag_corpus();
+    for (std::size_t iter = 0; iter < corpus.size(); ++iter)
+    {
+        const auto& net = corpus[iter];
         const auto rewritten = logic::rewrite(net, db);
         EXPECT_TRUE(logic::functionally_equivalent(net, rewritten)) << "iter " << iter;
         const auto mapped = logic::map_to_bestagon(rewritten);
         EXPECT_TRUE(logic::functionally_equivalent(net, mapped)) << "iter " << iter;
         EXPECT_TRUE(mapped.is_bestagon_compliant()) << "iter " << iter;
     }
+}
+
+// --- the row-window lemma of layout::minimum_height --------------------------
+
+using NodeId = logic::LogicNetwork::NodeId;
+
+/// Every node's row window, computed independently of the engine: explicit
+/// PI and PO cones per node by graph search, and lo/tail by their recursive
+/// definitions
+///   lo(v) = max(|PI(v)| - 1, max over fan-ins u of lo(u) + 1),
+///   tail(v) = max(|PO(v)| - 1, max over fan-outs w of tail(w) + 1).
+struct Windows
+{
+    std::vector<unsigned> lo;
+    std::vector<unsigned> tail;
+};
+
+Windows brute_force_windows(const logic::LogicNetwork& n)
+{
+    std::vector<std::vector<NodeId>> fanins(n.size());
+    std::vector<std::vector<NodeId>> fanouts(n.size());
+    for (const auto v : n.topological_order())
+    {
+        const auto& node = n.node(v);
+        for (unsigned i = 0; i < logic::gate_arity(node.type); ++i)
+        {
+            fanins[v].push_back(node.fanin[i]);
+            fanouts[node.fanin[i]].push_back(v);
+        }
+    }
+    // terminals of type t in the cone of v along next, v included, less one
+    const auto span = [&n](NodeId v, const std::vector<std::vector<NodeId>>& next,
+                           logic::GateType t) {
+        std::set<NodeId> cone{v};
+        std::vector<NodeId> stack{v};
+        while (!stack.empty())
+        {
+            const auto u = stack.back();
+            stack.pop_back();
+            for (const auto w : next[u])
+            {
+                if (cone.insert(w).second)
+                {
+                    stack.push_back(w);
+                }
+            }
+        }
+        const auto count = std::count_if(cone.begin(), cone.end(),
+                                         [&](NodeId u) { return n.type_of(u) == t; });
+        return count > 0 ? static_cast<unsigned>(count - 1) : 0U;
+    };
+    std::vector<std::optional<unsigned>> lo(n.size());
+    std::vector<std::optional<unsigned>> tail(n.size());
+    std::function<unsigned(NodeId)> lo_of = [&](NodeId v) {
+        if (!lo[v].has_value())
+        {
+            unsigned value = span(v, fanins, logic::GateType::pi);
+            for (const auto u : fanins[v])
+            {
+                value = std::max(value, lo_of(u) + 1);
+            }
+            lo[v] = value;
+        }
+        return *lo[v];
+    };
+    std::function<unsigned(NodeId)> tail_of = [&](NodeId v) {
+        if (!tail[v].has_value())
+        {
+            unsigned value = span(v, fanouts, logic::GateType::po);
+            for (const auto w : fanouts[v])
+            {
+                value = std::max(value, tail_of(w) + 1);
+            }
+            tail[v] = value;
+        }
+        return *tail[v];
+    };
+    Windows windows{std::vector<unsigned>(n.size(), 0), std::vector<unsigned>(n.size(), 0)};
+    for (const auto v : n.topological_order())
+    {
+        windows.lo[v] = lo_of(v);
+        windows.tail[v] = tail_of(v);
+    }
+    return windows;
+}
+
+/// How often gates (neither PI nor PO, whose rows are pinned) sit on either
+/// edge of their window; a gate at its edge would leave a window tightened
+/// by one.
+struct WindowEdges
+{
+    unsigned at_lo{0};
+    unsigned at_hi{0};
+};
+
+/// Checks lo(v) <= row(v) <= h - 1 - tail(v) for every node placed on
+/// \p layout and tallies the gates that sit on a window edge into \p edges.
+void expect_rows_inside_windows(const logic::LogicNetwork& mapped, const layout::GateLevelLayout& l,
+                                const std::string& what, WindowEdges& edges)
+{
+    const auto windows = brute_force_windows(mapped);
+    const auto h = static_cast<int>(l.height());
+    std::map<NodeId, int> row;
+    for (const auto& t : l.all_tiles())
+    {
+        for (const auto& occ : l.occupants(t))
+        {
+            if (!occ.is_wire())
+            {
+                row[occ.node] = t.y;
+            }
+        }
+    }
+    for (const auto v : mapped.topological_order())
+    {
+        ASSERT_EQ(row.count(v), 1U) << what << ": node " << v << " is not placed";
+        const auto lo = static_cast<int>(windows.lo[v]);
+        const auto hi = h - 1 - static_cast<int>(windows.tail[v]);
+        EXPECT_LE(lo, row[v]) << what << ": node " << v << " above its window";
+        EXPECT_LE(row[v], hi) << what << ": node " << v << " below its window";
+        const auto type = mapped.type_of(v);
+        if (type != logic::GateType::pi && type != logic::GateType::po)
+        {
+            edges.at_lo += row[v] == lo ? 1 : 0;
+            edges.at_hi += row[v] == hi ? 1 : 0;
+        }
+    }
+}
+
+/// The lemma behind exact P&R's row windows holds on every layout both
+/// engines produce for the Table-1 benchmarks and the random corpus. The
+/// scalable engine never reads the bound, yet pins PIs to row 0 and POs to
+/// the last row as well, so its layouts test the lemma independently.
+/// Teeth: gates sit on both edges of their windows, so windows tightened by
+/// one would be violated, and newtag's exact layout meets the bound.
+TEST(Properties, EveryLayoutRespectsTheRowWindows)
+{
+    logic::NpnDatabase db;
+    std::vector<std::pair<std::string, logic::LogicNetwork>> networks;
+    for (const auto& bm : logic::table1_benchmarks())
+    {
+        networks.emplace_back(
+            bm.name, logic::map_to_bestagon(logic::rewrite(logic::to_xag(bm.build()), db)));
+    }
+    const auto corpus = random_xag_corpus();
+    for (std::size_t i = 0; i < corpus.size(); ++i)
+    {
+        auto mapped = logic::map_to_bestagon(logic::rewrite(corpus[i], db));
+        const auto order = mapped.topological_order();
+        // neither engine places constants: skip constant-function networks
+        if (std::none_of(order.begin(), order.end(), [&](NodeId v) {
+                return mapped.type_of(v) == logic::GateType::const0 ||
+                       mapped.type_of(v) == logic::GateType::const1;
+            }))
+        {
+            networks.emplace_back("random " + std::to_string(i), std::move(mapped));
+        }
+    }
+    ASSERT_GT(networks.size(), logic::table1_benchmarks().size());
+
+    WindowEdges edges;
+    unsigned exact_layouts = 0;
+    unsigned scalable_layouts = 0;
+    for (const auto& [name, mapped] : networks)
+    {
+        const auto h_min = layout::minimum_height(mapped);
+        if (const auto exact = layout::exact_physical_design(mapped); exact.has_value())
+        {
+            ++exact_layouts;
+            EXPECT_GE(exact->height(), h_min) << name;
+            expect_rows_inside_windows(mapped, *exact, name + " (exact)", edges);
+            if (name == "newtag")
+            {
+                EXPECT_EQ(exact->height(), h_min);  // 8x9: the bound is met
+            }
+        }
+        if (const auto scalable = layout::scalable_physical_design(mapped); scalable.has_value())
+        {
+            ++scalable_layouts;
+            EXPECT_GE(scalable->height(), h_min) << name;
+            expect_rows_inside_windows(mapped, *scalable, name + " (scalable)", edges);
+        }
+    }
+    EXPECT_EQ(exact_layouts, networks.size());
+    EXPECT_GT(scalable_layouts, 0U);
+    EXPECT_GT(edges.at_lo, 0U);
+    EXPECT_GT(edges.at_hi, 0U);
 }
 
 }  // namespace
