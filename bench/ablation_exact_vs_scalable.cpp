@@ -4,9 +4,9 @@
 ///        suite. This is the classic quality/runtime trade-off the paper's
 ///        flow inherits from the QCA literature.
 
+#include "io/benchmarks.hpp"
 #include "layout/exact_physical_design.hpp"
 #include "layout/scalable_physical_design.hpp"
-#include "logic/benchmarks.hpp"
 #include "logic/rewriting.hpp"
 #include "logic/tech_mapping.hpp"
 
@@ -33,7 +33,7 @@ int main()
     std::printf("%-15s %12s %10s %14s %10s %8s\n", "name", "exact WxH", "exact ms",
                 "scalable WxH", "scal ms", "overhead");
 
-    for (const auto& bm : logic::table1_benchmarks())
+    for (const auto& bm : io::table1_benchmarks())
     {
         logic::NpnDatabase db;
         const auto mapped = logic::map_to_bestagon(logic::rewrite(logic::to_xag(bm.build()), db));

@@ -5,7 +5,7 @@
 ///        layout areas, plus the effect of exact-NPN rewriting.
 
 #include "core/design_flow.hpp"
-#include "logic/benchmarks.hpp"
+#include "io/benchmarks.hpp"
 #include "logic/rewriting.hpp"
 #include "logic/tech_mapping.hpp"
 
@@ -19,7 +19,7 @@ int main()
     std::printf("%-15s %8s %8s %8s %10s %12s\n", "name", "AIG", "XAG", "XAG(rw)", "area(XAG)",
                 "area(noRW)");
 
-    for (const auto& bm : logic::table1_benchmarks())
+    for (const auto& bm : io::table1_benchmarks())
     {
         const auto net = bm.build();
         const auto xag = logic::to_xag(net);

@@ -12,8 +12,8 @@
 ///     every produced layout is consumed so the work cannot be optimized
 ///     away.
 
+#include "io/benchmarks.hpp"
 #include "layout/exact_physical_design.hpp"
-#include "logic/benchmarks.hpp"
 #include "logic/rewriting.hpp"
 #include "logic/tech_mapping.hpp"
 
@@ -38,7 +38,7 @@ const logic::LogicNetwork& mapped(const std::string& name)
     {
         return it->second;
     }
-    const auto* bm = logic::find_benchmark(name);
+    const auto* bm = io::find_benchmark(name);
     if (bm == nullptr)
     {
         throw std::runtime_error{"unknown benchmark: " + name};
@@ -87,7 +87,7 @@ void BM_Table1ExactPnr(benchmark::State& state)
 {
     // map everything up front so the timed region is pure P&R
     std::vector<const logic::LogicNetwork*> nets;
-    for (const auto& bm : logic::table1_benchmarks())
+    for (const auto& bm : io::table1_benchmarks())
     {
         nets.push_back(&mapped(bm.name));
     }

@@ -11,8 +11,8 @@
 ///     instance mix (many small incremental solves on one persistent
 ///     solver).
 
+#include "io/benchmarks.hpp"
 #include "layout/exact_physical_design.hpp"
-#include "logic/benchmarks.hpp"
 #include "logic/rewriting.hpp"
 #include "logic/tech_mapping.hpp"
 #include "sat/solver.hpp"
@@ -123,7 +123,7 @@ const logic::LogicNetwork& mapped_mux21()
     static const logic::LogicNetwork net = [] {
         logic::NpnDatabase db;
         return logic::map_to_bestagon(
-            logic::rewrite(logic::to_xag(logic::find_benchmark("mux21")->build()), db));
+            logic::rewrite(logic::to_xag(io::find_benchmark("mux21")->build()), db));
     }();
     return net;
 }

@@ -6,8 +6,8 @@
 ///        expansion to a real layout.
 
 #include "core/design_flow.hpp"
+#include "io/benchmarks.hpp"
 #include "layout/supertile.hpp"
-#include "logic/benchmarks.hpp"
 
 #include <cstdio>
 
@@ -32,7 +32,7 @@ int main()
                 layout::minimum_expansion_factor(tech));
 
     // apply to the par_check layout (the paper's running example)
-    const auto result = core::run_design_flow(logic::find_benchmark("par_check")->build());
+    const auto result = core::run_design_flow(io::find_benchmark("par_check")->build());
     if (!result.success())
     {
         std::printf("par_check flow failed\n");

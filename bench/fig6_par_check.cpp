@@ -7,10 +7,10 @@
 
 #include "core/design_flow.hpp"
 #include "io/artifacts.hpp"
+#include "io/benchmarks.hpp"
 #include "io/render.hpp"
 #include "io/sqd_writer.hpp"
 #include "io/svg_writer.hpp"
-#include "logic/benchmarks.hpp"
 
 #include <cstdio>
 #include <fstream>
@@ -20,7 +20,7 @@ using namespace bestagon;
 int main(int argc, char** argv)
 {
     const std::string out_dir = io::artifact_dir(argc > 1 ? argv[1] : "");
-    const auto* bm = logic::find_benchmark("par_check");
+    const auto* bm = io::find_benchmark("par_check");
     const auto result = core::run_design_flow(bm->build());
     if (!result.success())
     {

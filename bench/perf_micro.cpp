@@ -3,9 +3,9 @@
 ///        CDCL solving, exact/annealed ground states, NPN canonization,
 ///        cut rewriting and exact physical design.
 
+#include "io/benchmarks.hpp"
 #include "layout/bestagon_library.hpp"
 #include "layout/exact_physical_design.hpp"
-#include "logic/benchmarks.hpp"
 #include "logic/npn.hpp"
 #include "logic/rewriting.hpp"
 #include "logic/tech_mapping.hpp"
@@ -99,7 +99,7 @@ BENCHMARK(BM_SimAnnealGroundState);
 
 void BM_RewriteBenchmark(benchmark::State& state)
 {
-    const auto net = logic::to_xag(logic::find_benchmark("xor5_majority")->build());
+    const auto net = logic::to_xag(io::find_benchmark("xor5_majority")->build());
     logic::RewriteStats stats;
     for (auto _ : state)
     {
@@ -116,7 +116,7 @@ void BM_ExactPhysicalDesign(benchmark::State& state)
 {
     logic::NpnDatabase db;
     const auto mapped =
-        logic::map_to_bestagon(logic::rewrite(logic::to_xag(logic::find_benchmark("mux21")->build()), db));
+        logic::map_to_bestagon(logic::rewrite(logic::to_xag(io::find_benchmark("mux21")->build()), db));
     for (auto _ : state)
     {
         benchmark::DoNotOptimize(layout::exact_physical_design(mapped));

@@ -17,31 +17,6 @@ using phys::GateDesign;
 using phys::InputDriver;
 using phys::SiDBSite;
 
-// ---------------------------------------------------------------------------
-// skeleton builders (tile-local coordinates; see bestagon_library.hpp)
-// ---------------------------------------------------------------------------
-
-/// NW input: port BDL pair plus two tilted pairs descending to the canvas.
-void add_input_nw(GateDesign& d)
-{
-    for (const SiDBSite s : {SiDBSite{15, 1, 0}, {15, 2, 0}, {20, 4, 1}, {22, 5, 0}, {25, 7, 1}, {27, 8, 0}})
-    {
-        d.sites.push_back(s);
-    }
-    d.input_pairs.push_back(BDLPair{{15, 1, 0}, {15, 2, 0}});
-    d.drivers.push_back(InputDriver{{15, -3, 0}, {15, -2, 0}});
-}
-
-void add_input_ne(GateDesign& d)
-{
-    for (const SiDBSite s : {SiDBSite{45, 1, 0}, {45, 2, 0}, {40, 4, 1}, {38, 5, 0}, {35, 7, 1}, {33, 8, 0}})
-    {
-        d.sites.push_back(s);
-    }
-    d.input_pairs.push_back(BDLPair{{45, 1, 0}, {45, 2, 0}});
-    d.drivers.push_back(InputDriver{{45, -3, 0}, {45, -2, 0}});
-}
-
 /// Vertical input chain (1-input straight tiles), column 15.
 void add_input_vertical(GateDesign& d)
 {
@@ -52,29 +27,6 @@ void add_input_vertical(GateDesign& d)
     }
     d.input_pairs.push_back(BDLPair{{15, 1, 0}, {15, 2, 0}});
     d.drivers.push_back(InputDriver{{15, -3, 0}, {15, -2, 0}});
-}
-
-/// SE output: two tilted pairs plus the port BDL pair.
-void add_output_se(GateDesign& d)
-{
-    for (const SiDBSite s :
-         {SiDBSite{35, 14, 1}, {37, 15, 0}, {40, 17, 1}, {42, 18, 0}, {45, 21, 0}, {45, 22, 0}})
-    {
-        d.sites.push_back(s);
-    }
-    d.output_pairs.push_back(BDLPair{{45, 21, 0}, {45, 22, 0}});
-    d.output_perturbers.push_back({45, 25, 1});
-}
-
-void add_output_sw(GateDesign& d)
-{
-    for (const SiDBSite s :
-         {SiDBSite{25, 14, 1}, {23, 15, 0}, {20, 17, 1}, {18, 18, 0}, {15, 21, 0}, {15, 22, 0}})
-    {
-        d.sites.push_back(s);
-    }
-    d.output_pairs.push_back(BDLPair{{15, 21, 0}, {15, 22, 0}});
-    d.output_perturbers.push_back({15, 25, 1});
 }
 
 /// Vertical output chain, column 15.
@@ -89,12 +41,11 @@ void add_output_vertical(GateDesign& d)
     d.output_perturbers.push_back({15, 25, 1});
 }
 
-void add_canvas(GateDesign& d, std::initializer_list<SiDBSite> dots)
+/// Appends a designed canvas to a skeleton.
+GateDesign with_canvas(GateDesign d, std::initializer_list<SiDBSite> dots)
 {
-    for (const auto& s : dots)
-    {
-        d.sites.push_back(s);
-    }
+    d.sites.insert(d.sites.end(), dots.begin(), dots.end());
+    return d;
 }
 
 [[nodiscard]] TruthTable tt(const char* bits)
@@ -146,67 +97,6 @@ GateDesign make_diagonal_wire()
     return d;
 }
 
-/// Two-input gate skeleton (inputs NW+NE, output SE) with a designed canvas.
-GateDesign make_gate_2in(const char* name, const char* function, std::initializer_list<SiDBSite> canvas)
-{
-    GateDesign d;
-    d.name = name;
-    add_input_nw(d);
-    add_input_ne(d);
-    add_output_se(d);
-    add_canvas(d, canvas);
-    d.functions.push_back(tt(function));
-    return d;
-}
-
-/// Straight inverter skeleton with a designed canvas.
-GateDesign make_inverter(std::initializer_list<SiDBSite> canvas)
-{
-    GateDesign d;
-    d.name = "inv";
-    add_input_vertical(d);
-    add_output_vertical(d);
-    add_canvas(d, canvas);
-    d.functions.push_back(tt("01"));
-    return d;
-}
-
-/// Diagonal inverter skeleton (in NW, out SE) with a designed canvas.
-GateDesign make_inverter_diag(std::initializer_list<SiDBSite> canvas)
-{
-    GateDesign d;
-    d.name = "inv_diag";
-    d.sites.push_back({15, 1, 0});
-    d.sites.push_back({15, 2, 0});
-    d.sites.push_back({15, 5, 0});
-    d.sites.push_back({15, 6, 0});
-    d.sites.push_back({40, 17, 1});
-    d.sites.push_back({42, 18, 0});
-    d.sites.push_back({45, 21, 0});
-    d.sites.push_back({45, 22, 0});
-    d.input_pairs.push_back(BDLPair{{15, 1, 0}, {15, 2, 0}});
-    d.output_pairs.push_back(BDLPair{{45, 21, 0}, {45, 22, 0}});
-    d.drivers.push_back(InputDriver{{15, -3, 0}, {15, -2, 0}});
-    d.output_perturbers.push_back({45, 25, 1});
-    add_canvas(d, canvas);
-    d.functions.push_back(tt("01"));
-    return d;
-}
-
-/// Fan-out skeleton (in NW, outs SW+SE) with a designed canvas.
-GateDesign make_fanout(std::initializer_list<SiDBSite> canvas)
-{
-    GateDesign d;
-    d.name = "fanout";
-    add_input_nw(d);
-    add_output_sw(d);
-    add_output_se(d);
-    add_canvas(d, canvas);
-    d.functions.push_back(tt("10"));
-    d.functions.push_back(tt("10"));
-    return d;
-}
-
 /// Crossing tile: the NW->SE diagonal chain plus the NE->SW chain shifted by
 /// two rows so the two wires inter-digitate in the center.
 GateDesign make_crossing()
@@ -252,6 +142,105 @@ GateDesign make_crossing()
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// tile skeletons (tile-local coordinates; see bestagon_library.hpp)
+// ---------------------------------------------------------------------------
+
+void add_input_nw(GateDesign& d)
+{
+    for (const SiDBSite s : {SiDBSite{15, 1, 0}, {15, 2, 0}, {20, 4, 1}, {22, 5, 0}, {25, 7, 1}, {27, 8, 0}})
+    {
+        d.sites.push_back(s);
+    }
+    d.input_pairs.push_back(BDLPair{{15, 1, 0}, {15, 2, 0}});
+    d.drivers.push_back(InputDriver{{15, -3, 0}, {15, -2, 0}});
+}
+
+void add_input_ne(GateDesign& d)
+{
+    for (const SiDBSite s : {SiDBSite{45, 1, 0}, {45, 2, 0}, {40, 4, 1}, {38, 5, 0}, {35, 7, 1}, {33, 8, 0}})
+    {
+        d.sites.push_back(s);
+    }
+    d.input_pairs.push_back(BDLPair{{45, 1, 0}, {45, 2, 0}});
+    d.drivers.push_back(InputDriver{{45, -3, 0}, {45, -2, 0}});
+}
+
+void add_output_sw(GateDesign& d)
+{
+    for (const SiDBSite s :
+         {SiDBSite{25, 14, 1}, {23, 15, 0}, {20, 17, 1}, {18, 18, 0}, {15, 21, 0}, {15, 22, 0}})
+    {
+        d.sites.push_back(s);
+    }
+    d.output_pairs.push_back(BDLPair{{15, 21, 0}, {15, 22, 0}});
+    d.output_perturbers.push_back({15, 25, 1});
+}
+
+void add_output_se(GateDesign& d)
+{
+    for (const SiDBSite s :
+         {SiDBSite{35, 14, 1}, {37, 15, 0}, {40, 17, 1}, {42, 18, 0}, {45, 21, 0}, {45, 22, 0}})
+    {
+        d.sites.push_back(s);
+    }
+    d.output_pairs.push_back(BDLPair{{45, 21, 0}, {45, 22, 0}});
+    d.output_perturbers.push_back({45, 25, 1});
+}
+
+GateDesign two_input_skeleton(const std::string& name, const std::string& function)
+{
+    GateDesign d;
+    d.name = name;
+    add_input_nw(d);
+    add_input_ne(d);
+    add_output_se(d);
+    d.functions.push_back(TruthTable::from_binary(function));
+    return d;
+}
+
+GateDesign inverter_skeleton()
+{
+    GateDesign d;
+    d.name = "inv";
+    add_input_vertical(d);
+    add_output_vertical(d);
+    d.functions.push_back(tt("01"));
+    return d;
+}
+
+GateDesign diagonal_inverter_skeleton()
+{
+    GateDesign d;
+    d.name = "inv_diag";
+    d.sites.push_back({15, 1, 0});
+    d.sites.push_back({15, 2, 0});
+    d.sites.push_back({15, 5, 0});
+    d.sites.push_back({15, 6, 0});
+    d.sites.push_back({40, 17, 1});
+    d.sites.push_back({42, 18, 0});
+    d.sites.push_back({45, 21, 0});
+    d.sites.push_back({45, 22, 0});
+    d.input_pairs.push_back(BDLPair{{15, 1, 0}, {15, 2, 0}});
+    d.output_pairs.push_back(BDLPair{{45, 21, 0}, {45, 22, 0}});
+    d.drivers.push_back(InputDriver{{15, -3, 0}, {15, -2, 0}});
+    d.output_perturbers.push_back({45, 25, 1});
+    d.functions.push_back(tt("01"));
+    return d;
+}
+
+GateDesign fanout_skeleton()
+{
+    GateDesign d;
+    d.name = "fanout";
+    add_input_nw(d);
+    add_output_sw(d);
+    add_output_se(d);
+    d.functions.push_back(tt("10"));
+    d.functions.push_back(tt("10"));
+    return d;
+}
 
 phys::SiDBSite mirror_site(const phys::SiDBSite& s)
 {
@@ -311,56 +300,48 @@ BestagonLibrary::BestagonLibrary()
     add(GateType::buf, Port::nw, std::nullopt, Port::se, std::nullopt, wire_d, true);
     add(GateType::buf, Port::ne, std::nullopt, Port::sw, std::nullopt, mirror_design(wire_d), true);
 
-    // --- two-input gates, output SE (designer-found canvases) --------------
+    // --- two-input gates, output SE and (mirrored) SW ------------------------
+    // Designer-found canvases; each gate's flag is its check_operational
+    // verdict, which WorkCounters.SignoffTiles re-derives for every design.
+    const auto add_two_input = [&add](GateType type, const GateDesign& g, bool validated) {
+        add(type, Port::nw, Port::ne, Port::se, std::nullopt, g, validated);
+        add(type, Port::nw, Port::ne, Port::sw, std::nullopt, mirror_design(g), validated);
+    };
     // OR:  single canvas dot biasing the junction toward conduction
-    auto g_or = make_gate_2in("or", "1110", {{34, 9, 0}});
+    add_two_input(GateType::or2, with_canvas(two_input_skeleton("or", "1110"), {{34, 9, 0}}), true);
     // AND: single canvas dot placed to suppress single-input activation
-    auto g_and = make_gate_2in("and", "1000", {{29, 10, 0}});
-    const bool or_ok = true;   // validated by the automatic designer run
-    const bool and_ok = true;  // validated by the automatic designer run
-    // NOR/NAND/XOR/XNOR canvases: see tools/design_gates; validation status
-    // is recorded per design (bench/fig5_gate_sims re-checks all of them).
-    auto g_xor = make_gate_2in("xor", "0110", {{28, 11, 0}, {32, 11, 0}, {30, 13, 1}});
+    add_two_input(GateType::and2, with_canvas(two_input_skeleton("and", "1000"), {{29, 10, 0}}), true);
+    add_two_input(GateType::xor2,
+                  with_canvas(two_input_skeleton("xor", "0110"), {{28, 11, 0}, {32, 11, 0}, {30, 13, 1}}),
+                  false);
     // NOR = the OR canvas plus polarization-flipping dots along the output
     // chain, found by the automatic designer (1146 iterations, 4/4 patterns)
-    auto g_nor = make_gate_2in("nor", "0001",
-                               {{34, 9, 0},
-                                {29, 13, 1},
-                                {32, 19, 0},
-                                {34, 19, 0},
-                                {37, 19, 0},
-                                {38, 16, 0},
-                                {41, 16, 1}});
-    auto g_nand = make_gate_2in("nand", "0111", {{27, 10, 0}, {33, 10, 0}, {30, 12, 1}});
-    auto g_xnor = make_gate_2in("xnor", "1001", {{28, 10, 0}, {32, 10, 0}, {30, 12, 0}});
-
-    for (auto* g : {&g_or, &g_and, &g_xor, &g_nor, &g_nand, &g_xnor})
-    {
-        const GateType type = g->name == "or"     ? GateType::or2
-                              : g->name == "and"  ? GateType::and2
-                              : g->name == "xor"  ? GateType::xor2
-                              : g->name == "nor"  ? GateType::nor2
-                              : g->name == "nand" ? GateType::nand2
-                                                  : GateType::xnor2;
-        const bool validated =
-            (g->name == "or" && or_ok) || (g->name == "and" && and_ok) || g->name == "nor";
-        add(type, Port::nw, Port::ne, Port::se, std::nullopt, *g, validated);
-        add(type, Port::nw, Port::ne, Port::sw, std::nullopt, mirror_design(*g), validated);
-    }
+    add_two_input(GateType::nor2,
+                  with_canvas(two_input_skeleton("nor", "0001"),
+                              {{34, 9, 0}, {29, 13, 1}, {32, 19, 0}, {34, 19, 0}, {37, 19, 0}, {38, 16, 0},
+                               {41, 16, 1}}),
+                  true);
+    add_two_input(GateType::nand2,
+                  with_canvas(two_input_skeleton("nand", "0111"), {{27, 10, 0}, {33, 10, 0}, {30, 12, 1}}),
+                  false);
+    add_two_input(GateType::xnor2,
+                  with_canvas(two_input_skeleton("xnor", "1001"), {{28, 10, 0}, {32, 10, 0}, {30, 12, 0}}),
+                  false);
 
     // --- inverters ----------------------------------------------------------
     // straight inverter canvas found by the automatic designer (5201
     // iterations, operational 2/2 at mu = -0.32): two laterally offset dots
     // below the input chain flip the polarization (antiferro coupling)
-    auto g_inv = make_inverter({{8, 15, 1}, {10, 16, 1}});
+    const auto g_inv = with_canvas(inverter_skeleton(), {{8, 15, 1}, {10, 16, 1}});
     add(GateType::inv, Port::nw, std::nullopt, Port::sw, std::nullopt, g_inv, true);
     add(GateType::inv, Port::ne, std::nullopt, Port::se, std::nullopt, mirror_design(g_inv), true);
-    auto g_inv_d = make_inverter_diag({{20, 9, 0}, {20, 10, 0}, {28, 12, 1}, {34, 14, 0}});
+    const auto g_inv_d =
+        with_canvas(diagonal_inverter_skeleton(), {{20, 9, 0}, {20, 10, 0}, {28, 12, 1}, {34, 14, 0}});
     add(GateType::inv, Port::nw, std::nullopt, Port::se, std::nullopt, g_inv_d, false);
     add(GateType::inv, Port::ne, std::nullopt, Port::sw, std::nullopt, mirror_design(g_inv_d), false);
 
     // --- fan-out -------------------------------------------------------------
-    auto g_fo = make_fanout({{30, 11, 0}});
+    const auto g_fo = with_canvas(fanout_skeleton(), {{30, 11, 0}});
     add(GateType::fanout, Port::nw, std::nullopt, Port::sw, Port::se, g_fo, false);
     add(GateType::fanout, Port::ne, std::nullopt, Port::sw, Port::se, mirror_design(g_fo), false);
 

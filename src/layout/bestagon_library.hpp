@@ -18,6 +18,7 @@
 #include "phys/operational.hpp"
 
 #include <optional>
+#include <string>
 #include <vector>
 
 namespace bestagon::layout
@@ -63,6 +64,33 @@ class BestagonLibrary
     std::vector<GateImplementation> gates_;
     GateImplementation crossing_;
 };
+
+// --- tile skeletons -----------------------------------------------------------
+// The port geometry of the standard tiles in tile-local coordinates: BDL port
+// pairs, wire segments, input drivers and output perturbers. The library's
+// designs and tools/design_gates both build on these; a designed canvas is
+// appended to a skeleton's sites.
+
+/// NW / NE input: port BDL pair plus two tilted pairs descending to the canvas.
+void add_input_nw(phys::GateDesign& d);
+void add_input_ne(phys::GateDesign& d);
+
+/// SW / SE output: two tilted pairs plus the port BDL pair.
+void add_output_sw(phys::GateDesign& d);
+void add_output_se(phys::GateDesign& d);
+
+/// Two-input gate (inputs NW+NE, output SE) computing \p function (binary,
+/// MSB first).
+[[nodiscard]] phys::GateDesign two_input_skeleton(const std::string& name, const std::string& function);
+
+/// Straight inverter (NW -> SW): vertical input and output chains, column 15.
+[[nodiscard]] phys::GateDesign inverter_skeleton();
+
+/// Diagonal inverter (NW -> SE).
+[[nodiscard]] phys::GateDesign diagonal_inverter_skeleton();
+
+/// Fan-out (NW -> SW + SE).
+[[nodiscard]] phys::GateDesign fanout_skeleton();
 
 /// Mirrors a site across the tile's vertical center line.
 [[nodiscard]] phys::SiDBSite mirror_site(const phys::SiDBSite& s);

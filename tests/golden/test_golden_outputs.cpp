@@ -10,11 +10,11 @@
 #include "testing/golden.hpp"
 
 #include "core/design_flow.hpp"
+#include "io/benchmarks.hpp"
 #include "io/dot_writer.hpp"
 #include "io/render.hpp"
 #include "io/sqd_writer.hpp"
 #include "io/svg_writer.hpp"
-#include "logic/benchmarks.hpp"
 
 #include <gtest/gtest.h>
 
@@ -40,7 +40,7 @@ const core::FlowResult& flow_for(const std::string& benchmark)
     auto it = cache.find(benchmark);
     if (it == cache.end())
     {
-        const auto* bm = logic::find_benchmark(benchmark);
+        const auto* bm = io::find_benchmark(benchmark);
         if (bm == nullptr)
         {
             throw std::runtime_error("unknown benchmark " + benchmark);
@@ -59,7 +59,7 @@ void expect_golden(const std::string& actual, const std::string& file)
 TEST(GoldenDot, C17Network)
 {
     std::ostringstream out;
-    io::write_dot(out, logic::find_benchmark("c17")->build());
+    io::write_dot(out, io::find_benchmark("c17")->build());
     expect_golden(out.str(), "c17.dot.golden");
 }
 

@@ -1,7 +1,7 @@
 #include "layout/apply_gate_library.hpp"
 
+#include "io/benchmarks.hpp"
 #include "layout/exact_physical_design.hpp"
-#include "logic/benchmarks.hpp"
 #include "logic/rewriting.hpp"
 #include "logic/tech_mapping.hpp"
 
@@ -17,7 +17,7 @@ GateLevelLayout layout_for(const std::string& name)
 {
     logic::NpnDatabase db;
     const auto mapped =
-        logic::map_to_bestagon(logic::rewrite(logic::to_xag(logic::find_benchmark(name)->build()), db));
+        logic::map_to_bestagon(logic::rewrite(logic::to_xag(io::find_benchmark(name)->build()), db));
     auto layout = exact_physical_design(mapped);
     EXPECT_TRUE(layout.has_value());
     return *layout;

@@ -1,6 +1,6 @@
 #include "io/bench_reader.hpp"
 
-#include "logic/benchmarks.hpp"
+#include "io/benchmarks.hpp"
 
 #include <gtest/gtest.h>
 
@@ -29,7 +29,7 @@ TEST(BenchReader, ParsesC17)
     )");
     EXPECT_EQ(net.num_pis(), 5U);
     EXPECT_EQ(net.num_pos(), 2U);
-    EXPECT_TRUE(logic::functionally_equivalent(net, logic::find_benchmark("c17")->build()));
+    EXPECT_TRUE(logic::functionally_equivalent(net, io::find_benchmark("c17")->build()));
 }
 
 TEST(BenchReader, HandlesUnorderedDefinitions)

@@ -1,4 +1,4 @@
-#include "logic/benchmarks.hpp"
+#include "io/benchmarks.hpp"
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,8 @@ namespace
 {
 
 using namespace bestagon::logic;
+using bestagon::io::find_benchmark;
+using bestagon::io::table1_benchmarks;
 
 TEST(Benchmarks, FourteenTableOneEntries)
 {
@@ -83,7 +85,9 @@ TEST(Benchmarks, C17MatchesNandNetlist)
     const auto net = find_benchmark("c17")->build();
     EXPECT_EQ(net.num_pis(), 5U);
     EXPECT_EQ(net.num_pos(), 2U);
-    EXPECT_EQ(net.num_gates_of(GateType::nand2), 6U);
+    // benchmarks/c17.v writes each of the six NANDs as ~(a & b)
+    EXPECT_EQ(net.num_gates_of(GateType::and2), 6U);
+    EXPECT_EQ(net.num_gates_of(GateType::inv), 6U);
     // reference evaluation of the ISCAS-85 netlist
     const auto tts = net.simulate();
     for (unsigned t = 0; t < 32; ++t)

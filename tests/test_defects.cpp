@@ -1,12 +1,12 @@
 #include "phys/defect.hpp"
 
+#include "io/benchmarks.hpp"
 #include "io/sqd_reader.hpp"
 #include "io/sqd_writer.hpp"
 #include "layout/apply_gate_library.hpp"
 #include "layout/defect_map.hpp"
 #include "layout/exact_physical_design.hpp"
 #include "layout/scalable_physical_design.hpp"
-#include "logic/benchmarks.hpp"
 #include "logic/rewriting.hpp"
 #include "logic/tech_mapping.hpp"
 #include "phys/charge_state.hpp"
@@ -52,7 +52,7 @@ GateDesign vertical_wire()
 
 logic::LogicNetwork mapped_benchmark(const std::string& name)
 {
-    const auto* bm = logic::find_benchmark(name);
+    const auto* bm = io::find_benchmark(name);
     logic::NpnDatabase db;
     return logic::map_to_bestagon(logic::rewrite(logic::to_xag(bm->build()), db));
 }

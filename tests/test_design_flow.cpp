@@ -1,8 +1,7 @@
 #include "core/design_flow.hpp"
 
-#include "io/verilog.hpp"
+#include "io/benchmarks.hpp"
 #include "layout/defect_map.hpp"
-#include "logic/benchmarks.hpp"
 #include "logic/rewriting.hpp"
 #include "logic/tech_mapping.hpp"
 #include "testing/random.hpp"
@@ -11,8 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -25,7 +22,7 @@ using core::FlowOptions;
 
 TEST(DesignFlow, Xor2EndToEnd)
 {
-    const auto result = core::run_design_flow(logic::find_benchmark("xor2")->build());
+    const auto result = core::run_design_flow(io::find_benchmark("xor2")->build());
     ASSERT_TRUE(result.success());
     EXPECT_EQ(result.layout->width(), 2U);
     EXPECT_EQ(result.layout->height(), 3U);
@@ -44,7 +41,7 @@ TEST(DesignFlow, ValidateGatesStepChecksEveryDistinctTileInUse)
         opt.validate_gates = true;
         opt.sim_params.engine = engine;
         opt.sim_params.num_threads = 4;
-        const auto result = core::run_design_flow(logic::find_benchmark("xor2")->build(), opt);
+        const auto result = core::run_design_flow(io::find_benchmark("xor2")->build(), opt);
         ASSERT_TRUE(result.success());
         ASSERT_FALSE(result.apply_stats.implementations_used.empty());
         ASSERT_EQ(result.gate_validation.size(), result.apply_stats.implementations_used.size());
@@ -63,7 +60,7 @@ TEST(DesignFlow, ValidateGatesStepChecksEveryDistinctTileInUse)
     }
 
     // off by default
-    const auto plain = core::run_design_flow(logic::find_benchmark("xor2")->build());
+    const auto plain = core::run_design_flow(io::find_benchmark("xor2")->build());
     EXPECT_TRUE(plain.gate_validation.empty());
 }
 
@@ -84,7 +81,7 @@ TEST(DesignFlow, RewritingCanBeDisabled)
 {
     FlowOptions opt;
     opt.rewrite = false;
-    const auto net = logic::find_benchmark("mux21")->build();
+    const auto net = io::find_benchmark("mux21")->build();
     const auto without = core::run_design_flow(net, opt);
     opt.rewrite = true;
     const auto with = core::run_design_flow(net, opt);
@@ -102,7 +99,7 @@ TEST(DesignFlow, ScalableEngineWorksOnSimpleBenchmarks)
     FlowOptions opt;
     opt.exact_options.max_width = 1;  // force exact failure
     opt.exact_options.max_height = 2;
-    const auto result = core::run_design_flow(logic::find_benchmark("par_check")->build(), opt);
+    const auto result = core::run_design_flow(io::find_benchmark("par_check")->build(), opt);
     ASSERT_TRUE(result.success());
     EXPECT_EQ(result.engine_used, "scalable");
 }
@@ -112,7 +109,7 @@ TEST(DesignFlow, FallbackReportsEngine)
     FlowOptions opt;
     opt.exact_options.max_width = 1;  // force exact failure
     opt.exact_options.max_height = 2;
-    const auto result = core::run_design_flow(logic::find_benchmark("par_gen")->build(), opt);
+    const auto result = core::run_design_flow(io::find_benchmark("par_gen")->build(), opt);
     ASSERT_TRUE(result.layout.has_value());
     EXPECT_EQ(result.engine_used, "scalable");
     EXPECT_TRUE(result.success());
@@ -126,7 +123,7 @@ TEST(DesignFlow, FallbackAvoidsDefects)
     FlowOptions opt;
     opt.exact_options.max_width = 1;  // force exact failure
     opt.exact_options.max_height = 2;
-    const auto spec = logic::find_benchmark("par_gen")->build();
+    const auto spec = io::find_benchmark("par_gen")->build();
     const auto plain = core::run_design_flow(spec, opt);
     ASSERT_TRUE(plain.layout.has_value());
     for (const auto& tile : plain.layout->all_tiles())
@@ -246,7 +243,7 @@ TEST(DesignFlow, StageRecordIsPinned)
 {
     const std::string front = "to_xag completed \nrewrite completed \ntech_mapping completed \n";
     const std::string back = "supertiles completed \ndrc completed clean\napply_library completed \n";
-    const auto xor2 = logic::find_benchmark("xor2")->build();
+    const auto xor2 = io::find_benchmark("xor2")->build();
 
     EXPECT_EQ(stage_record(core::run_design_flow(xor2)),
               "engine=exact\n" + front + "physical_design completed exact\n" +
@@ -255,7 +252,7 @@ TEST(DesignFlow, StageRecordIsPinned)
     FlowOptions fallback;
     fallback.exact_options.max_width = 1;
     fallback.exact_options.max_height = 2;
-    EXPECT_EQ(stage_record(core::run_design_flow(logic::find_benchmark("par_gen")->build(), fallback)),
+    EXPECT_EQ(stage_record(core::run_design_flow(io::find_benchmark("par_gen")->build(), fallback)),
               "engine=scalable\n" + front +
                   "physical_design degraded exact engine declined; scalable fallback\n" +
                   "equivalence completed equivalent\n" + back);
@@ -313,7 +310,7 @@ class FlowBenchmark : public ::testing::TestWithParam<std::string>
 
 TEST_P(FlowBenchmark, FullFlowSucceeds)
 {
-    const auto* bm = logic::find_benchmark(GetParam());
+    const auto* bm = io::find_benchmark(GetParam());
     FlowOptions opt;
     opt.exact_options.time_budget_ms = 60000;
     const auto result = core::run_design_flow(bm->build(), opt);
@@ -340,17 +337,6 @@ INSTANTIATE_TEST_SUITE_P(Table1, FlowBenchmark,
 /// XAGs.
 TEST(WorkCounters, Table1Flow)
 {
-    std::vector<std::filesystem::path> files;
-    for (const auto& entry : std::filesystem::directory_iterator{BESTAGON_BENCHMARK_DIR})
-    {
-        if (entry.path().extension() == ".v")
-        {
-            files.push_back(entry.path());
-        }
-    }
-    std::sort(files.begin(), files.end());
-    ASSERT_EQ(files.size(), 14U);
-
     std::uint64_t pnr_conflicts = 0;
     std::uint64_t rungs = 0;
     std::uint64_t rungs_unsat = 0;
@@ -359,12 +345,10 @@ TEST(WorkCounters, Table1Flow)
     std::uint64_t rewritten_gates = 0;
     std::uint64_t replacements = 0;
     std::uint64_t passes = 0;
-    for (const auto& file : files)
+    for (const auto& bm : io::table1_benchmarks())
     {
-        const auto name = file.stem().string();
-        std::ifstream in{file};
-        ASSERT_TRUE(in.good()) << name;
-        const auto spec = io::read_verilog(in);
+        const auto& name = bm.name;
+        const auto spec = bm.build();
         logic::NpnDatabase database;
         logic::RewriteStats rewrite_stats;
         static_cast<void>(logic::rewrite(logic::to_xag(spec), database, &rewrite_stats));

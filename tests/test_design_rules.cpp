@@ -1,7 +1,7 @@
 #include "layout/design_rules.hpp"
 
+#include "io/benchmarks.hpp"
 #include "layout/exact_physical_design.hpp"
-#include "logic/benchmarks.hpp"
 #include "logic/rewriting.hpp"
 #include "logic/tech_mapping.hpp"
 
@@ -142,7 +142,7 @@ TEST(DesignRules, ExactLayoutsAreClean)
     for (const char* name : {"xor2", "mux21", "c17"})
     {
         const auto mapped =
-            logic::map_to_bestagon(logic::to_xag(logic::find_benchmark(name)->build()));
+            logic::map_to_bestagon(logic::to_xag(io::find_benchmark(name)->build()));
         const auto layout = exact_physical_design(mapped);
         ASSERT_TRUE(layout.has_value()) << name;
         const auto report = check_design_rules(*layout);

@@ -1,7 +1,7 @@
 #include "layout/equivalence_checking.hpp"
 
+#include "io/benchmarks.hpp"
 #include "layout/exact_physical_design.hpp"
-#include "logic/benchmarks.hpp"
 #include "logic/rewriting.hpp"
 #include "logic/tech_mapping.hpp"
 
@@ -15,7 +15,7 @@ using namespace bestagon::layout;
 
 TEST(EquivalenceChecking, IdenticalNetworksAreEquivalent)
 {
-    const auto net = logic::find_benchmark("c17")->build();
+    const auto net = io::find_benchmark("c17")->build();
     EXPECT_EQ(check_equivalence(net, net), EquivalenceResult::equivalent);
 }
 
@@ -163,7 +163,7 @@ class LayoutEquivalence : public ::testing::TestWithParam<std::string>
 
 TEST_P(LayoutEquivalence, LayoutImplementsSpecification)
 {
-    const auto* bm = logic::find_benchmark(GetParam());
+    const auto* bm = io::find_benchmark(GetParam());
     logic::NpnDatabase db;
     const auto mapped = logic::map_to_bestagon(logic::rewrite(logic::to_xag(bm->build()), db));
     const auto layout = exact_physical_design(mapped);

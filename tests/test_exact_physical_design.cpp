@@ -1,10 +1,10 @@
 #include "layout/exact_physical_design.hpp"
 
+#include "io/benchmarks.hpp"
 #include "layout/apply_gate_library.hpp"
 #include "layout/defect_map.hpp"
 #include "layout/design_rules.hpp"
 #include "layout/equivalence_checking.hpp"
-#include "logic/benchmarks.hpp"
 #include "logic/rewriting.hpp"
 #include "logic/tech_mapping.hpp"
 #include "phys/defect.hpp"
@@ -24,7 +24,7 @@ using namespace bestagon::layout;
 
 logic::LogicNetwork mapped_benchmark(const std::string& name)
 {
-    const auto* bm = logic::find_benchmark(name);
+    const auto* bm = io::find_benchmark(name);
     logic::NpnDatabase db;
     return logic::map_to_bestagon(logic::rewrite(logic::to_xag(bm->build()), db));
 }
@@ -354,7 +354,7 @@ class ExactPDBenchmark : public ::testing::TestWithParam<std::string>
 
 TEST_P(ExactPDBenchmark, ProducesCorrectAndCleanLayouts)
 {
-    const auto* bm = logic::find_benchmark(GetParam());
+    const auto* bm = io::find_benchmark(GetParam());
     const auto spec = bm->build();
     const auto mapped = mapped_benchmark(GetParam());
     ExactPDOptions opt;
@@ -487,12 +487,12 @@ TEST(WorkCounters, ExactPnrLadderOnC17)
 
 TEST(WorkCounters, ExactPnrLadderOnCm82a5)
 {
-    expect_pinned_ladder("cm82a_5", 439, "5x12:U 5x13:U 5x14:S");
+    expect_pinned_ladder("cm82a_5", 235, "5x12:U 5x13:S");
 }
 
 TEST(WorkCounters, ExactPnrLadderOnMajority5R1)
 {
-    expect_pinned_ladder("majority_5_r1", 754, "5x11:U 5x12:U 5x13:S");
+    expect_pinned_ladder("majority_5_r1", 1561, "5x11:U 5x12:U 5x13:U 6x11:U 5x14:S");
 }
 
 /// Per-size conflicts of the multi-rung ladders: each size runs on its own
@@ -501,8 +501,8 @@ TEST(WorkCounters, ExactPnrConflictsPerRung)
 {
     for (const auto& [name, trace] : std::vector<std::pair<std::string, std::string>>{
              {"par_check", "4x5:S/6"},
-             {"cm82a_5", "5x12:U/14 5x13:U/122 5x14:S/303"},
-             {"majority_5_r1", "5x11:U/33 5x12:U/255 5x13:S/466"}})
+             {"cm82a_5", "5x12:U/67 5x13:S/168"},
+             {"majority_5_r1", "5x11:U/30 5x12:U/149 5x13:U/887 6x11:U/40 5x14:S/455"}})
     {
         ExactPDStats stats;
         ASSERT_TRUE(exact_physical_design(mapped_benchmark(name), {}, &stats).has_value()) << name;

@@ -171,17 +171,20 @@ TEST(WorkCounters, ExactEngineOnTheNorTile)
 /// search nodes of every pattern summed. The same searches pin every pattern's
 /// ground state (config, grand potential to 17 digits, degeneracy, nodes) in
 /// a golden, and SimAnneal at its default parameters must reach each pinned
-/// grand potential: the reason it is the heuristic the stack keeps.
+/// grand potential: the reason it is the heuristic the stack keeps. Every
+/// design's `simulation_validated` flag must equal its check's verdict (the
+/// crossing's is false).
 TEST(WorkCounters, SignoffTiles)
 {
     const auto& library = bestagon::layout::BestagonLibrary::instance();
-    std::vector<const GateDesign*> designs;
+    std::vector<const bestagon::layout::GateImplementation*> designs;
     for (const auto& impl : library.all())
     {
-        designs.push_back(&impl.design);
+        designs.push_back(&impl);
     }
-    designs.push_back(&library.crossing().design);
+    designs.push_back(&library.crossing());
     ASSERT_EQ(designs.size(), 27U);
+    ASSERT_FALSE(library.crossing().simulation_validated);
 
     SimulationParameters params;
     params.num_threads = 1;
@@ -189,8 +192,10 @@ TEST(WorkCounters, SignoffTiles)
     std::string golden;
     for (std::size_t d = 0; d < designs.size(); ++d)
     {
-        const auto& design = *designs[d];
+        const auto& design = designs[d]->design;
         const auto result = check_operational(design, params);
+        // the library's flag is this check's verdict
+        EXPECT_EQ(designs[d]->simulation_validated, result.operational) << d << ' ' << design.name;
         const GateInstanceCache cache{design, params};
         for (const auto& pattern : result.details)
         {

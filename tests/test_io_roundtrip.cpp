@@ -8,7 +8,6 @@
 #include "io/render.hpp"
 
 #include "layout/gate_level_layout.hpp"
-#include "logic/benchmarks.hpp"
 #include "logic/network.hpp"
 
 #include <gtest/gtest.h>

@@ -2,10 +2,10 @@
 /// \brief Cross-module property tests: idempotence, incrementality and
 ///        minimality invariants that individual unit tests do not cover.
 
+#include "io/benchmarks.hpp"
 #include "layout/exact_physical_design.hpp"
 #include "layout/gate_level_layout.hpp"
 #include "layout/scalable_physical_design.hpp"
-#include "logic/benchmarks.hpp"
 #include "logic/exact_synthesis.hpp"
 #include "logic/rewriting.hpp"
 #include "logic/tech_mapping.hpp"
@@ -47,7 +47,7 @@ TEST(Properties, SolverSupportsIncrementalClauseAddition)
 
 TEST(Properties, StrashIsIdempotent)
 {
-    for (const auto& bm : logic::table1_benchmarks())
+    for (const auto& bm : io::table1_benchmarks())
     {
         const auto once = logic::strash(logic::to_xag(bm.build()));
         const auto twice = logic::strash(once);
@@ -59,7 +59,7 @@ TEST(Properties, StrashIsIdempotent)
 TEST(Properties, RewriteIsIdempotentAtFixpoint)
 {
     logic::NpnDatabase db;
-    const auto net = logic::to_xag(logic::find_benchmark("c17")->build());
+    const auto net = logic::to_xag(io::find_benchmark("c17")->build());
     const auto once = logic::rewrite(net, db);
     const auto twice = logic::rewrite(once, db);
     EXPECT_EQ(once.num_gates(), twice.num_gates());
@@ -94,7 +94,7 @@ TEST(Properties, ExactNeverLosesToScalable)
     for (const char* name : {"xor2", "par_gen", "par_check", "xor5_r1"})
     {
         const auto mapped =
-            logic::map_to_bestagon(logic::rewrite(logic::to_xag(logic::find_benchmark(name)->build()), db));
+            logic::map_to_bestagon(logic::rewrite(logic::to_xag(io::find_benchmark(name)->build()), db));
         const auto exact = layout::exact_physical_design(mapped);
         ASSERT_TRUE(exact.has_value()) << name;
         EXPECT_GE(layout::minimum_height(mapped), 3U);
@@ -288,7 +288,7 @@ TEST(Properties, EveryLayoutRespectsTheRowWindows)
 {
     logic::NpnDatabase db;
     std::vector<std::pair<std::string, logic::LogicNetwork>> networks;
-    for (const auto& bm : logic::table1_benchmarks())
+    for (const auto& bm : io::table1_benchmarks())
     {
         networks.emplace_back(
             bm.name, logic::map_to_bestagon(logic::rewrite(logic::to_xag(bm.build()), db)));
@@ -307,7 +307,7 @@ TEST(Properties, EveryLayoutRespectsTheRowWindows)
             networks.emplace_back("random " + std::to_string(i), std::move(mapped));
         }
     }
-    ASSERT_GT(networks.size(), logic::table1_benchmarks().size());
+    ASSERT_GT(networks.size(), io::table1_benchmarks().size());
 
     WindowEdges edges;
     unsigned exact_layouts = 0;

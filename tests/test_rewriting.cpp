@@ -1,6 +1,6 @@
 #include "logic/rewriting.hpp"
 
-#include "logic/benchmarks.hpp"
+#include "io/benchmarks.hpp"
 #include "logic/tech_mapping.hpp"
 #include "rewrite_reference.hpp"
 
@@ -94,7 +94,7 @@ class RewriteBenchmarkTest : public ::testing::TestWithParam<std::string>
 
 TEST_P(RewriteBenchmarkTest, PreservesFunctionAndNeverGrows)
 {
-    const auto* bm = find_benchmark(GetParam());
+    const auto* bm = bestagon::io::find_benchmark(GetParam());
     ASSERT_NE(bm, nullptr);
     const auto net = bm->build();
     const auto xag = to_xag(net);
@@ -114,7 +114,7 @@ INSTANTIATE_TEST_SUITE_P(AllBenchmarks, RewriteBenchmarkTest,
 TEST(Rewrite, SubstantiallyReducesMajorityBasedXor)
 {
     // the xor5_majority benchmark is heavily redundant after XAG conversion
-    const auto net = find_benchmark("xor5_majority")->build();
+    const auto net = bestagon::io::find_benchmark("xor5_majority")->build();
     const auto xag = to_xag(net);
     NpnDatabase db;
     const auto rewritten = rewrite(xag, db);
@@ -127,7 +127,7 @@ TEST(Rewrite, SubstantiallyReducesMajorityBasedXor)
 /// rewrite() equals the reference rewrite node for node.
 TEST(Rewrite, CandidateCostsMatchReference)
 {
-    for (const auto& bm : table1_benchmarks())
+    for (const auto& bm : bestagon::io::table1_benchmarks())
     {
         EXPECT_TRUE(reference::matches_reference(to_xag(bm.build()))) << bm.name;
     }
@@ -138,7 +138,7 @@ TEST(Rewrite, BuildsNoSatSolver)
     // rewriting serves every cut from the committed NPN table, so rewriting
     // and mapping every Table-1 benchmark run no synthesis and no solver
     NpnDatabase db;
-    for (const auto& bm : table1_benchmarks())
+    for (const auto& bm : bestagon::io::table1_benchmarks())
     {
         const auto net = bm.build();
         const auto mapped = map_to_bestagon(rewrite(to_xag(net), db));

@@ -8,8 +8,8 @@
 
 #include "core/design_flow.hpp"
 #include "core/run_control.hpp"
+#include "io/benchmarks.hpp"
 #include "layout/bestagon_library.hpp"
-#include "logic/benchmarks.hpp"
 #include "phys/gate_designer.hpp"
 #include "phys/ground_state_exact.hpp"
 #include "phys/operational.hpp"
@@ -230,7 +230,7 @@ TEST(RunControl, ExhaustedExactBudgetDegradesToScalable)
     FlowOptions options;
     options.exact_options.conflicts_per_size = 0;
     const auto result =
-        core::run_design_flow(logic::find_benchmark("xor2")->build(), options);
+        core::run_design_flow(io::find_benchmark("xor2")->build(), options);
 
     EXPECT_TRUE(result.pd_stats.budget_exhausted);
     EXPECT_EQ(result.engine_used, "scalable");
@@ -253,7 +253,7 @@ TEST(RunControl, PreCancelledFlowIsWellFormed)
     FlowOptions options;
     options.stop = source.token();
     const auto result =
-        core::run_design_flow(logic::find_benchmark("xor2")->build(), options);
+        core::run_design_flow(io::find_benchmark("xor2")->build(), options);
 
     EXPECT_FALSE(result.success());
     EXPECT_FALSE(result.layout.has_value()) << "cancellation must not trigger the fallback";
@@ -273,7 +273,7 @@ TEST(RunControl, ZeroDeadlineStillEmitsPartialArtifacts)
     FlowOptions options;
     options.deadline_ms = 0;
     const auto result =
-        core::run_design_flow(logic::find_benchmark("xor2")->build(), options);
+        core::run_design_flow(io::find_benchmark("xor2")->build(), options);
 
     ASSERT_TRUE(result.layout.has_value());
     EXPECT_EQ(result.engine_used, "scalable");
@@ -297,7 +297,7 @@ TEST(RunControl, ZeroDeadlineSkipsGateValidationWithRecord)
     options.deadline_ms = 0;
     options.validate_gates = true;
     const auto result =
-        core::run_design_flow(logic::find_benchmark("xor2")->build(), options);
+        core::run_design_flow(io::find_benchmark("xor2")->build(), options);
     const auto* val = result.diagnostics.find("gate_validation");
     ASSERT_NE(val, nullptr) << "the skip itself must be recorded";
     EXPECT_EQ(val->status, StageStatus::skipped);
@@ -307,7 +307,7 @@ TEST(RunControl, ZeroDeadlineSkipsGateValidationWithRecord)
 
 TEST(RunControl, UnlimitedDeadlineIsBitIdenticalToNoDeadline)
 {
-    const auto spec = logic::find_benchmark("xor2")->build();
+    const auto spec = io::find_benchmark("xor2")->build();
     const auto plain = core::run_design_flow(spec);
     FlowOptions options;
     options.deadline_ms = std::int64_t{1} << 40;  // limited, but never expires
@@ -522,7 +522,7 @@ TEST(RunControl, ConcurrentStopMidFlowSatisfiesTheOracle)
         source.request_stop();
     }};
     const auto verdict = testkit::run_control_differential(
-        logic::find_benchmark("par_gen")->build(), options);
+        io::find_benchmark("par_gen")->build(), options);
     watchdog.join();
     EXPECT_TRUE(verdict.ok) << verdict.detail;
 }
@@ -534,7 +534,7 @@ TEST(RunControl, DeadlineBoundedFlowSatisfiesTheOracle)
     options.validate_gates = true;
     testkit::RunControlOracleStats stats;
     const auto verdict = testkit::run_control_differential(
-        logic::find_benchmark("par_gen")->build(), options, 2000, &stats);
+        io::find_benchmark("par_gen")->build(), options, 2000, &stats);
     EXPECT_TRUE(verdict.ok) << verdict.detail;
     EXPECT_LE(stats.wall_ms, 2 * options.deadline_ms + 2000);
 }

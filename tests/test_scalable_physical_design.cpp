@@ -1,7 +1,7 @@
 #include "layout/scalable_physical_design.hpp"
 
+#include "io/benchmarks.hpp"
 #include "layout/design_rules.hpp"
-#include "logic/benchmarks.hpp"
 #include "logic/rewriting.hpp"
 #include "logic/tech_mapping.hpp"
 
@@ -15,7 +15,7 @@ using namespace bestagon::layout;
 
 logic::LogicNetwork mapped_benchmark(const std::string& name)
 {
-    const auto* bm = logic::find_benchmark(name);
+    const auto* bm = io::find_benchmark(name);
     logic::NpnDatabase db;
     return logic::map_to_bestagon(logic::rewrite(logic::to_xag(bm->build()), db));
 }
@@ -39,7 +39,7 @@ class ScalablePDBenchmark : public ::testing::TestWithParam<std::string>
 
 TEST_P(ScalablePDBenchmark, ProducesCorrectLayouts)
 {
-    const auto spec = logic::find_benchmark(GetParam())->build();
+    const auto spec = io::find_benchmark(GetParam())->build();
     const auto mapped = mapped_benchmark(GetParam());
     const auto layout = scalable_physical_design(mapped);
     ASSERT_TRUE(layout.has_value());
@@ -81,7 +81,7 @@ TEST(ScalablePD, FailureIsGracefulOnHardNetworks)
         if (layout.has_value())
         {
             const auto extracted = layout->extract_network(mapped);
-            EXPECT_TRUE(logic::functionally_equivalent(logic::find_benchmark("cm82a_5")->build(),
+            EXPECT_TRUE(logic::functionally_equivalent(io::find_benchmark("cm82a_5")->build(),
                                                        extracted));
         }
     });

@@ -1,7 +1,7 @@
 #include "layout/supertile.hpp"
 
+#include "io/benchmarks.hpp"
 #include "layout/exact_physical_design.hpp"
-#include "logic/benchmarks.hpp"
 #include "logic/rewriting.hpp"
 #include "logic/tech_mapping.hpp"
 
@@ -53,7 +53,7 @@ TEST(SuperTile, ExpandedClockingStaysFeedForwardOnRealLayout)
 {
     logic::NpnDatabase db;
     const auto mapped =
-        logic::map_to_bestagon(logic::to_xag(logic::find_benchmark("par_check")->build()));
+        logic::map_to_bestagon(logic::to_xag(io::find_benchmark("par_check")->build()));
     const auto layout = exact_physical_design(mapped);
     ASSERT_TRUE(layout.has_value());
     const auto st = make_supertiles(*layout, 3);

@@ -1,6 +1,6 @@
 #include "logic/tech_mapping.hpp"
 
-#include "logic/benchmarks.hpp"
+#include "io/benchmarks.hpp"
 #include "logic/rewriting.hpp"
 
 #include <gtest/gtest.h>
@@ -162,7 +162,7 @@ class MappingBenchmarkTest : public ::testing::TestWithParam<std::string>
 
 TEST_P(MappingBenchmarkTest, MapsToCompliantNetwork)
 {
-    const auto* bm = find_benchmark(GetParam());
+    const auto* bm = bestagon::io::find_benchmark(GetParam());
     ASSERT_NE(bm, nullptr);
     const auto net = bm->build();
     const auto mapped = map_to_bestagon(to_xag(net));

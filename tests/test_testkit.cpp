@@ -9,7 +9,7 @@
 #include "testing/reproducer.hpp"
 
 #include "core/thread_pool.hpp"
-#include "logic/benchmarks.hpp"
+#include "io/benchmarks.hpp"
 
 #include <gtest/gtest.h>
 
@@ -238,13 +238,13 @@ TEST(TestkitOracles, BruteForceGroundStateCountsDegeneracyAndRejectsLargeSystems
 TEST(TestkitOracles, FrontendHappyPathOnBenchmark)
 {
     const auto verdict =
-        testkit::frontend_differential(logic::find_benchmark("par_check")->build(), 0x7e57);
+        testkit::frontend_differential(io::find_benchmark("par_check")->build(), 0x7e57);
     EXPECT_TRUE(verdict.ok) << verdict.detail;
 }
 
 TEST(TestkitOracles, InvertedPoCopyFlipsExactlyThatOutput)
 {
-    const auto net = logic::find_benchmark("c17")->build();
+    const auto net = io::find_benchmark("c17")->build();
     const auto inverted = testkit::with_inverted_po(net, 1);
     ASSERT_EQ(inverted.num_pos(), net.num_pos());
     const auto original_tts = net.simulate();

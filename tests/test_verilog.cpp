@@ -1,6 +1,6 @@
 #include "io/verilog.hpp"
 
-#include "logic/benchmarks.hpp"
+#include "io/benchmarks.hpp"
 
 #include <gtest/gtest.h>
 
@@ -108,7 +108,7 @@ class VerilogRoundTrip : public ::testing::TestWithParam<std::string>
 
 TEST_P(VerilogRoundTrip, PreservesFunction)
 {
-    const auto* bm = logic::find_benchmark(GetParam());
+    const auto* bm = io::find_benchmark(GetParam());
     ASSERT_NE(bm, nullptr);
     const auto net = bm->build();
     const auto text = io::to_verilog_string(net, GetParam());

@@ -11,8 +11,9 @@
 /// Ctrl-C stops the search cooperatively at the next poll point; a second
 /// Ctrl-C hard-exits.
 ///
-/// For each gate it builds the standard-tile skeleton (port pairs, wires,
-/// drivers, output perturbers, target function), then runs the stochastic
+/// For each gate it takes the standard-tile skeleton (port pairs, wires,
+/// drivers, output perturbers, target function) from the library's skeleton
+/// builders in layout/bestagon_library.hpp, then runs the stochastic
 /// canvas search (the stand-in for the paper's RL agent [28]) until the
 /// design passes the exact operational check at the library calibration
 /// point (mu = -0.32 eV, eps_r = 5.6, lambda_TF = 5 nm). Successful canvases
@@ -38,55 +39,6 @@ using phys::SiDBSite;
 
 namespace
 {
-
-logic::TruthTable tt(const char* bits)
-{
-    return logic::TruthTable::from_binary(bits);
-}
-
-void add_input_nw(GateDesign& d)
-{
-    for (const SiDBSite s :
-         {SiDBSite{15, 1, 0}, {15, 2, 0}, {20, 4, 1}, {22, 5, 0}, {25, 7, 1}, {27, 8, 0}})
-    {
-        d.sites.push_back(s);
-    }
-    d.input_pairs.push_back({{15, 1, 0}, {15, 2, 0}});
-    d.drivers.push_back({{15, -3, 0}, {15, -2, 0}});
-}
-
-void add_input_ne(GateDesign& d)
-{
-    for (const SiDBSite s :
-         {SiDBSite{45, 1, 0}, {45, 2, 0}, {40, 4, 1}, {38, 5, 0}, {35, 7, 1}, {33, 8, 0}})
-    {
-        d.sites.push_back(s);
-    }
-    d.input_pairs.push_back({{45, 1, 0}, {45, 2, 0}});
-    d.drivers.push_back({{45, -3, 0}, {45, -2, 0}});
-}
-
-void add_output_se(GateDesign& d)
-{
-    for (const SiDBSite s :
-         {SiDBSite{35, 14, 1}, {37, 15, 0}, {40, 17, 1}, {42, 18, 0}, {45, 21, 0}, {45, 22, 0}})
-    {
-        d.sites.push_back(s);
-    }
-    d.output_pairs.push_back({{45, 21, 0}, {45, 22, 0}});
-    d.output_perturbers.push_back({45, 25, 1});
-}
-
-void add_output_sw(GateDesign& d)
-{
-    for (const SiDBSite s :
-         {SiDBSite{25, 14, 1}, {23, 15, 0}, {20, 17, 1}, {18, 18, 0}, {15, 21, 0}, {15, 22, 0}})
-    {
-        d.sites.push_back(s);
-    }
-    d.output_pairs.push_back({{15, 21, 0}, {15, 22, 0}});
-    d.output_perturbers.push_back({15, 25, 1});
-}
 
 std::vector<SiDBSite> grid(int n0, int n1, int m0, int m1)
 {
@@ -134,10 +86,7 @@ int main(int argc, char** argv)
 
     if (gate == "or" || gate == "and" || gate == "xor")
     {
-        add_input_nw(d);
-        add_input_ne(d);
-        add_output_se(d);
-        d.functions.push_back(tt(gate == "or" ? "1110" : gate == "and" ? "1000" : "0110"));
+        d = layout::two_input_skeleton(gate, gate == "or" ? "1110" : gate == "and" ? "1000" : "0110");
         candidates = grid(20, 40, 9, 14);
         options.max_canvas_dots = gate == "xor" ? 8 : 6;
     }
@@ -145,22 +94,17 @@ int main(int argc, char** argv)
     {
         // keep the validated non-inverting canvas; search for the
         // polarization-flipping dots near the output chain
-        add_input_nw(d);
-        add_input_ne(d);
-        add_output_se(d);
+        d = layout::two_input_skeleton(gate, gate == "nor" ? "0001" : gate == "nand" ? "0111" : "1001");
         if (gate == "nor")
         {
             d.sites.push_back({34, 9, 0});  // the OR canvas
-            d.functions.push_back(tt("0001"));
         }
         else if (gate == "nand")
         {
             d.sites.push_back({29, 10, 0});  // the AND canvas
-            d.functions.push_back(tt("0111"));
         }
         else
         {
-            d.functions.push_back(tt("1001"));
             options.max_canvas_dots = 8;
         }
         candidates = grid(28, 44, 13, 20);
@@ -168,61 +112,31 @@ int main(int argc, char** argv)
     }
     else if (gate == "inv")
     {
-        for (const int m : {1, 5, 9})
-        {
-            d.sites.push_back({15, m, 0});
-            d.sites.push_back({15, m + 1, 0});
-        }
-        for (const int m : {17, 21})
-        {
-            d.sites.push_back({15, m, 0});
-            d.sites.push_back({15, m + 1, 0});
-        }
-        d.input_pairs.push_back({{15, 1, 0}, {15, 2, 0}});
-        d.output_pairs.push_back({{15, 21, 0}, {15, 22, 0}});
-        d.drivers.push_back({{15, -3, 0}, {15, -2, 0}});
-        d.output_perturbers.push_back({15, 25, 1});
-        d.functions.push_back(tt("01"));
+        d = layout::inverter_skeleton();
         candidates = grid(6, 28, 7, 16);
         options.min_canvas_dots = 2;
         options.max_canvas_dots = 7;
     }
     else if (gate == "inv_diag")
     {
-        d.sites.push_back({15, 1, 0});
-        d.sites.push_back({15, 2, 0});
-        d.sites.push_back({15, 5, 0});
-        d.sites.push_back({15, 6, 0});
-        d.sites.push_back({40, 17, 1});
-        d.sites.push_back({42, 18, 0});
-        d.sites.push_back({45, 21, 0});
-        d.sites.push_back({45, 22, 0});
-        d.input_pairs.push_back({{15, 1, 0}, {15, 2, 0}});
-        d.output_pairs.push_back({{45, 21, 0}, {45, 22, 0}});
-        d.drivers.push_back({{15, -3, 0}, {15, -2, 0}});
-        d.output_perturbers.push_back({45, 25, 1});
-        d.functions.push_back(tt("01"));
+        d = layout::diagonal_inverter_skeleton();
         candidates = grid(12, 40, 7, 16);
         options.min_canvas_dots = 2;
         options.max_canvas_dots = 8;
     }
     else if (gate == "fanout")
     {
-        add_input_nw(d);
-        add_output_sw(d);
-        add_output_se(d);
-        d.functions.push_back(tt("10"));
-        d.functions.push_back(tt("10"));
+        d = layout::fanout_skeleton();
         candidates = grid(20, 40, 8, 14);
     }
     else if (gate == "ha")
     {
-        add_input_nw(d);
-        add_input_ne(d);
-        add_output_sw(d);
-        add_output_se(d);
-        d.functions.push_back(tt("0110"));  // sum -> SW
-        d.functions.push_back(tt("1000"));  // carry -> SE
+        layout::add_input_nw(d);
+        layout::add_input_ne(d);
+        layout::add_output_sw(d);
+        layout::add_output_se(d);
+        d.functions.push_back(logic::TruthTable::from_binary("0110"));  // sum -> SW
+        d.functions.push_back(logic::TruthTable::from_binary("1000"));  // carry -> SE
         candidates = grid(20, 40, 9, 14);
         options.min_canvas_dots = 2;
         options.max_canvas_dots = 8;
