@@ -84,13 +84,12 @@ void BM_GroundStateExact(benchmark::State& state)
 
 void BM_GroundStateSimAnneal(benchmark::State& state)
 {
-    const SiDBSystem system{synthetic_canvas(static_cast<std::size_t>(state.range(0))),
-                            SimulationParameters{}};
-    SimAnnealParameters params;
+    SimulationParameters params;
     params.num_threads = 1;  // isolate single-thread engine cost
+    const SiDBSystem system{synthetic_canvas(static_cast<std::size_t>(state.range(0))), params};
     for (auto _ : state)
     {
-        const auto gs = simulated_annealing(system, params);
+        const auto gs = simulated_annealing(system);
         benchmark::DoNotOptimize(gs);
     }
 }

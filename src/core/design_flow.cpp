@@ -125,7 +125,7 @@ StageOutcome validate_gates(const FlowOptions& options, const RunBudget& run, Fl
     const auto& used = result.apply_stats.implementations_used;
     result.gate_validation.resize(used.size());
     parallel_for(options.sim_params.num_threads, used.size(), run, [&](std::size_t i) {
-        const auto check = phys::check_operational(used[i]->design, options.sim_params, run);
+        const auto check = phys::check_operational(used[i]->design, options.sim_params, {}, run);
         result.gate_validation[i] = {used[i]->design.name, check.operational,
                                      check.patterns_correct, check.patterns_total,
                                      !check.cancelled};

@@ -54,21 +54,21 @@ void write_defect_layer(std::ostream& out, const phys::DefectSurface& defects)
     out << "    </layer>\n";
 }
 
-void write_footer(std::ostream& out, const phys::DefectSurface* defects)
+void write_footer(std::ostream& out, const phys::DefectSurface& defects)
 {
     out << "    </layer>\n";
-    if (defects != nullptr && !defects->empty())
+    if (!defects.empty())
     {
-        write_defect_layer(out, *defects);
+        write_defect_layer(out, defects);
     }
     out << "  </design>\n"
         << "</siqad>\n";
 }
 
 void write_impl(std::ostream& out, const std::vector<phys::SiDBSite>& sites,
-                const std::string& name, const phys::DefectSurface* defects)
+                const std::string& name, const phys::DefectSurface& defects)
 {
-    write_header(out, name, defects != nullptr && !defects->empty());
+    write_header(out, name, !defects.empty());
     for (const auto& s : sites)
     {
         write_db(out, s);
@@ -80,24 +80,13 @@ void write_impl(std::ostream& out, const std::vector<phys::SiDBSite>& sites,
 
 void write_sqd(std::ostream& out, const layout::SiDBLayout& layout, const std::string& name)
 {
-    write_impl(out, layout.sites, name, nullptr);
-}
-
-void write_sqd(std::ostream& out, const phys::GateDesign& design)
-{
-    write_impl(out, design.instance_sites(0), design.name, nullptr);
-}
-
-void write_sqd(std::ostream& out, const layout::SiDBLayout& layout,
-               const phys::DefectSurface& defects, const std::string& name)
-{
-    write_impl(out, layout.sites, name, &defects);
+    write_impl(out, layout.sites, name, {});
 }
 
 void write_sqd(std::ostream& out, const phys::GateDesign& design,
                const phys::DefectSurface& defects)
 {
-    write_impl(out, design.instance_sites(0), design.name, &defects);
+    write_impl(out, design.instance_sites(0), design.name, defects);
 }
 
 }  // namespace bestagon::io

@@ -18,18 +18,12 @@ namespace bestagon::io
 void write_sqd(std::ostream& out, const layout::SiDBLayout& layout,
                const std::string& name = "bestagon_layout");
 
-/// Writes a standalone gate design (including drivers for pattern 0).
-void write_sqd(std::ostream& out, const phys::GateDesign& design);
-
-/// Writes a layout together with the fabrication-defect surface it was
-/// checked / placed against. Defects go into a dedicated Defect layer, each
-/// entry carrying kind, charge and exclusion radius as attributes, so the
-/// reader round-trips the full surface (see sqd_reader.hpp).
-void write_sqd(std::ostream& out, const layout::SiDBLayout& layout,
-               const phys::DefectSurface& defects, const std::string& name = "bestagon_layout");
-
-/// Writes a gate design together with a defect surface.
+/// Writes a standalone gate design (including drivers for pattern 0) on the
+/// fabrication-defect surface \p defects. A non-empty surface goes into a
+/// dedicated Defect layer, each entry carrying kind, charge and exclusion
+/// radius as attributes, so the reader round-trips the full surface (see
+/// sqd_reader.hpp).
 void write_sqd(std::ostream& out, const phys::GateDesign& design,
-               const phys::DefectSurface& defects);
+               const phys::DefectSurface& defects = {});
 
 }  // namespace bestagon::io

@@ -74,6 +74,10 @@ SiDBLayout apply_gate_library(const GateLevelLayout& layout, ApplyStats* stats)
         }
         for (const auto& occ : occs)
         {
+            if (occ.type == logic::GateType::pi && !occ.out_a && !occ.out_b)
+            {
+                continue;  // a PI nothing reads has no wire to drive: no dots
+            }
             const auto* impl = library.lookup(occ.type, occ.in_a, occ.in_b, occ.out_a, occ.out_b);
             if (impl == nullptr)
             {

@@ -26,7 +26,9 @@ struct ApplyStats
 };
 
 /// Maps every occupied tile of \p layout to its dot-accurate standard tile.
-/// Throws std::runtime_error if an occupant has no library implementation.
+/// A PI without an out port (an input nothing reads) drives no wire and gets
+/// no dots. Throws std::runtime_error if an occupant has no library
+/// implementation.
 [[nodiscard]] SiDBLayout apply_gate_library(const GateLevelLayout& layout, ApplyStats* stats = nullptr);
 
 /// The tile's lattice origin: odd rows are shifted right by half a tile.

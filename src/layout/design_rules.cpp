@@ -48,9 +48,10 @@ void check_tile(const GateLevelLayout& layout, HexCoord t, DrcReport& report)
             {
                 report.violations.push_back({t, "border-io", "PI not in the top row"});
             }
-            if (num_in != 0 || num_out != 1)
+            if (num_in != 0 || num_out > 1)
             {
-                report.violations.push_back({t, "ports", "PI must have no inputs and one output"});
+                report.violations.push_back(
+                    {t, "ports", "PI must have no inputs and at most one output"});
             }
         }
         else if (occ.type == GateType::po)

@@ -6,7 +6,8 @@
 ///  * structural connectivity: every used input port faces a neighbor whose
 ///    matching output port is also used, and vice versa;
 ///  * clocking: information flows into the successor clock phase only;
-///  * border I/O: PIs in the top row, POs in the bottom row;
+///  * border I/O: PIs in the top row, POs in the bottom row; a PI has at
+///    most one output (none when nothing reads it);
 ///  * tile capacity: one gate or at most two wire segments per tile;
 ///  * gate port convention: two-input gates read NW+NE, fan-outs drive SW+SE;
 ///  * canvas separation: adjacent logic canvases keep >= 10 nm distance

@@ -56,6 +56,7 @@ class Marcher
     GateLevelLayout run()
     {
         int col = 0;
+        const auto fanouts = network_.fanout_counts();
         for (const auto pi : network_.pis())
         {
             ProtoOcc p;
@@ -64,7 +65,11 @@ class Marcher
             p.occ.label = network_.node(pi).name;
             p.col = col;
             p.row = 0;
-            signals_.push_back(Signal{pi, col, occupants_.size()});
+            if (fanouts[pi] != 0)
+            {
+                // a PI nothing reads keeps its tile but opens no signal
+                signals_.push_back(Signal{pi, col, occupants_.size()});
+            }
             occupants_.push_back(p);
             col += 1;
         }

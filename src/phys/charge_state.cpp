@@ -13,8 +13,8 @@ namespace
 
 /// A configuration/system size mismatch used to be a debug-only assert, so a
 /// release build silently indexed out of bounds on every row update. Promote
-/// it to a thrown contract error (the read_pair precedent: a recorded error
-/// instead of silent garbage).
+/// it to a thrown contract error (the output-pair readout precedent: a
+/// recorded error instead of silent garbage).
 void require_matching_size(std::size_t config_size, std::size_t system_size)
 {
     if (config_size != system_size)

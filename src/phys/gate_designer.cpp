@@ -15,36 +15,22 @@ namespace
 {
 
 /// Score of a candidate design: number of correct patterns, with partial
-/// credit for defined-but-wrong outputs over undefined ones. The patterns
-/// are independent simulations and are scored concurrently against one
-/// shared GateInstanceCache (blocked-site scan and output-pair indices
-/// resolved once per candidate, not once per pattern).
+/// credit for defined-but-wrong outputs over undefined ones.
 unsigned score_design(const GateDesign& design, const SimulationParameters& params,
-                      const DefectSurface* defects, const core::RunBudget& run)
+                      const core::RunBudget& run)
 {
-    const std::uint64_t patterns = 1ULL << design.num_inputs();
-    const GateInstanceCache cache{design, params, defects};
-    if (cache.blocked())
+    unsigned score = 0;
+    for (const auto& r : check_operational(design, params, {}, run).details)
     {
-        return 0;  // unfabricable candidate (canvas filtering should prevent this)
-    }
-    std::vector<unsigned> pattern_scores(patterns, 0);
-    core::parallel_for(params.num_threads, patterns, run, [&](std::size_t p) {
-        const auto r = simulate_gate_pattern(cache, p, run);
         if (r.correct)
         {
-            pattern_scores[p] = 2;
+            score += 2;
         }
-        else if (std::none_of(r.output_states.begin(), r.output_states.end(),
-                              [](PairState s) { return s == PairState::undefined; }))
+        else if (r.evaluated && std::none_of(r.output_states.begin(), r.output_states.end(),
+                                             [](PairState s) { return s == PairState::undefined; }))
         {
-            pattern_scores[p] = 1;  // defined but wrong: closer than undefined
+            score += 1;  // defined but wrong: closer than undefined
         }
-    });
-    unsigned score = 0;
-    for (const unsigned s : pattern_scores)
-    {
-        score += s;
     }
     return score;
 }
@@ -115,7 +101,7 @@ std::optional<DesignerResult> run_search(const GateDesign& skeleton,
         }
 
         const auto design = make_design(canvas);
-        const unsigned score = score_design(design, params, options.defects, options.run);
+        const unsigned score = score_design(design, params, options.run);
         if (options.run.stopped())
         {
             // a score cut short by a stop is not comparable; discard it
@@ -153,20 +139,8 @@ std::optional<DesignerResult> design_gate(const GateDesign& skeleton,
                                     std::to_string(max_gate_inputs)};
     }
 
-    // a skeleton on a blocked site cannot be rescued by any canvas choice
-    const DefectSurface* defects =
-        options.defects != nullptr && !options.defects->empty() ? options.defects : nullptr;
-    if (defects != nullptr)
-    {
-        const GateInstanceCache probe{skeleton, params, defects};
-        if (probe.blocked())
-        {
-            return std::nullopt;
-        }
-    }
-
     // exclude candidates that collide with skeleton sites, drivers or
-    // perturbers — or that sit on a defect-blocked site
+    // perturbers
     std::vector<SiDBSite> forbidden = skeleton.sites;
     for (const auto& drv : skeleton.drivers)
     {
@@ -179,10 +153,6 @@ std::optional<DesignerResult> design_gate(const GateDesign& skeleton,
     for (const auto& c : candidates)
     {
         if (std::find(forbidden.begin(), forbidden.end(), c) != forbidden.end())
-        {
-            continue;
-        }
-        if (defects != nullptr && defects->blocks(c))
         {
             continue;
         }
@@ -201,7 +171,7 @@ std::optional<DesignerResult> design_gate(const GateDesign& skeleton,
     // scheduling-dependent.
     const unsigned restarts = std::max(1U, options.num_restarts);
     std::vector<std::optional<DesignerResult>> outcomes(restarts);
-    core::parallel_for(options.num_threads, restarts, options.run, [&](std::size_t r) {
+    core::parallel_for(params.num_threads, restarts, options.run, [&](std::size_t r) {
         const std::uint64_t seed = r == 0 ? options.seed : core::derive_seed(options.seed, r);
         outcomes[r] = run_search(skeleton, usable, options, params, seed);
     });

@@ -30,23 +30,13 @@ struct DesignerOptions
     /// (bit-identical to the single-restart search); restart r > 0 runs with
     /// core::derive_seed(seed, r). The restart with the lowest index that
     /// finds an operational design wins, so the outcome is deterministic.
+    /// Restarts fan out on SimulationParameters::num_threads, as do the
+    /// input patterns of each candidate's operational check.
     unsigned num_restarts{1};
-
-    /// Worker threads across restarts: 0 = hardware concurrency, 1 = serial.
-    /// (Candidate scoring inside each restart parallelizes over input
-    /// patterns according to SimulationParameters::num_threads.)
-    unsigned num_threads{0};
 
     /// Cooperative cancellation / deadline: polled between search iterations
     /// and between pattern simulations. A stopped run returns std::nullopt.
     core::RunBudget run{};
-
-    /// Optional fabrication-defect surface (not owned; must outlive the
-    /// search). Candidates on blocked sites are excluded up front, every
-    /// candidate design is scored with the charged defects' external
-    /// potentials, and a skeleton that is itself blocked returns
-    /// std::nullopt immediately. nullptr = defect-free search.
-    const DefectSurface* defects{nullptr};
 };
 
 struct DesignerResult

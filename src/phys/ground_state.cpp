@@ -8,13 +8,9 @@ namespace bestagon::phys
 
 GroundStateResult find_ground_state(const SiDBSystem& system, const core::RunBudget& run)
 {
-    const SimulationParameters& params = system.parameters();
-    if (params.engine == Engine::simanneal)
+    if (system.parameters().engine == Engine::simanneal)
     {
-        SimAnnealParameters annealing;
-        annealing.num_threads = params.num_threads;  // 1 stays fully serial
-        annealing.seed = params.anneal_seed;
-        return simulated_annealing(system, annealing, run);
+        return simulated_annealing(system, {}, run);
     }
     return exact_ground_state(system, run);
 }

@@ -53,7 +53,8 @@ struct SimulationParameters
 
     /// Worker threads for the independent fan-out points of the simulation
     /// stack (input patterns in check_operational, grid points in
-    /// compute_operational_domain, candidate scoring in design_gate).
+    /// compute_operational_domain, restarts in design_gate, annealing
+    /// instances in simulated_annealing).
     /// 0 = hardware concurrency, 1 = plain serial execution. Results are
     /// identical for every value — parallel work is index-addressed and
     /// seeds are derived deterministically per work item.
@@ -62,10 +63,8 @@ struct SimulationParameters
     /// Ground-state engine of every search run with these parameters.
     Engine engine{Engine::exact};
 
-    /// Base seed of the stochastic engine (simanneal) when it is selected
-    /// for ground-state searches. The default matches
-    /// SimAnnealParameters::seed, so results are unchanged unless a caller
-    /// sets it.
+    /// Base seed of the stochastic engine (simanneal): instance i anneals
+    /// on the stream core::derive_seed(anneal_seed, i).
     std::uint64_t anneal_seed{0x5eed};
 
     /// Numerical tolerance of the stability checks and the greedy quench:

@@ -2,7 +2,6 @@
 
 #include "core/thread_pool.hpp"
 
-#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -12,14 +11,7 @@ namespace bestagon::phys
 
 std::vector<SiDBSite> GateDesign::instance_sites(std::uint64_t pattern) const
 {
-    std::vector<SiDBSite> all;
-    instance_sites(pattern, all);
-    return all;
-}
-
-void GateDesign::instance_sites(std::uint64_t pattern, std::vector<SiDBSite>& out) const
-{
-    out.clear();
+    std::vector<SiDBSite> out;
     out.reserve(sites.size() + drivers.size() + output_perturbers.size());
     out.insert(out.end(), sites.begin(), sites.end());
     for (std::size_t i = 0; i < drivers.size(); ++i)
@@ -28,6 +20,7 @@ void GateDesign::instance_sites(std::uint64_t pattern, std::vector<SiDBSite>& ou
         out.push_back(one ? drivers[i].near_site : drivers[i].far_site);
     }
     out.insert(out.end(), output_perturbers.begin(), output_perturbers.end());
+    return out;
 }
 
 namespace
@@ -66,29 +59,8 @@ void require_pattern_in_range(const GateDesign& design, std::uint64_t pattern)
     }
 }
 
-}  // namespace
-
-PairState read_pair(const BDLPair& pair, const std::vector<SiDBSite>& sites,
-                    const ChargeConfig& config, std::string* error)
-{
-    const auto find_site = [&](const SiDBSite& s) -> int {
-        const auto it = std::find(sites.begin(), sites.end(), s);
-        return it == sites.end() ? -1 : static_cast<int>(it - sites.begin());
-    };
-    const int zi = find_site(pair.zero_site);
-    const int oi = find_site(pair.one_site);
-    if (zi < 0 || oi < 0)
-    {
-        if (error != nullptr)
-        {
-            *error = describe_missing_site(zi < 0 ? pair.zero_site : pair.one_site,
-                                           zi < 0 ? "zero" : "one");
-        }
-        return PairState::undefined;
-    }
-    return read_pair_indexed(static_cast<std::size_t>(zi), static_cast<std::size_t>(oi), config);
-}
-
+/// O(1) readout of a BDL pair whose sites resolved to \p zero_index and
+/// \p one_index of the instance.
 PairState read_pair_indexed(std::size_t zero_index, std::size_t one_index,
                             const ChargeConfig& config)
 {
@@ -104,6 +76,8 @@ PairState read_pair_indexed(std::size_t zero_index, std::size_t one_index,
     }
     return PairState::undefined;
 }
+
+}  // namespace
 
 GateInstanceCache::GateInstanceCache(const GateDesign& design, const SimulationParameters& params,
                                      const DefectSurface* defects)
@@ -242,16 +216,23 @@ PatternResult simulate_gate_pattern(const GateInstanceCache& cache, std::uint64_
     return result;
 }
 
-namespace
+OperationalResult check_operational(const GateDesign& design, const SimulationParameters& params,
+                                    const DefectSurface& defects, const core::RunBudget& run)
 {
-
-/// Shared pattern fan-out of both check_operational overloads: the prebuilt
-/// cache (defect-free or defect-aware) is shared read-only by the whole run.
-OperationalResult check_operational_cached(const GateInstanceCache& cache,
-                                           const core::RunBudget& run)
-{
+    require_pattern_arity(design);
     OperationalResult result;
-    result.patterns_total = 1ULL << cache.design().num_inputs();
+    result.patterns_total = 1ULL << design.num_inputs();
+    // one cache (blocked-site scan, output-pair indices) shared read-only by
+    // the whole fan-out; a pristine surface needs no defect term at all
+    const GateInstanceCache cache{design, params, defects.empty() ? nullptr : &defects};
+    if (cache.blocked())
+    {
+        // nothing is simulated: the blocked site's Coulomb terms may be
+        // singular, and the design cannot be fabricated as laid out anyway
+        result.blocked = true;
+        result.blocked_reason = cache.blocked_reason();
+        return result;
+    }
 
     // the per-pattern simulations are independent; fan them out and write
     // each result into its pattern-indexed slot (patterns skipped after a
@@ -261,10 +242,9 @@ OperationalResult check_operational_cached(const GateInstanceCache& cache,
     {
         result.details[p].pattern = p;  // keep indices on skipped slots, too
     }
-    core::parallel_for(cache.parameters().num_threads, result.patterns_total, run,
-                       [&](std::size_t pattern) {
-                           result.details[pattern] = simulate_gate_pattern(cache, pattern, run);
-                       });
+    core::parallel_for(params.num_threads, result.patterns_total, run, [&](std::size_t pattern) {
+        result.details[pattern] = simulate_gate_pattern(cache, pattern, run);
+    });
     result.cancelled = run.stopped();
 
     for (const auto& pr : result.details)
@@ -276,35 +256,6 @@ OperationalResult check_operational_cached(const GateInstanceCache& cache,
     }
     result.operational = result.patterns_correct == result.patterns_total;
     return result;
-}
-
-}  // namespace
-
-OperationalResult check_operational(const GateDesign& design, const SimulationParameters& params,
-                                    const core::RunBudget& run)
-{
-    require_pattern_arity(design);
-    // one cache (output-pair indices) shared read-only by the whole fan-out
-    const GateInstanceCache cache{design, params};
-    return check_operational_cached(cache, run);
-}
-
-OperationalResult check_operational(const GateDesign& design, const SimulationParameters& params,
-                                    const DefectSurface& defects, const core::RunBudget& run)
-{
-    require_pattern_arity(design);
-    const GateInstanceCache cache{design, params, &defects};
-    if (cache.blocked())
-    {
-        // nothing is simulated: the blocked site's Coulomb terms may be
-        // singular, and the design cannot be fabricated as laid out anyway
-        OperationalResult result;
-        result.patterns_total = 1ULL << design.num_inputs();
-        result.blocked = true;
-        result.blocked_reason = cache.blocked_reason();
-        return result;
-    }
-    return check_operational_cached(cache, run);
 }
 
 }  // namespace bestagon::phys

@@ -58,12 +58,6 @@ struct GateDesign
     /// All sites of the simulation instance for one input pattern
     /// (permanent sites + per-pattern perturbers + output perturbers).
     [[nodiscard]] std::vector<SiDBSite> instance_sites(std::uint64_t pattern) const;
-
-    /// Reusable-buffer overload: clears \p out, reserves the exact instance
-    /// size and fills it in the same order as the returning overload. Lets
-    /// per-pattern loops reuse one allocation instead of churning the
-    /// allocator across the parallel pattern fan-out.
-    void instance_sites(std::uint64_t pattern, std::vector<SiDBSite>& out) const;
 };
 
 /// Logic readout of a BDL pair from a charge configuration.
@@ -73,21 +67,6 @@ enum class PairState : std::uint8_t
     one,
     undefined  ///< both or neither site charged: no valid logic value
 };
-
-/// Reads the state of \p pair given \p config over \p sites by resolving the
-/// pair's sites with a linear scan. If either site is missing from \p sites
-/// the readout is PairState::undefined and, when \p error is non-null, a
-/// one-line description of the unresolved site is recorded (the legacy
-/// behavior was a debug-only assert that silently read garbage in release
-/// builds). Hot paths should resolve indices once via GateInstanceCache and
-/// use read_pair_indexed instead.
-[[nodiscard]] PairState read_pair(const BDLPair& pair, const std::vector<SiDBSite>& sites,
-                                  const ChargeConfig& config, std::string* error = nullptr);
-
-/// Index-resolved BDL readout: O(1) per call. Indices come from
-/// GateInstanceCache (resolved once per gate design, not once per pattern).
-[[nodiscard]] PairState read_pair_indexed(std::size_t zero_index, std::size_t one_index,
-                                          const ChargeConfig& config);
 
 /// Per-design simulation context of a gate's 2^k input patterns.
 ///
@@ -105,12 +84,12 @@ enum class PairState : std::uint8_t
 /// both and must keep them alive for the cache's lifetime.
 ///
 /// Immutable after construction and safe to share across the concurrent
-/// pattern fan-out of check_operational / design_gate scoring. That is the
-/// whole thread-safety contract (checked structurally by the Clang
-/// `-Werror=thread-safety` CI build via core/thread_annotations.hpp): every
-/// member is written exactly once, in the constructor, and every public
-/// method is const — there is no mutable shared state for `GUARDED_BY` to
-/// name, so concurrent readers need no lock. Keep it that way: adding a
+/// pattern fan-out of check_operational. That is the whole thread-safety
+/// contract (checked structurally by the Clang `-Werror=thread-safety` CI
+/// build via core/thread_annotations.hpp): every member is written exactly
+/// once, in the constructor, and every public method is const — there is no
+/// mutable shared state for `GUARDED_BY` to name, so concurrent readers need
+/// no lock. Keep it that way: adding a
 /// mutable member (e.g. a lazy memo) requires a `core::Mutex` + `GUARDED_BY`
 /// or the TSan job and the capability analysis will both flag it.
 class GateInstanceCache
@@ -215,24 +194,21 @@ struct OperationalResult
 /// 1ULL << num_inputs must not overflow a 64-bit counter).
 inline constexpr unsigned max_gate_inputs = 63;
 
-/// Checks all 2^num_inputs patterns of \p design against its functions.
-/// Patterns are simulated concurrently according to params.num_threads;
-/// details remain ordered by pattern and are identical for any thread
-/// count. Throws std::invalid_argument if the design has more than
-/// max_gate_inputs inputs.
+/// Checks all 2^num_inputs patterns of \p design against its functions on
+/// the fabrication-defect surface \p defects (empty = pristine surface).
+/// If a defect blocks any instance site the result is non-operational with
+/// blocked = true and nothing is simulated (the fast path of the
+/// Monte-Carlo yield sweep); otherwise every pattern is simulated with the
+/// charged defects' external potentials folded into every local potential.
+/// An empty surface builds the instance cache without one, so the pristine
+/// check does no per-instance defect work. Patterns are simulated
+/// concurrently according to params.num_threads; details remain ordered by
+/// pattern and are identical for any thread count. Throws
+/// std::invalid_argument if the design has more than max_gate_inputs
+/// inputs.
 [[nodiscard]] OperationalResult check_operational(const GateDesign& design,
                                                   const SimulationParameters& params,
-                                                  const core::RunBudget& run = {});
-
-/// Defect-aware operational check: if a defect blocks any instance site the
-/// result is non-operational with blocked = true and nothing is simulated
-/// (the fast path of the Monte-Carlo yield sweep); otherwise all patterns
-/// are simulated with the charged defects' external potentials folded into
-/// every local potential. An empty surface reproduces the defect-free
-/// overload bit-for-bit.
-[[nodiscard]] OperationalResult check_operational(const GateDesign& design,
-                                                  const SimulationParameters& params,
-                                                  const DefectSurface& defects,
+                                                  const DefectSurface& defects = {},
                                                   const core::RunBudget& run = {});
 
 }  // namespace bestagon::phys

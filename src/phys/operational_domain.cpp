@@ -22,14 +22,8 @@ double OperationalDomain::coverage() const
     return static_cast<double>(ok) / static_cast<double>(points.size());
 }
 
-namespace
-{
-
-OperationalDomain compute_operational_domain_impl(const GateDesign& design,
-                                                  const SimulationParameters& base,
-                                                  const DomainSweep& sweep,
-                                                  const DefectSurface* defects,
-                                                  const core::RunBudget& run)
+OperationalDomain compute_operational_domain(const GateDesign& design, const SimulationParameters& base,
+                                             const DomainSweep& sweep, const core::RunBudget& run)
 {
     OperationalDomain domain;
     domain.sweep = sweep;
@@ -73,32 +67,14 @@ OperationalDomain compute_operational_domain_impl(const GateDesign& design,
             params.mu_minus = point.x;
             params.epsilon_r = point.y;
         }
-        const auto result = defects != nullptr ? check_operational(design, params, *defects, run)
-                                               : check_operational(design, params, run);
+        const auto result = check_operational(design, params, {}, run);
         point.operational = result.operational && !result.cancelled;
         point.patterns_correct = result.patterns_correct;
-        // a blocked point counts as evaluated: the verdict (non-operational,
-        // unfabricable) is final even though nothing was simulated
         point.evaluated = !result.cancelled;
         domain.points[index] = point;
     });
     domain.cancelled = run.stopped();
     return domain;
-}
-
-}  // namespace
-
-OperationalDomain compute_operational_domain(const GateDesign& design, const SimulationParameters& base,
-                                             const DomainSweep& sweep, const core::RunBudget& run)
-{
-    return compute_operational_domain_impl(design, base, sweep, nullptr, run);
-}
-
-OperationalDomain compute_operational_domain(const GateDesign& design, const SimulationParameters& base,
-                                             const DomainSweep& sweep, const DefectSurface& defects,
-                                             const core::RunBudget& run)
-{
-    return compute_operational_domain_impl(design, base, sweep, &defects, run);
 }
 
 }  // namespace bestagon::phys

@@ -58,15 +58,4 @@ struct OperationalDomain
                                                            const DomainSweep& sweep,
                                                            const core::RunBudget& run = {});
 
-/// Defect-aware operational domain: every grid point is checked against the
-/// same \p defects surface (the sweep varies physical parameters, not the
-/// surface). If a defect blocks an instance site, every point is
-/// non-operational regardless of parameters. An empty surface reproduces
-/// the defect-free overload bit-for-bit.
-[[nodiscard]] OperationalDomain compute_operational_domain(const GateDesign& design,
-                                                           const SimulationParameters& base,
-                                                           const DomainSweep& sweep,
-                                                           const DefectSurface& defects,
-                                                           const core::RunBudget& run = {});
-
 }  // namespace bestagon::phys

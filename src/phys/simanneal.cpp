@@ -129,14 +129,16 @@ GroundStateResult simulated_annealing(const SiDBSystem& system, const SimAnnealP
         return best;
     }
 
-    // Every instance is seeded from (params.seed, instance) and runs on its
+    // Every instance is seeded from (anneal_seed, instance) and runs on its
     // own stream, so the fan-out is embarrassingly parallel and the outcome
     // does not depend on the thread count. Slots are pre-filled with +inf so
     // instances skipped after a stop can never win the reduction below.
     std::vector<std::pair<ChargeConfig, double>> instances(
         params.num_instances, {ChargeConfig{}, std::numeric_limits<double>::infinity()});
-    core::parallel_for(params.num_threads, params.num_instances, run, [&](std::size_t i) {
-        instances[i] = anneal_instance(system, params, core::derive_seed(params.seed, i), run);
+    const SimulationParameters& physics = system.parameters();
+    core::parallel_for(physics.num_threads, params.num_instances, run, [&](std::size_t i) {
+        instances[i] =
+            anneal_instance(system, params, core::derive_seed(physics.anneal_seed, i), run);
     });
     best.cancelled = run.stopped();
 
@@ -158,7 +160,7 @@ GroundStateResult simulated_annealing(const SiDBSystem& system, const SimAnnealP
         // instances that tie the best energy within energy_tolerance —
         // duplicates of one minimum count once, so this is a genuine lower
         // bound on the true degeneracy (it used to be hardcoded to 1).
-        const double tol = system.parameters().energy_tolerance;
+        const double tol = physics.energy_tolerance;
         std::vector<const ChargeConfig*> tied;
         // bestagon-lint: no-poll-ok(post-run degeneracy count over the already-collected instance results; all engine work is done)
         for (const auto& [config, f] : instances)

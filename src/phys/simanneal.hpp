@@ -8,8 +8,6 @@
 #include "core/run_control.hpp"
 #include "phys/model.hpp"
 
-#include <cstdint>
-
 namespace bestagon::phys
 {
 
@@ -20,17 +18,14 @@ struct SimAnnealParameters
     unsigned steps_per_instance{4000};
     double initial_temperature{0.5};  ///< in eV (kT units of the acceptance rule)
     double cooling_rate{0.997};       ///< geometric cooling factor per step
-    std::uint64_t seed{0x5eed};
-
-    /// Worker threads across the independent annealing instances:
-    /// 0 = hardware concurrency, 1 = serial. Every instance draws from its
-    /// own RNG stream seeded by core::derive_seed(seed, instance), so the
-    /// result is bit-identical for any thread count.
-    unsigned num_threads{0};
 };
 
 /// Runs simulated annealing on the grand potential F with single-flip and
-/// electron-hop moves, followed by a greedy quench of each instance. An
+/// electron-hop moves, followed by a greedy quench of each instance. The
+/// seed and the worker threads across the independent instances come from
+/// the system's parameters (anneal_seed, num_threads): every instance draws
+/// from its own RNG stream seeded by core::derive_seed(anneal_seed,
+/// instance), so the result is bit-identical for any thread count. An
 /// invalid hop proposal (neutral source, occupied or equal target) counts as
 /// a rejected move — it does NOT fall through to a flip, which would bias
 /// the move mix. Returns the best physically valid configuration found

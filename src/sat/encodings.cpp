@@ -156,12 +156,6 @@ void encode_maj(Solver& solver, Lit out, Lit a, Lit b, Lit c)
     solver.add_clause(out, ~b, ~c);
 }
 
-void encode_buf(Solver& solver, Lit out, Lit a)
-{
-    solver.add_clause(~out, a);
-    solver.add_clause(out, ~a);
-}
-
 Lit tseitin_and(Solver& solver, Lit a, Lit b)
 {
     const Lit out = pos(solver.new_var());

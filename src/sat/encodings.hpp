@@ -57,13 +57,5 @@ void encode_or(Solver& solver, Lit out, Lit a, Lit b);
 void encode_xor(Solver& solver, Lit out, Lit a, Lit b);
 /// Adds clauses asserting out == MAJ(a, b, c).
 void encode_maj(Solver& solver, Lit out, Lit a, Lit b, Lit c);
-/// Adds clauses asserting out == a.
-void encode_buf(Solver& solver, Lit out, Lit a);
-
-/// Adds clauses asserting that \p a implies \p b.
-inline void add_implication(Solver& solver, Lit a, Lit b)
-{
-    solver.add_clause(~a, b);
-}
 
 }  // namespace bestagon::sat

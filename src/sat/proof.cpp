@@ -50,16 +50,6 @@ void MemoryProofTracer::delete_clause(std::span<const Lit> lits)
     proof_.steps.push_back({true, to_dimacs_clause(lits)});
 }
 
-void StreamProofTracer::add_derived_clause(std::span<const Lit> lits)
-{
-    write_step(*out_, {false, to_dimacs_clause(lits)});
-}
-
-void StreamProofTracer::delete_clause(std::span<const Lit> lits)
-{
-    write_step(*out_, {true, to_dimacs_clause(lits)});
-}
-
 void write_drat(std::ostream& out, const DratProof& proof)
 {
     for (const auto& step : proof.steps)

@@ -1,7 +1,7 @@
 /// \file proof.hpp
 /// \brief DRAT proof logging for the CDCL solver.
 ///
-/// A ProofTracer attached to a Solver receives every clause the solver
+/// A MemoryProofTracer attached to a Solver receives every clause the solver
 /// derives (learnt clauses, including units and the final empty clause) and
 /// every clause it deletes during database reduction. The resulting step
 /// sequence is a DRAT proof: each derived clause is RUP (reverse unit
@@ -10,10 +10,9 @@
 /// deriving the empty clause. Proofs are checked independently by
 /// proof_check.hpp — the solver is never trusted on its own word.
 ///
-/// Two sinks are provided: MemoryProofTracer accumulates an in-memory
-/// DratProof for programmatic checking, StreamProofTracer writes the
-/// standard textual DRAT format ("d" prefix for deletions, DIMACS literals,
-/// 0-terminated) for external tools.
+/// The tracer accumulates an in-memory DratProof for programmatic checking;
+/// write_drat turns it into the standard textual DRAT format ("d" prefix for
+/// deletions, DIMACS literals, 0-terminated) for external tools.
 
 #pragma once
 
@@ -61,50 +60,23 @@ struct DratProof
     return l.sign() ? -(l.var() + 1) : l.var() + 1;
 }
 
-/// Receives the solver's derivation stream. Implementations must tolerate
-/// empty clauses (the refutation terminator) and unit clauses.
-class ProofTracer
+/// Receives the solver's derivation stream and accumulates the proof in
+/// memory for checking with check_drat_proof(). Tolerates empty clauses
+/// (the refutation terminator) and unit clauses.
+class MemoryProofTracer
 {
   public:
-    ProofTracer() = default;
-    ProofTracer(const ProofTracer&) = default;
-    ProofTracer(ProofTracer&&) = default;
-    ProofTracer& operator=(const ProofTracer&) = default;
-    ProofTracer& operator=(ProofTracer&&) = default;
-    virtual ~ProofTracer() = default;
-
     /// A clause was derived (learnt); it is RUP at this point.
-    virtual void add_derived_clause(std::span<const Lit> lits) = 0;
+    void add_derived_clause(std::span<const Lit> lits);
 
     /// A clause was removed from the database.
-    virtual void delete_clause(std::span<const Lit> lits) = 0;
-};
-
-/// Accumulates the proof in memory for checking with check_drat_proof().
-class MemoryProofTracer final : public ProofTracer
-{
-  public:
-    void add_derived_clause(std::span<const Lit> lits) override;
-    void delete_clause(std::span<const Lit> lits) override;
+    void delete_clause(std::span<const Lit> lits);
 
     [[nodiscard]] const DratProof& proof() const noexcept { return proof_; }
     [[nodiscard]] DratProof take_proof() noexcept { return std::move(proof_); }
 
   private:
     DratProof proof_;
-};
-
-/// Streams the proof as textual DRAT ("d 1 -2 0" style lines).
-class StreamProofTracer final : public ProofTracer
-{
-  public:
-    explicit StreamProofTracer(std::ostream& out) : out_{&out} {}
-
-    void add_derived_clause(std::span<const Lit> lits) override;
-    void delete_clause(std::span<const Lit> lits) override;
-
-  private:
-    std::ostream* out_;
 };
 
 /// Writes \p proof in textual DRAT format.

@@ -27,7 +27,7 @@
 namespace bestagon::sat
 {
 
-class ProofTracer;
+class MemoryProofTracer;
 
 /// Bounds of ONE solve() call; nothing carries over to the next call. A
 /// solve that hits any of them returns Result::unknown.
@@ -86,9 +86,9 @@ class Solver
 
     /// Attaches (or detaches, with nullptr) a DRAT proof tracer. Every learnt
     /// clause, every database deletion and — on an assumption-free UNSAT — the
-    /// final empty clause are streamed to it. No tracing work happens when no
+    /// final empty clause are recorded in it. No tracing work happens when no
     /// tracer is attached.
-    void set_proof_tracer(ProofTracer* tracer) noexcept { proof_ = tracer; }
+    void set_proof_tracer(MemoryProofTracer* tracer) noexcept { proof_ = tracer; }
 
     /// After solve() returned unsatisfiable: the subset of the assumptions
     /// that the refutation depends on (the "unsat core" over assumptions).
@@ -217,7 +217,7 @@ class Solver
     std::vector<Lit> root_units_;
     std::vector<std::vector<Lit>> root_conflict_clauses_;
 
-    ProofTracer* proof_{nullptr};
+    MemoryProofTracer* proof_{nullptr};
 
     // temporaries for analyze()
     std::vector<std::uint8_t> seen_;

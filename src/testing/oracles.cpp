@@ -678,15 +678,13 @@ OracleVerdict charge_state_differential(const std::vector<phys::SiDBSite>& canva
     }
 
     // --- 2b. kernel-backed anneal vs. the naive reference --------------------
-    phys::SimAnnealParameters serial = anneal_params;
-    serial.num_threads = 1;
-    const auto production = phys::simulated_annealing(system, serial);
+    const auto production = phys::simulated_annealing(system, anneal_params);
     phys::GroundStateResult reference;
     reference.grand_potential = std::numeric_limits<double>::infinity();
-    for (unsigned inst = 0; inst < serial.num_instances; ++inst)
+    for (unsigned inst = 0; inst < anneal_params.num_instances; ++inst)
     {
-        auto [config, f] =
-            naive_anneal_instance(system, serial, core::derive_seed(serial.seed, inst));
+        auto [config, f] = naive_anneal_instance(
+            system, anneal_params, core::derive_seed(sim_params.anneal_seed, inst));
         if (f < reference.grand_potential)
         {
             reference.grand_potential = f;
@@ -726,23 +724,23 @@ OracleVerdict defect_differential(const phys::GateDesign& design,
     std::ostringstream out;
 
     // --- 1. defect-free bit-identity ----------------------------------------
+    // the reference is the pristine instance of each pattern, built and
+    // searched here without any surface
     const phys::DefectSurface no_defects;
-    const auto plain = phys::check_operational(design, sim_params);
     const auto via_empty = phys::check_operational(design, sim_params, no_defects);
-    if (via_empty.blocked || via_empty.operational != plain.operational ||
-        via_empty.patterns_correct != plain.patterns_correct ||
-        via_empty.details.size() != plain.details.size())
+    if (via_empty.blocked || via_empty.details.size() != via_empty.patterns_total)
     {
         return fail("an empty defect surface changed the check_operational verdict");
     }
-    for (std::size_t p = 0; p < plain.details.size(); ++p)
+    for (std::uint64_t p = 0; p < via_empty.patterns_total; ++p)
     {
-        if (via_empty.details[p].ground_state.config != plain.details[p].ground_state.config ||
-            via_empty.details[p].ground_state.grand_potential !=
-                plain.details[p].ground_state.grand_potential)
+        const phys::SiDBSystem pristine{design.instance_sites(p), sim_params};
+        const auto reference = phys::find_ground_state(pristine);
+        if (via_empty.details[p].ground_state.config != reference.config ||
+            via_empty.details[p].ground_state.grand_potential != reference.grand_potential)
         {
-            out << "pattern " << p << " ground state is not bit-identical between the legacy "
-                << "defect-free path and an empty defect surface";
+            out << "pattern " << p << " ground state is not bit-identical between the pristine "
+                << "instance and an empty defect surface";
             return fail(out.str());
         }
     }

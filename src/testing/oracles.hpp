@@ -122,7 +122,8 @@ enum class GroundStateFault : std::uint8_t
 ///    reference's configuration with a bit-identical energy, or on a
 ///    degenerate canvas another one within energy_tolerance) and the same
 ///    degeneracy count — it claims exactness, so any divergence is a bug;
-///  - the *heuristic* engine (simanneal with \p anneal_params) must return a
+///  - the *heuristic* engine (simanneal with \p anneal_params, seeded by
+///    sim_params.anneal_seed) must return a
 ///    physically valid configuration that (a) reports an energy consistent
 ///    with itself, (b) never beats the reference minimum, (c) reaches it
 ///    within \p tolerance_ev, and (d) — when it does find the minimum —
@@ -181,9 +182,11 @@ enum class DefectFault : std::uint8_t
 /// Differential oracle for the defect-aware simulation path, in four parts:
 ///
 ///  1. *Defect-free bit-identity*: an EMPTY DefectSurface must be
-///     indistinguishable from the legacy no-defect code path — bit-identical
-///     local potentials, ground states and check_operational verdicts (the
-///     zero-cost-when-unused contract of defect.hpp).
+///     indistinguishable from the pristine instances — check_operational's
+///     ground state of every pattern bit-identical to find_ground_state on
+///     `SiDBSystem{design.instance_sites(p), sim_params}`, and no
+///     external-potential row allocated (the zero-cost-when-unused contract
+///     of defect.hpp).
 ///  2. *External-potential fidelity*: on a seeded charged surface around the
 ///     design, every cached quantity is checked against fresh O(n^2) sums
 ///     evaluated here from first principles (screened Coulomb per defect):

@@ -15,11 +15,17 @@ namespace
 
 using namespace bestagon;
 
-phys::SimAnnealParameters anneal_for_fuzzing(std::uint64_t seed)
+phys::SimAnnealParameters anneal_for_fuzzing()
 {
     phys::SimAnnealParameters params;
     params.num_instances = 8;  // trajectory fidelity is per instance; 8 streams suffice
-    params.seed = seed;
+    return params;
+}
+
+/// \p params with simanneal seeded from \p seed.
+phys::SimulationParameters seeded(phys::SimulationParameters params, std::uint64_t seed)
+{
+    params.anneal_seed = seed;
     return params;
 }
 
@@ -32,8 +38,8 @@ TEST(FuzzChargeState, CacheMatchesNaiveOnRandomMoveSequences)
         const auto seed = testkit::case_seed(budget.base_seed, i);
         testkit::Rng rng{seed};
         const auto canvas = testkit::random_sidb_canvas(rng);
-        const auto verdict = testkit::charge_state_differential(canvas, sim_params,
-                                                                anneal_for_fuzzing(seed), seed);
+        const auto verdict = testkit::charge_state_differential(canvas, seeded(sim_params, seed),
+                                                                anneal_for_fuzzing(), seed);
         ASSERT_TRUE(verdict.ok) << verdict.detail << '\n'
                                 << testkit::reproducer("charge-state", budget.base_seed, i);
     }
@@ -53,8 +59,8 @@ TEST(FuzzChargeState, SparseCanvasesAtTheSecondCalibrationPoint)
         const auto seed = testkit::case_seed(budget.base_seed, i);
         testkit::Rng rng{seed};
         const auto canvas = testkit::random_sidb_canvas(rng, options);
-        const auto verdict = testkit::charge_state_differential(canvas, sim_params,
-                                                                anneal_for_fuzzing(seed), seed);
+        const auto verdict = testkit::charge_state_differential(canvas, seeded(sim_params, seed),
+                                                                anneal_for_fuzzing(), seed);
         ASSERT_TRUE(verdict.ok) << verdict.detail << '\n'
                                 << testkit::reproducer("charge-state-sparse", budget.base_seed, i);
     }
@@ -68,7 +74,7 @@ TEST(FuzzChargeState, OracleCatchesSkippedCacheUpdate)
     const phys::SimulationParameters sim_params{};
 
     const auto mutant = testkit::charge_state_differential(
-        canvas, sim_params, anneal_for_fuzzing(0xbad5eed), 0xbad5eed, 64, 1e-12,
+        canvas, seeded(sim_params, 0xbad5eed), anneal_for_fuzzing(), 0xbad5eed, 64, 1e-12,
         testkit::ChargeStateFault::skip_cache_update);
     ASSERT_FALSE(mutant.ok) << "oracle missed a skipped cache update";
     EXPECT_NE(mutant.detail.find("drifted"), std::string::npos) << mutant.detail;

@@ -13,11 +13,17 @@ namespace
 
 using namespace bestagon;
 
-phys::SimAnnealParameters anneal_for_fuzzing(std::uint64_t seed)
+phys::SimAnnealParameters anneal_for_fuzzing()
 {
     phys::SimAnnealParameters params;
     params.num_instances = 24;  // generous effort: a miss IS a divergence
-    params.seed = seed;
+    return params;
+}
+
+/// \p params with simanneal seeded from \p seed.
+phys::SimulationParameters seeded(phys::SimulationParameters params, std::uint64_t seed)
+{
+    params.anneal_seed = seed;
     return params;
 }
 
@@ -30,8 +36,8 @@ TEST(FuzzGroundState, EnginesMatchBruteForceOnRandomCanvases)
         const auto seed = testkit::case_seed(budget.base_seed, i);
         testkit::Rng rng{seed};
         const auto canvas = testkit::random_sidb_canvas(rng);
-        const auto verdict = testkit::ground_state_differential(canvas, sim_params,
-                                                                anneal_for_fuzzing(seed));
+        const auto verdict = testkit::ground_state_differential(canvas, seeded(sim_params, seed),
+                                                                anneal_for_fuzzing());
         ASSERT_TRUE(verdict.ok) << verdict.detail << '\n'
                                 << testkit::reproducer("ground-state", budget.base_seed, i);
     }
@@ -51,8 +57,8 @@ TEST(FuzzGroundState, SparseCanvasesAtTheSecondCalibrationPoint)
         const auto seed = testkit::case_seed(budget.base_seed, i);
         testkit::Rng rng{seed};
         const auto canvas = testkit::random_sidb_canvas(rng, options);
-        const auto verdict = testkit::ground_state_differential(canvas, sim_params,
-                                                                anneal_for_fuzzing(seed));
+        const auto verdict = testkit::ground_state_differential(canvas, seeded(sim_params, seed),
+                                                                anneal_for_fuzzing());
         ASSERT_TRUE(verdict.ok) << verdict.detail << '\n'
                                 << testkit::reproducer("ground-state-sparse", budget.base_seed, i);
     }
@@ -66,18 +72,18 @@ TEST(FuzzGroundState, OracleCatchesSeededMutations)
     const phys::SimulationParameters sim_params{};
 
     const auto corrupted = testkit::ground_state_differential(
-        canvas, sim_params, anneal_for_fuzzing(0xbad5eed), 1e-6,
+        canvas, seeded(sim_params, 0xbad5eed), anneal_for_fuzzing(), 1e-6,
         testkit::GroundStateFault::corrupt_anneal_config);
     ASSERT_FALSE(corrupted.ok) << "oracle missed a corrupted annealing configuration";
 
     const auto shifted = testkit::ground_state_differential(
-        canvas, sim_params, anneal_for_fuzzing(0xbad5eed), 1e-6,
+        canvas, seeded(sim_params, 0xbad5eed), anneal_for_fuzzing(), 1e-6,
         testkit::GroundStateFault::shift_exact_energy);
     ASSERT_FALSE(shifted.ok) << "oracle missed a misreported brute-force minimum";
     EXPECT_NE(shifted.detail.find("not bit-identical"), std::string::npos) << shifted.detail;
 
     const auto shrunk = testkit::ground_state_differential(
-        canvas, sim_params, anneal_for_fuzzing(0xbad5eed), 1e-6,
+        canvas, seeded(sim_params, 0xbad5eed), anneal_for_fuzzing(), 1e-6,
         testkit::GroundStateFault::shrink_exact_population_window);
     ASSERT_FALSE(shrunk.ok) << "oracle missed an unsound exact-engine population window";
     EXPECT_NE(shrunk.detail.find("exact engine"), std::string::npos) << shrunk.detail;

@@ -418,27 +418,18 @@ TEST(GateInstanceCache, RecordsUnresolvableOutputPair)
 
 TEST(ReadPair, ReturnsUndefinedWithRecordedErrorInsteadOfAsserting)
 {
-    const std::vector<SiDBSite> sites{{0, 0, 0}, {4, 0, 0}};
+    GateDesign design;
+    design.sites = {{0, 0, 0}, {4, 0, 0}};
+    design.output_pairs.push_back({{9, 9, 0}, {4, 0, 0}});  // zero site missing
+    design.output_pairs.push_back({{0, 0, 0}, {4, 0, 0}});
+    const GateInstanceCache cache{design, SimulationParameters{}};
     const ChargeConfig config{1, 0};
-    const BDLPair missing{{9, 9, 0}, {4, 0, 0}};
-    std::string error;
-    EXPECT_EQ(read_pair(missing, sites, config, &error), PairState::undefined);
-    EXPECT_NE(error.find("not among the instance sites"), std::string::npos) << error;
+    EXPECT_EQ(cache.read_output(0, config), PairState::undefined);
+    EXPECT_NE(cache.output_pair_error(0).find("not among the instance sites"), std::string::npos)
+        << cache.output_pair_error(0);
 
-    const BDLPair present{{0, 0, 0}, {4, 0, 0}};
-    EXPECT_EQ(read_pair(present, sites, config), PairState::zero);
-}
-
-TEST(GateDesign, InstanceSitesBufferOverloadMatchesAndReusesCapacity)
-{
-    const auto design = two_input_design();
-    std::vector<SiDBSite> buffer;
-    design.instance_sites(2, buffer);
-    EXPECT_EQ(buffer, design.instance_sites(2));
-    const auto* data_before = buffer.data();
-    design.instance_sites(1, buffer);  // same instance size: capacity must be reused
-    EXPECT_EQ(buffer, design.instance_sites(1));
-    EXPECT_EQ(buffer.data(), data_before);
+    EXPECT_TRUE(cache.output_pair_error(1).empty());
+    EXPECT_EQ(cache.read_output(1, config), PairState::zero);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "core/design_flow.hpp"
 
+#include "core/thread_pool.hpp"
 #include "io/benchmarks.hpp"
 #include "layout/defect_map.hpp"
 #include "logic/rewriting.hpp"
@@ -208,20 +209,70 @@ TEST(DesignFlow, ExactRejectionRunsTheScalableFallback)
 
 TEST(DesignFlow, NoSiDBLayoutIsNoSuccess)
 {
-    // input b drives nothing: the layout verifies, but the library has no
-    // tile for a PI without fanout, so no .sqd can be emitted
-    logic::LogicNetwork spec;
-    const auto a = spec.create_pi("a");
-    spec.create_pi("b");
-    spec.create_po(spec.create_not(a), "y");
-    const auto result = core::run_design_flow(spec);
-    ASSERT_TRUE(result.layout.has_value());
+    // a verified layout without its dot-accurate SiDB layout is no success
+    auto result = core::run_design_flow(io::find_benchmark("xor2")->build());
+    ASSERT_TRUE(result.success());
+    result.sidb.reset();
+    EXPECT_TRUE(result.layout.has_value());
     EXPECT_EQ(result.equivalence, layout::EquivalenceResult::equivalent);
-    EXPECT_FALSE(result.sidb.has_value());
     EXPECT_FALSE(result.success());
-    const auto* apply = result.diagnostics.find("apply_library");
-    ASSERT_NE(apply, nullptr);
-    EXPECT_EQ(apply->status, core::StageStatus::failed);
+}
+
+/// The specs of the seeded random_flow corpus of bench/flow that have an
+/// input no output depends on: testkit networks drawn from
+/// derive_seed(0xbe57a611, i) until 128 without a constant output are kept.
+std::vector<logic::LogicNetwork> specs_with_unread_inputs()
+{
+    testkit::XagOptions options;
+    options.min_gates = 6;
+    options.max_gates = 14;
+    std::vector<logic::LogicNetwork> specs;
+    unsigned kept = 0;
+    for (std::uint64_t i = 0; kept < 128; ++i)
+    {
+        testkit::Rng rng{core::derive_seed(0xbe57a611, i)};
+        auto spec = testkit::random_network(rng, options);
+        const auto functions = spec.simulate();
+        if (std::any_of(functions.begin(), functions.end(),
+                        [](const auto& f) { return f.is_const0() || f.is_const1(); }))
+        {
+            continue;
+        }
+        ++kept;
+        for (unsigned v = 0; v < spec.num_pis(); ++v)
+        {
+            if (std::none_of(functions.begin(), functions.end(),
+                             [v](const auto& f) { return f.depends_on(v); }))
+            {
+                specs.push_back(std::move(spec));
+                break;
+            }
+        }
+    }
+    return specs;
+}
+
+/// A PI nothing reads keeps its border tile with no out port and no dots:
+/// every such spec yields a DRC-clean, verified .sqd on both engines.
+TEST(DesignFlow, UnreadInputsYieldASqd)
+{
+    const auto specs = specs_with_unread_inputs();
+    ASSERT_EQ(specs.size(), 23U);
+    FlowOptions fallback;
+    fallback.exact_options.max_width = 1;  // force the scalable engine
+    fallback.exact_options.max_height = 2;
+    for (std::size_t i = 0; i < specs.size(); ++i)
+    {
+        for (const auto* engine : {"exact", "scalable"})
+        {
+            const auto result = core::run_design_flow(
+                specs[i], std::string{engine} == "exact" ? FlowOptions{} : fallback);
+            EXPECT_EQ(result.engine_used, engine) << "spec " << i;
+            EXPECT_TRUE(result.success()) << "spec " << i << " on " << engine << ":\n"
+                                          << result.diagnostics.table();
+            EXPECT_TRUE(result.drc.clean()) << "spec " << i << " on " << engine;
+        }
+    }
 }
 
 /// A flow run's stage record without its timings: the engine that placed

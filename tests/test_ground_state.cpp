@@ -103,11 +103,10 @@ TEST(SimAnneal, FindsGroundStateOfSmallSystems)
     for (int iter = 0; iter < 10; ++iter)
     {
         const auto sites = random_sites(5 + rng() % 5, rng);
+        p.anneal_seed = 1000 + static_cast<std::uint64_t>(iter);
         const SiDBSystem sys{sites, p};
         const auto exact = exact_ground_state(sys);
-        SimAnnealParameters sp;
-        sp.seed = 1000 + static_cast<std::uint64_t>(iter);
-        const auto heuristic = simulated_annealing(sys, sp);
+        const auto heuristic = simulated_annealing(sys);
         EXPECT_TRUE(sys.physically_valid(heuristic.config));
         // the annealer must reach the exact ground state on these sizes
         EXPECT_NEAR(heuristic.grand_potential, exact.grand_potential, 1e-9) << "iter " << iter;

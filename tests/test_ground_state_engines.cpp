@@ -411,11 +411,8 @@ TEST(EngineSelection, FindGroundStateMatchesDirectEngineCalls)
 
     p.engine = Engine::simanneal;
     const SiDBSystem annealing_sys{sys.sites(), p};
-    SimAnnealParameters sp;
-    sp.num_threads = p.num_threads;
-    sp.seed = p.anneal_seed;
     const auto annealed = find_ground_state(annealing_sys);
-    const auto annealed_direct = simulated_annealing(sys, sp);
+    const auto annealed_direct = simulated_annealing(sys);
     EXPECT_EQ(annealed.config, annealed_direct.config);
     EXPECT_EQ(annealed.grand_potential, annealed_direct.grand_potential);
 }

@@ -42,12 +42,14 @@ TEST(Operational, InstanceSitesSelectPerturbersByPattern)
 
 TEST(Operational, ReadPairStates)
 {
-    const BDLPair pair{{0, 0, 0}, {0, 1, 0}};
-    const std::vector<SiDBSite> sites{{0, 0, 0}, {0, 1, 0}};
-    EXPECT_EQ(read_pair(pair, sites, {1, 0}), PairState::zero);
-    EXPECT_EQ(read_pair(pair, sites, {0, 1}), PairState::one);
-    EXPECT_EQ(read_pair(pair, sites, {1, 1}), PairState::undefined);
-    EXPECT_EQ(read_pair(pair, sites, {0, 0}), PairState::undefined);
+    GateDesign d;
+    d.sites = {{0, 0, 0}, {0, 1, 0}};
+    d.output_pairs.push_back({{0, 0, 0}, {0, 1, 0}});
+    const GateInstanceCache cache{d, SimulationParameters{}};
+    EXPECT_EQ(cache.read_output(0, {1, 0}), PairState::zero);
+    EXPECT_EQ(cache.read_output(0, {0, 1}), PairState::one);
+    EXPECT_EQ(cache.read_output(0, {1, 1}), PairState::undefined);
+    EXPECT_EQ(cache.read_output(0, {0, 0}), PairState::undefined);
 }
 
 /// The paper's central physical claim at gate level: BDL wires transmit

@@ -133,18 +133,14 @@ TEST(ParallelDeterminism, DesignGateMatchesSerial)
 
     SimulationParameters serial;
     serial.num_threads = 1;
-    DesignerOptions serial_options = options;
-    serial_options.num_threads = 1;
-    const auto reference = design_gate(skeleton, candidates, serial_options, serial);
+    const auto reference = design_gate(skeleton, candidates, options, serial);
     ASSERT_TRUE(reference.has_value());
 
     for (const unsigned threads : {2U, 4U})
     {
         SimulationParameters parallel = serial;
         parallel.num_threads = threads;
-        DesignerOptions parallel_options = options;
-        parallel_options.num_threads = threads;
-        const auto result = design_gate(skeleton, candidates, parallel_options, parallel);
+        const auto result = design_gate(skeleton, candidates, options, parallel);
         ASSERT_TRUE(result.has_value());
         EXPECT_EQ(result->canvas, reference->canvas);
         EXPECT_EQ(result->iterations_used, reference->iterations_used);
@@ -163,20 +159,20 @@ TEST(ParallelDeterminism, DesignGateRestartZeroReproducesSingleRestartTrajectory
         candidates.push_back({15, m, 0});
         candidates.push_back({15, m, 1});
     }
-    SimulationParameters p;
-    p.num_threads = 1;
+    SimulationParameters serial;
+    serial.num_threads = 1;
     DesignerOptions one;
     one.min_canvas_dots = 1;
     one.max_canvas_dots = 2;
     one.max_iterations = 2000;
     one.num_restarts = 1;
-    one.num_threads = 1;
     DesignerOptions many = one;
     many.num_restarts = 4;
-    many.num_threads = 4;
+    SimulationParameters parallel = serial;
+    parallel.num_threads = 4;
 
-    const auto a = design_gate(skeleton, candidates, one, p);
-    const auto b = design_gate(skeleton, candidates, many, p);
+    const auto a = design_gate(skeleton, candidates, one, serial);
+    const auto b = design_gate(skeleton, candidates, many, parallel);
     ASSERT_TRUE(a.has_value());
     ASSERT_TRUE(b.has_value());
     // restart 0 finds the same design in the same number of iterations, and
@@ -190,6 +186,7 @@ TEST(ParallelDeterminism, SimAnnealMatchesSerialForAnyThreadCount)
 {
     SimulationParameters p;
     p.mu_minus = -0.32;
+    p.num_threads = 1;
     // a 10-site BDL chain
     std::vector<SiDBSite> sites;
     for (int k = 0; k < 5; ++k)
@@ -200,22 +197,20 @@ TEST(ParallelDeterminism, SimAnnealMatchesSerialForAnyThreadCount)
     }
     const SiDBSystem sys{sites, p};
 
-    SimAnnealParameters serial;
-    serial.num_threads = 1;
-    const auto reference = simulated_annealing(sys, serial);
+    const auto reference = simulated_annealing(sys);
     EXPECT_TRUE(sys.physically_valid(reference.config));
 
     for (const unsigned threads : {2U, 4U, 8U})
     {
-        SimAnnealParameters parallel = serial;
+        SimulationParameters parallel = p;
         parallel.num_threads = threads;
-        const auto result = simulated_annealing(sys, parallel);
+        const auto result = simulated_annealing(SiDBSystem{sites, parallel});
         EXPECT_EQ(result.config, reference.config);
         EXPECT_EQ(result.grand_potential, reference.grand_potential);
         EXPECT_EQ(result.electrostatic, reference.electrostatic);
     }
     // and across repeated runs with the same seed
-    const auto again = simulated_annealing(sys, serial);
+    const auto again = simulated_annealing(sys);
     EXPECT_EQ(again.config, reference.config);
     EXPECT_EQ(again.grand_potential, reference.grand_potential);
 }

@@ -236,22 +236,6 @@ TEST(ProofCheck, RandomUnsatInstancesCertify)
     EXPECT_GT(unsat_seen, 10);  // the density makes UNSAT common
 }
 
-TEST(ProofCheck, StreamTracerMatchesMemoryTracer)
-{
-    Solver s1, s2;
-    MemoryProofTracer mem;
-    std::ostringstream out;
-    StreamProofTracer stream{out};
-    s1.set_proof_tracer(&mem);
-    s2.set_proof_tracer(&stream);
-    build_php(s1, 3);
-    build_php(s2, 3);
-    ASSERT_EQ(s1.solve(), Result::unsatisfiable);
-    ASSERT_EQ(s2.solve(), Result::unsatisfiable);
-    const auto parsed = read_drat(out.str());
-    EXPECT_EQ(parsed.steps, mem.proof().steps);
-}
-
 TEST(ProofCheck, DratTextRoundTrip)
 {
     DratProof proof;

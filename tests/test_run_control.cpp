@@ -424,7 +424,7 @@ TEST(RunControl, OperationalCheckCancellationKeepsPatternIndices)
     phys::SimulationParameters params;
     params.mu_minus = -0.32;
     const auto result =
-        phys::check_operational(wire->design, params, tripped_budget());
+        phys::check_operational(wire->design, params, {}, tripped_budget());
     EXPECT_TRUE(result.cancelled);
     EXPECT_FALSE(result.operational) << "unevaluated patterns must count against operivity";
     for (std::size_t p = 0; p < result.details.size(); ++p)

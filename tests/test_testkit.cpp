@@ -202,10 +202,9 @@ TEST(TestkitOracles, SatHappyPathOnFixedFormulas)
 TEST(TestkitOracles, GroundStateHappyPathOnFixedCanvas)
 {
     const std::vector<phys::SiDBSite> canvas{{0, 0, 0}, {4, 1, 0}, {8, 2, 1}, {2, 3, 0}};
-    phys::SimAnnealParameters anneal;
-    anneal.seed = 0x7e57;
-    const auto verdict =
-        testkit::ground_state_differential(canvas, phys::SimulationParameters{}, anneal);
+    phys::SimulationParameters params;
+    params.anneal_seed = 0x7e57;
+    const auto verdict = testkit::ground_state_differential(canvas, params, {});
     EXPECT_TRUE(verdict.ok) << verdict.detail;
 }
 

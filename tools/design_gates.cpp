@@ -81,7 +81,6 @@ int main(int argc, char** argv)
     options.min_canvas_dots = 1;
     options.max_canvas_dots = 6;
     options.num_restarts = restarts;
-    options.num_threads = threads;
     options.run.token = core::install_sigint_stop();
 
     if (gate == "or" || gate == "and" || gate == "xor")
