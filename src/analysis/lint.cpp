@@ -138,6 +138,14 @@ const std::unordered_set<std::string>& may_allocate_calls()
     return names;
 }
 
+/// Calls that may grow or repack a watch pool (sat::WatchPool), moving
+/// every list: a pointer into a list dangles after them.
+const std::unordered_set<std::string>& pool_growing_calls()
+{
+    static const std::unordered_set<std::string> names{"push", "add_lists"};
+    return names;
+}
+
 struct Checker
 {
     const std::vector<Token>& tokens;
@@ -616,7 +624,8 @@ struct Checker
         }
     }
 
-    // -- A1: arena handles must not live across may-allocate calls ----------
+    // -- A1: arena handles and watch-list pointers must not live across
+    //        calls that may move what they point into --------------------
 
     void check_arena_refs()
     {
@@ -627,6 +636,7 @@ struct Checker
             unsigned decl_line;
             bool invalidated{false};
             bool reported{false};
+            bool watch_list{false};  ///< points into a watch pool, not the clause arena
         };
         std::vector<Local> locals;
         int depth = 0;
@@ -662,9 +672,19 @@ struct Checker
                 continue;
             }
 
-            // declaration forms that yield an arena handle
+            // declaration forms that yield an arena handle or a pointer into
+            // a watch list
             std::string declared;
-            if (t.text == "ClauseView" || t.text == "ConstClauseView")
+            bool watch_list = false;
+            if (t.text == "Watcher" && i + 2 < tokens.size() &&
+                (is_punct(tokens[i + 1], "*") || is_punct(tokens[i + 1], "&")) &&
+                tokens[i + 2].kind == TokenKind::identifier &&
+                !(i + 3 < tokens.size() && is_punct(tokens[i + 3], "(")))
+            {
+                declared = tokens[i + 2].text;
+                watch_list = true;
+            }
+            else if (t.text == "ClauseView" || t.text == "ConstClauseView")
             {
                 std::size_t j = i + 1;
                 while (j < tokens.size() && (is_punct(tokens[j], "&") || is_punct(tokens[j], "*")))
@@ -698,11 +718,17 @@ struct Checker
                     for (std::size_t k = j + 2; k < tokens.size() && !is_punct(tokens[k], ";");
                          ++k)
                     {
-                        if ((is_ident(tokens[k], "view") || is_ident(tokens[k], "cview")) &&
-                            k > 0 &&
-                            (is_punct(tokens[k - 1], ".") || is_punct(tokens[k - 1], "->")))
+                        const bool member = k > 0 && (is_punct(tokens[k - 1], ".") ||
+                                                      is_punct(tokens[k - 1], "->"));
+                        if (member && (is_ident(tokens[k], "view") || is_ident(tokens[k], "cview")))
                         {
                             declared = tokens[j].text;
+                            break;
+                        }
+                        if (member && is_ident(tokens[k], "list"))
+                        {
+                            declared = tokens[j].text;
+                            watch_list = true;
                             break;
                         }
                     }
@@ -714,19 +740,47 @@ struct Checker
                 // function body about to open: scope it to that body, not to
                 // the enclosing (namespace/class) brace level
                 locals.push_back({declared, depth + (paren_depth > 0 ? 1 : 0), t.line, false,
-                                  false});
+                                  false, watch_list});
                 continue;
             }
 
-            // may-allocate call: every live handle is now dangling
-            if (i + 1 < tokens.size() && is_punct(tokens[i + 1], "(") &&
-                may_allocate_calls().count(t.text) != 0)
+            // may-allocate call: every live arena handle is now dangling; a
+            // pool-growing call: every live watch-list pointer is
+            if (i + 1 < tokens.size() && is_punct(tokens[i + 1], "("))
             {
-                for (auto& l : locals)
+                const bool arena = may_allocate_calls().count(t.text) != 0;
+                const bool pool = pool_growing_calls().count(t.text) != 0;
+                if (arena || pool)
                 {
-                    l.invalidated = true;
+                    for (auto& l : locals)
+                    {
+                        l.invalidated = l.invalidated || (l.watch_list ? pool : arena);
+                    }
+                    continue;
                 }
-                continue;
+            }
+
+            // `name = ... .view(...)` / `.list(...)` re-fetches the handle
+            if (i + 1 < tokens.size() && is_punct(tokens[i + 1], "="))
+            {
+                bool refetch = false;
+                for (std::size_t k = i + 2; k < tokens.size() && !is_punct(tokens[k], ";"); ++k)
+                {
+                    refetch = refetch || ((is_ident(tokens[k], "view") || is_ident(tokens[k], "cview") ||
+                                           is_ident(tokens[k], "list")) &&
+                                          (is_punct(tokens[k - 1], ".") || is_punct(tokens[k - 1], "->")));
+                }
+                if (refetch)
+                {
+                    for (auto& l : locals)
+                    {
+                        if (l.name == t.text)
+                        {
+                            l.invalidated = false;
+                        }
+                    }
+                    continue;
+                }
             }
 
             // use of a dangling handle
@@ -735,11 +789,17 @@ struct Checker
                 if (!l.reported && l.invalidated && t.text == l.name)
                 {
                     diag(CheckId::a_ref_across_alloc, t.line,
-                         "arena handle '" + l.name + "' (declared line " +
-                             std::to_string(l.decl_line) +
-                             ") used after a call that may allocate or GC the clause "
-                             "arena — handles are invalidated by allocation; re-fetch "
-                             "via view(ref) after the call, or waive with ref-ok");
+                         l.watch_list
+                             ? "watch-list pointer '" + l.name + "' (declared line " +
+                                   std::to_string(l.decl_line) +
+                                   ") used after a call that may grow the watch pool — "
+                                   "every list may have moved; re-fetch via list(lit) after "
+                                   "the call, or waive with ref-ok"
+                             : "arena handle '" + l.name + "' (declared line " +
+                                   std::to_string(l.decl_line) +
+                                   ") used after a call that may allocate or GC the clause "
+                                   "arena — handles are invalidated by allocation; re-fetch "
+                                   "via view(ref) after the call, or waive with ref-ok");
                     l.reported = true;
                 }
             }

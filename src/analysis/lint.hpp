@@ -20,7 +20,10 @@
 ///    `Clause*` handles into the SAT clause arena are invalidated by any
 ///    allocation or GC; A1 flags handles that live across a may-allocate
 ///    call (the classic MiniSat dangling-clause bug class imported with the
-///    PR-7 arena).
+///    PR-7 arena). It flags the same for `Watcher*` pointers into a watch
+///    pool (`auto* ws = pool.list(lit)`) that live across a pool-growing
+///    call (`push`, `add_lists`), which may move every list. Assigning a
+///    fresh `view(...)`/`list(...)` to the handle re-fetches it.
 ///
 /// False-positive escape hatch: a site can carry a waiver comment
 ///
@@ -53,7 +56,7 @@ enum class CheckId
     d_unordered_iter,    ///< D2: traversal of an unordered container
     c_unpolled_loop,     ///< C1: engine loop without a budget poll
     c_latch_missing,     ///< C2: countdown stride reset without a 0-latch
-    a_ref_across_alloc,  ///< A1: arena handle used across a may-allocate call
+    a_ref_across_alloc,  ///< A1: arena handle or watch-list pointer used across a call that may move it
     w_stale_waiver,      ///< W1: waiver that suppressed nothing
     w_empty_reason,      ///< W2: waiver without a reason
     w_unknown_tag,       ///< W3: waiver with an unknown tag

@@ -135,7 +135,7 @@ StopToken install_sigint_stop()
     {
         // hand the handler the raw atomic behind the process-wide source
         // (static storage, alive forever) so it never touches a shared_ptr
-        sigint_flag = source.state_.get();
+        sigint_flag = &source.state_->stopped;
         // installed once from the CLI driver before any worker starts; the
         // handler itself only touches a lock-free atomic (async-signal-safe
         // by construction)

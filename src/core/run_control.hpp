@@ -10,7 +10,10 @@
 ///  - `StopSource` / `StopToken` form a thread-safe cancellation channel.
 ///    Engines poll the token at their loop heads and between independent
 ///    work items; they never abandon state mid-update, so a cancelled run
-///    always returns a well-formed (possibly partial) result.
+///    always returns a well-formed (possibly partial) result. A source
+///    linked to a parent token also reads as stopped once the parent is, so
+///    an engine can stop one piece of its work without owning the caller's
+///    channel.
 ///  - `Deadline` is an absolute steady-clock time point. Deadlines compose
 ///    with `Deadline::sooner`, so a stage budget simply clips the caller's
 ///    global deadline.
@@ -28,9 +31,10 @@
 ///
 /// Thread-safety contract (checked by the Clang `-Werror=thread-safety` CI
 /// build via core/thread_annotations.hpp): StopSource/StopToken and the
-/// SIGINT channel are deliberately capability-free — all shared state is a
-/// single lock-free `std::atomic<bool>`, safe from any thread and from
-/// signal handlers, so there is no mutex for `GUARDED_BY` to name. Deadline
+/// SIGINT channel are deliberately capability-free — the shared state of a
+/// channel is a lock-free `std::atomic<bool>` plus an immutable link to its
+/// parent's, safe from any thread and from signal handlers, so there is no
+/// mutex for `GUARDED_BY` to name. Deadline
 /// and RunBudget are immutable values (copied, never shared mutable).
 /// FlowDiagnostics/StageReport are single-writer: they belong to the flow
 /// thread that builds them and must not be mutated concurrently; publish a
@@ -51,6 +55,22 @@ namespace bestagon::core
 
 class StopSource;
 
+namespace detail
+{
+/// The shared state of one cancellation channel.
+struct StopState
+{
+    std::atomic<bool> stopped{false};
+    /// The channel this one also stops with; set once, before sharing.
+    std::shared_ptr<const StopState> parent;
+
+    [[nodiscard]] bool requested() const noexcept
+    {
+        return stopped.load(std::memory_order_relaxed) || (parent != nullptr && parent->requested());
+    }
+};
+}  // namespace detail
+
 /// Observer end of a cancellation channel. Copyable, thread-safe; a
 /// default-constructed token can never be stopped (and says so via
 /// stop_possible()), so APIs may take tokens by value with no cost on the
@@ -60,20 +80,18 @@ class StopToken
   public:
     StopToken() = default;
 
-    /// True once the associated StopSource requested a stop.
-    [[nodiscard]] bool stop_requested() const noexcept
-    {
-        return state_ != nullptr && state_->load(std::memory_order_relaxed);
-    }
+    /// True once the associated StopSource, or a parent it is linked to,
+    /// requested a stop.
+    [[nodiscard]] bool stop_requested() const noexcept { return state_ != nullptr && state_->requested(); }
 
     /// True if a StopSource is attached (i.e. a stop can ever happen).
     [[nodiscard]] bool stop_possible() const noexcept { return state_ != nullptr; }
 
   private:
     friend class StopSource;
-    explicit StopToken(std::shared_ptr<const std::atomic<bool>> state) : state_{std::move(state)} {}
+    explicit StopToken(std::shared_ptr<const detail::StopState> state) : state_{std::move(state)} {}
 
-    std::shared_ptr<const std::atomic<bool>> state_;
+    std::shared_ptr<const detail::StopState> state_;
 };
 
 StopToken install_sigint_stop();
@@ -83,14 +101,15 @@ StopToken install_sigint_stop();
 class StopSource
 {
   public:
-    StopSource() : state_{std::make_shared<std::atomic<bool>>(false)} {}
+    StopSource() : state_{std::make_shared<detail::StopState>()} {}
 
-    void request_stop() noexcept { state_->store(true, std::memory_order_relaxed); }
+    /// A source that also reads as stopped once \p parent is; stopping it
+    /// does not stop the parent.
+    explicit StopSource(const StopToken& parent) : StopSource{} { state_->parent = parent.state_; }
 
-    [[nodiscard]] bool stop_requested() const noexcept
-    {
-        return state_->load(std::memory_order_relaxed);
-    }
+    void request_stop() noexcept { state_->stopped.store(true, std::memory_order_relaxed); }
+
+    [[nodiscard]] bool stop_requested() const noexcept { return state_->requested(); }
 
     [[nodiscard]] StopToken token() const noexcept { return StopToken{state_}; }
 
@@ -99,7 +118,7 @@ class StopSource
     // free of shared_ptr operations (async-signal-safety)
     friend StopToken install_sigint_stop();
 
-    std::shared_ptr<std::atomic<bool>> state_;
+    std::shared_ptr<detail::StopState> state_;
 };
 
 /// An absolute wall-clock limit on the steady clock. Default-constructed

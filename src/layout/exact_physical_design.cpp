@@ -7,14 +7,23 @@
 #include "sat/proof.hpp"
 #include "sat/proof_check.hpp"
 #include "sat/solver.hpp"
+#include "core/thread_annotations.hpp"
+#include "core/thread_pool.hpp"
 
 #include <algorithm>
 #include <array>
 #include <bit>
 #include <cassert>
+#include <condition_variable>
 #include <cstdint>
+#include <exception>
+#include <initializer_list>
+#include <limits>
 #include <optional>
+#include <span>
 #include <stdexcept>
+#include <system_error>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -162,13 +171,24 @@ constexpr sat::Var absent = -1;
 constexpr std::array<Port, 2> arc_exit{Port::sw, Port::se};
 constexpr std::array<Port, 2> arc_entry{Port::ne, Port::nw};
 
-/// SAT verdict of one aspect ratio, with the decoded layout when satisfiable
-/// and the conflicts the solve spent.
+/// What a certified UNSAT verdict's proof check gave.
+enum class ProofCheck : std::uint8_t
+{
+    none,
+    valid,
+    invalid
+};
+
+/// SAT verdict of one aspect ratio, with the decoded layout when
+/// satisfiable, the work the solve spent and its proof check.
 struct Outcome
 {
     sat::Result result{sat::Result::unknown};
     std::optional<GateLevelLayout> layout{};
     std::uint64_t conflicts{0};
+    std::uint64_t decisions{0};
+    std::uint64_t propagations{0};
+    ProofCheck proof{ProofCheck::none};
 };
 
 /// Encoder and decoder of one aspect ratio w x h on its own solver.
@@ -200,13 +220,25 @@ class SizeEncoding
                 blocked_[tile(t)] = true;
             }
         }
-        build();
+        // feasibility: below the structural bound some row window is empty
+        if (h_ < net_.windows.min_height)
+        {
+            trivially_unsat_ = true;
+            return;
+        }
+        // count the formula first, so the solver is sized once and loading
+        // it grows nothing
+        {
+            sat::ClauseCounter counter;
+            build(counter);
+            solver_.reserve(counter);
+        }
+        build(solver_);
     }
 
     /// Solves the size within \p limits. With \p certify, every UNSAT
-    /// verdict is DRAT-certified by the independent checker and recorded in
-    /// \p stats.
-    Outcome solve(const sat::SolveLimits& limits, bool certify, ExactPDStats* stats)
+    /// verdict is DRAT-certified by the independent checker.
+    Outcome solve(const sat::SolveLimits& limits, bool certify)
     {
         Outcome out;
         if (trivially_unsat_)
@@ -222,18 +254,13 @@ class SizeEncoding
         out.result = solver_.solve({}, limits);
         solver_.set_proof_tracer(nullptr);
         out.conflicts = solver_.stats().conflicts;
-        if (certify && stats != nullptr && out.result == sat::Result::unsatisfiable)
+        out.decisions = solver_.stats().decisions;
+        out.propagations = solver_.stats().propagations;
+        if (certify && out.result == sat::Result::unsatisfiable)
         {
             const auto check =
                 sat::check_drat_proof(sat::to_cnf(solver_.root_clauses()), tracer.proof());
-            if (check.valid)
-            {
-                ++stats->proofs_checked;
-            }
-            else
-            {
-                ++stats->proof_failures;
-            }
+            out.proof = check.valid ? ProofCheck::valid : ProofCheck::invalid;
         }
         if (out.result == sat::Result::satisfiable)
         {
@@ -366,40 +393,49 @@ class SizeEncoding
         return guards_[group];
     }
 
-    /// Adds \p clause, weakened by the group's guard in guarded mode.
-    void emit(std::size_t group, std::vector<Lit> clause)
+    /// Adds \p clause to \p sink, weakened by the group's guard in guarded
+    /// mode.
+    template <class Sink>
+    void emit(Sink& sink, std::size_t group, std::span<const Lit> clause)
     {
-        if (guarded_)
+        if (!guarded_)
         {
-            clause.push_back(~guards_[group]);
+            sink.add_clause(clause);
+            return;
         }
-        solver_.add_clause(std::move(clause));
+        guarded_clause_.assign(clause.begin(), clause.end());
+        guarded_clause_.push_back(~guards_[group]);
+        sink.add_clause(guarded_clause_);
+    }
+    template <class Sink>
+    void emit(Sink& sink, std::size_t group, std::initializer_list<Lit> clause)
+    {
+        emit(sink, group, std::span<const Lit>{clause.begin(), clause.size()});
     }
 
     /// trigger -> at least one of options (the AMO part is added separately).
-    void require_one_of(std::size_t group, sat::Var trigger, const std::vector<Lit>& options)
+    template <class Sink>
+    void require_one_of(Sink& sink, std::size_t group, sat::Var trigger, const std::vector<Lit>& options)
     {
-        std::vector<Lit> clause{~sat::pos(trigger)};
-        clause.insert(clause.end(), options.begin(), options.end());
-        emit(group, std::move(clause));
+        one_of_.assign(1, ~sat::pos(trigger));
+        one_of_.insert(one_of_.end(), options.begin(), options.end());
+        emit(sink, group, one_of_);
     }
 
-    void build()
+    /// Creates the variables and emits the clauses of the size into \p sink:
+    /// the solver, or a ClauseCounter that sizes it. Both passes number the
+    /// variables alike and fill the same tables.
+    template <class Sink>
+    void build(Sink& sink)
     {
         const auto& nodes = net_.nodes;
         const auto& edges = net_.edges;
 
-        // feasibility: below the structural bound some row window is empty
-        if (h_ < net_.windows.min_height)
-        {
-            trivially_unsat_ = true;
-            return;
-        }
         if (guarded_)
         {
             for (auto& g : guards_)
             {
-                g = sat::pos(solver_.new_var());
+                g = sat::pos(sink.new_var());
             }
         }
 
@@ -417,12 +453,12 @@ class SizeEncoding
                 nodes_in_row[y].push_back(v);
                 for (unsigned x = 0; x < w_; ++x)
                 {
-                    const auto var = solver_.new_var();
+                    const auto var = sink.new_var();
                     place_var(v, x * h_ + y) = var;
                     lits.push_back(sat::pos(var));
                 }
             }
-            sat::add_exactly_one(solver_, lits, guard(grp_placement));
+            sat::add_exactly_one(sink, lits, guard(grp_placement));
         }
 
         // at most one node per tile
@@ -435,7 +471,7 @@ class SizeEncoding
                 {
                     push_if(lits, place_var(v, x * h_ + y));
                 }
-                sat::add_at_most_one(solver_, lits, guard(grp_exclusivity));
+                sat::add_at_most_one(sink, lits, guard(grp_exclusivity));
             }
         }
 
@@ -451,7 +487,7 @@ class SizeEncoding
             {
                 for (unsigned x = 0; x < w_; ++x)
                 {
-                    wire_var(e, x * h_ + y) = solver_.new_var();
+                    wire_var(e, x * h_ + y) = sink.new_var();
                 }
             }
             for (unsigned y = ulo; y + 1 <= vhi; ++y)
@@ -464,7 +500,7 @@ class SizeEncoding
                     {
                         if (in_bounds(down[d]))
                         {
-                            arc_var(e, tile(t), d) = solver_.new_var();
+                            arc_var(e, tile(t), d) = sink.new_var();
                         }
                     }
                 }
@@ -474,6 +510,7 @@ class SizeEncoding
         // edge structure clauses
         std::vector<Lit> outgoing;
         std::vector<Lit> incoming;
+        std::vector<Lit> clause;
         for (std::size_t e = 0; e < edges.size(); ++e)
         {
             const auto u = edges[e].source;
@@ -502,19 +539,19 @@ class SizeEncoding
                     // "e at t needing a successor" -> exactly one outgoing arc
                     if (const auto pu = place_var(u, ti); pu != absent)
                     {
-                        require_one_of(grp_routing, pu, outgoing);
+                        require_one_of(sink, grp_routing, pu, outgoing);
                     }
                     if (const auto wt = wire_var(e, ti); wt != absent)
                     {
-                        require_one_of(grp_routing, wt, outgoing);
-                        require_one_of(grp_routing, wt, incoming);
+                        require_one_of(sink, grp_routing, wt, outgoing);
+                        require_one_of(sink, grp_routing, wt, incoming);
                     }
                     if (const auto pv = place_var(v, ti); pv != absent)
                     {
-                        require_one_of(grp_routing, pv, incoming);
+                        require_one_of(sink, grp_routing, pv, incoming);
                     }
-                    sat::add_at_most_one(solver_, outgoing, guard(grp_routing));
-                    sat::add_at_most_one(solver_, incoming, guard(grp_routing));
+                    sat::add_at_most_one(sink, outgoing, guard(grp_routing));
+                    sat::add_at_most_one(sink, incoming, guard(grp_routing));
                 }
             }
 
@@ -530,14 +567,14 @@ class SizeEncoding
                         continue;
                     }
                     const auto to = tile(down[d]);
-                    std::vector<Lit> tail{~sat::pos(a)};
-                    push_if(tail, place_var(u, from));
-                    push_if(tail, wire_var(e, from));
-                    emit(grp_routing, std::move(tail));
-                    std::vector<Lit> head{~sat::pos(a)};
-                    push_if(head, place_var(v, to));
-                    push_if(head, wire_var(e, to));
-                    emit(grp_routing, std::move(head));
+                    clause.assign(1, ~sat::pos(a));  // tail
+                    push_if(clause, place_var(u, from));
+                    push_if(clause, wire_var(e, from));
+                    emit(sink, grp_routing, clause);
+                    clause.assign(1, ~sat::pos(a));  // head
+                    push_if(clause, place_var(v, to));
+                    push_if(clause, wire_var(e, to));
+                    emit(sink, grp_routing, clause);
                 }
             }
         }
@@ -552,7 +589,7 @@ class SizeEncoding
                 {
                     push_if(lits, arc_var(e, from, d));
                 }
-                sat::add_at_most_one(solver_, lits, guard(grp_capacity));
+                sat::add_at_most_one(sink, lits, guard(grp_capacity));
             }
         }
 
@@ -570,7 +607,7 @@ class SizeEncoding
                 {
                     if (const auto p = place_var(v, t); p != absent)
                     {
-                        emit(grp_exclusivity, {~sat::pos(wt), ~sat::pos(p)});
+                        emit(sink, grp_exclusivity, {~sat::pos(wt), ~sat::pos(p)});
                     }
                 }
             }
@@ -584,7 +621,7 @@ class SizeEncoding
             {
                 if (const auto p = place_var(v, t); p != absent && blocked_[t])
                 {
-                    emit(grp_defects, {~sat::pos(p)});
+                    emit(sink, grp_defects, {~sat::pos(p)});
                 }
             }
         }
@@ -594,7 +631,7 @@ class SizeEncoding
             {
                 if (const auto wt = wire_var(e, t); wt != absent && blocked_[t])
                 {
-                    emit(grp_defects, {~sat::pos(wt)});
+                    emit(sink, grp_defects, {~sat::pos(wt)});
                 }
             }
         }
@@ -742,69 +779,277 @@ class SizeEncoding
     std::array<Lit, group_names.size()> guards_{};
 
     sat::Solver solver_;
+    std::vector<Lit> one_of_;          ///< require_one_of()'s clause
+    std::vector<Lit> guarded_clause_;  ///< emit()'s clause in guarded mode
     std::vector<sat::Var> place_;  ///< (node, tile) -> placement variable
     std::vector<sat::Var> wire_;   ///< (edge, tile) -> wire variable
     std::vector<sat::Var> arc_;    ///< (edge, tile, sw|se) -> arc variable
 };
 
-/// Walks the ladder with a fresh encoding per aspect ratio and keeps the
-/// budget, cancellation and per-size bookkeeping.
-std::optional<GateLevelLayout> run_ladder(const PnrNetwork& net, const ExactPDOptions& options,
-                                          const core::RunBudget& budget,
-                                          const sat::SolveLimits& limits,
-                                          AspectRatioLadder& ladder, ExactPDStats* stats)
+/// The aspect ratios of one exact_physical_design call, decided up to two
+/// at a time: the calling thread and one helper each take the next
+/// undecided rung in ladder order. The rungs are booked in ladder order by
+/// the calling thread alone (book()), which stops where the one-at-a-time
+/// walk stops, so what it records does not depend on which thread decided
+/// which rung, or when (DESIGN.md section 14).
+class RungScheduler
 {
-    AspectRatio size;
-    while (ladder.next(size))
+  public:
+    RungScheduler(const PnrNetwork& net, const ExactPDOptions& options, const core::RunBudget& budget,
+                  const sat::SolveLimits& limits, std::vector<AspectRatio> sizes)
+        : net_{net}, options_{options}, budget_{budget}, limits_{limits}
     {
-        if (budget.token.stop_requested())
+        rungs_.reserve(sizes.size());  // never reallocated: helpers hold Rung*
+        for (const auto size : sizes)
+        {
+            rungs_.emplace_back(size, budget.token);
+        }
+    }
+
+    RungScheduler(const RungScheduler&) = delete;
+    RungScheduler& operator=(const RungScheduler&) = delete;
+
+    /// Stops the helper's rung and waits for the helper.
+    ~RungScheduler()
+    {
+        {
+            core::MutexLock lock{mutex_};
+            closed_ = true;
+            for (auto& rung : rungs_)
+            {
+                rung.stop.request_stop();
+            }
+        }
+        if (helper_.joinable())
+        {
+            helper_.join();
+        }
+    }
+
+    /// Decides and books the rungs in ladder order; returns the layout of
+    /// the first satisfiable one. The helper starts once the first rung is
+    /// refuted, when \p two_at_a_time.
+    std::optional<GateLevelLayout> run(bool two_at_a_time, ExactPDStats* stats)
+    {
+        for (std::size_t i = 0; i < rungs_.size(); ++i)
+        {
+            if (i == 1 && two_at_a_time)
+            {
+                try
+                {
+                    helper_ = std::thread{[this] {
+                        while (decide_next())
+                        {
+                        }
+                    }};
+                }
+                catch (const std::system_error&)
+                {
+                    // no thread to be had: go on one rung at a time
+                }
+            }
+            // decide rungs on this thread until rung i is decided
+            for (;;)
+            {
+                {
+                    core::MutexLock lock{mutex_};
+                    // rung i is the helper's: take the next one, or wait
+                    while (rungs_[i].state == State::claimed && !can_claim())
+                    {
+                        decided_.wait(lock.native());
+                    }
+                    if (rungs_[i].state != State::open && rungs_[i].state != State::claimed)
+                    {
+                        break;
+                    }
+                }
+                decide_next();
+            }
+            if (!book(i, helper_.joinable() ? 2U : 1U, stats))
+            {
+                break;
+            }
+            if (rungs_[i].outcome.layout.has_value())
+            {
+                return std::move(rungs_[i].outcome.layout);
+            }
+        }
+        return std::nullopt;
+    }
+
+  private:
+    enum class State : std::uint8_t
+    {
+        open,       ///< not taken yet
+        claimed,    ///< being solved
+        decided,    ///< outcome holds the verdict
+        cancelled,  ///< not started: the run was stopped
+        expired,    ///< not started: the deadline had passed
+        failed      ///< solving threw; error holds the exception
+    };
+
+    struct Rung
+    {
+        Rung(AspectRatio s, const core::StopToken& parent) : size{s}, stop{parent} {}
+
+        AspectRatio size;
+        /// Stops this rung's solve; linked to the caller's token.
+        core::StopSource stop;
+        State state{State::open};
+        Outcome outcome{};
+        std::exception_ptr error{};
+    };
+
+    /// False once no rung may be taken: all are taken, the calling thread
+    /// has finished, or a satisfiable rung precedes the next one.
+    [[nodiscard]] bool can_claim() const REQUIRES(mutex_)
+    {
+        return !closed_ && next_ < rungs_.size() && next_ <= winner_;
+    }
+
+    /// Takes the next rung and decides it on this thread. Returns false when
+    /// there was none to take.
+    bool decide_next() EXCLUDES(mutex_)
+    {
+        Rung* rung = nullptr;
+        std::size_t index = 0;
+        {
+            core::MutexLock lock{mutex_};
+            if (!can_claim())
+            {
+                return false;
+            }
+            index = next_++;
+            rung = &rungs_[index];
+            // the checks the one-at-a-time walk makes before every rung
+            const bool stopped = budget_.token.stop_requested();
+            if (stopped || budget_.deadline.remaining_ms() <= 0)
+            {
+                rung->state = stopped ? State::cancelled : State::expired;
+                closed_ = true;
+                decided_.notify_all();
+                return false;
+            }
+            rung->state = State::claimed;
+        }
+
+        Outcome outcome;
+        std::exception_ptr error;
+        try
+        {
+            auto limits = limits_;
+            limits.run.token = rung->stop.token();
+            SizeEncoding encoding{net_, rung->size.width, rung->size.height, options_.defects};
+            outcome = encoding.solve(limits, options_.certify_unsat);
+        }
+        catch (...)
+        {
+            error = std::current_exception();
+        }
+
+        core::MutexLock lock{mutex_};
+        rung->outcome = std::move(outcome);
+        rung->error = error;
+        rung->state = error ? State::failed : State::decided;
+        if (rung->outcome.result == sat::Result::satisfiable && index < winner_)
+        {
+            // every later rung is moot: stop the ones being solved
+            winner_ = index;
+            for (std::size_t j = index + 1; j < rungs_.size(); ++j)
+            {
+                rungs_[j].stop.request_stop();
+            }
+        }
+        decided_.notify_all();
+        return true;
+    }
+
+    /// Books rung \p i, decided or not started, into \p stats as the
+    /// one-at-a-time walk does; returns false where that walk stops.
+    bool book(std::size_t i, unsigned in_flight, ExactPDStats* stats)
+    {
+        const auto& rung = rungs_[i];
+        if (rung.state == State::failed)
+        {
+            std::rethrow_exception(rung.error);
+        }
+        if (rung.state == State::cancelled)
         {
             if (stats != nullptr)
             {
                 stats->cancelled = true;
                 stats->message = "cancelled";
             }
-            return std::nullopt;
+            return false;
         }
-        if (budget.deadline.remaining_ms() <= 0)
+        if (rung.state == State::expired)
         {
             if (stats != nullptr)
             {
                 stats->budget_exhausted = true;
                 stats->message = "time budget exhausted";
             }
-            return std::nullopt;
+            return false;
         }
+        const auto& outcome = rung.outcome;
         if (stats != nullptr)
         {
             ++stats->sizes_tried;
-        }
-        SizeEncoding encoding{net, size.width, size.height, options.defects};
-        auto outcome = encoding.solve(limits, options.certify_unsat, stats);
-        if (stats != nullptr)
-        {
+            stats->rungs_in_flight = std::max(stats->rungs_in_flight, in_flight);
             stats->total_conflicts += outcome.conflicts;
-            stats->size_verdicts.push_back({size, outcome.result, outcome.conflicts});
+            stats->size_verdicts.push_back(
+                {rung.size, outcome.result, outcome.conflicts, outcome.decisions, outcome.propagations});
+            stats->proofs_checked += outcome.proof == ProofCheck::valid ? 1U : 0U;
+            stats->proof_failures += outcome.proof == ProofCheck::invalid ? 1U : 0U;
             if (outcome.result == sat::Result::unknown)
             {
                 stats->budget_exhausted = true;
             }
-            if (budget.token.stop_requested())
+            if (budget_.token.stop_requested())
             {
                 stats->cancelled = true;
                 stats->message = "cancelled";
             }
         }
-        if (outcome.layout.has_value())
-        {
-            return std::move(outcome.layout);
-        }
-        if (budget.token.stop_requested())
-        {
-            return std::nullopt;
-        }
+        return outcome.layout.has_value() || !budget_.token.stop_requested();
     }
-    return std::nullopt;
+
+    const PnrNetwork& net_;
+    const ExactPDOptions& options_;
+    const core::RunBudget& budget_;
+    const sat::SolveLimits& limits_;
+
+    core::Mutex mutex_;
+    std::condition_variable decided_;
+    /// The rungs in ladder order. A rung's state, outcome and error are
+    /// written under mutex_; book() reads them after it saw the rung
+    /// decided under mutex_, when nothing writes them any more. stop is
+    /// thread-safe on its own.
+    std::vector<Rung> rungs_;
+    std::size_t next_ GUARDED_BY(mutex_){0};
+    std::size_t winner_ GUARDED_BY(mutex_){std::numeric_limits<std::size_t>::max()};
+    bool closed_ GUARDED_BY(mutex_){false};
+    std::thread helper_;
+};
+
+/// Walks the ladder with a fresh encoding per aspect ratio and keeps the
+/// budget, cancellation and per-size bookkeeping. After the first refuted
+/// rung, two rungs are solved at a time unless the machine has one CPU or
+/// the call comes from a core::ThreadPool worker.
+std::optional<GateLevelLayout> run_ladder(const PnrNetwork& net, const ExactPDOptions& options,
+                                          const core::RunBudget& budget,
+                                          const sat::SolveLimits& limits,
+                                          AspectRatioLadder& ladder, ExactPDStats* stats)
+{
+    std::vector<AspectRatio> sizes;
+    AspectRatio size;
+    while (ladder.next(size))
+    {
+        sizes.push_back(size);
+    }
+    const bool two_at_a_time = core::resolve_thread_count(0) > 1 && !core::ThreadPool::inside_worker();
+    RungScheduler scheduler{net, options, budget, limits, std::move(sizes)};
+    return scheduler.run(two_at_a_time, stats);
 }
 
 }  // namespace

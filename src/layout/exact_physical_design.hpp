@@ -13,6 +13,14 @@
 /// obeys (see minimum_height()), and the ladder starts at the smallest
 /// height for which all windows are non-empty. Heights below it are never
 /// encoded or solved.
+///
+/// Every size gets a fresh encoding and solver, so its verdict depends on
+/// nothing but the network, the size and the limits. After the first size
+/// is refuted, the sizes are decided up to two at a time (the calling
+/// thread and one helper thread) and booked in ladder order; a satisfiable
+/// size stops the later ones. The verdicts, their search work and the
+/// layout equal those of deciding one size at a time, which is what a call
+/// on a one-CPU machine or from a core::ThreadPool worker does.
 
 #pragma once
 
@@ -63,12 +71,15 @@ struct ExactPDOptions
     phys::DefectSurface defects{};
 };
 
-/// Per-aspect-ratio SAT verdict of one exact-P&R run, in ladder order.
+/// Per-aspect-ratio SAT verdict of one exact-P&R run, in ladder order, with
+/// the work of the size's solve: its search trace in three counts.
 struct SizeVerdict
 {
     AspectRatio size{};
     sat::Result result{sat::Result::unknown};
-    std::uint64_t conflicts{0};  ///< conflicts the size's solve spent
+    std::uint64_t conflicts{0};
+    std::uint64_t decisions{0};
+    std::uint64_t propagations{0};
 };
 
 struct ExactPDStats
@@ -91,6 +102,12 @@ struct ExactPDStats
 
     /// SAT/UNSAT/unknown per explored aspect ratio, in exploration order.
     std::vector<SizeVerdict> size_verdicts;
+
+    /// Most aspect ratios that were being solved at once: 2 once the ladder
+    /// went on two at a time after its first refuted size, 1 when it ran
+    /// one at a time (one CPU, or called from a core::ThreadPool worker),
+    /// 0 when nothing was solved.
+    unsigned rungs_in_flight{0};
 
     unsigned proofs_checked{0};   ///< UNSAT verdicts certified by the checker
     unsigned proof_failures{0};   ///< UNSAT verdicts whose proof did NOT check

@@ -80,6 +80,13 @@ void ChargeState::rebuild()
     }
 }
 
+// The two row loops are aligned to 64 bytes: left to where the link puts
+// the function, their placement moved the exact engine's time by about 5%
+// (Fig. 5 sign-off set-up, 12 alternating pairs: 0.475 s CPU with the loops
+// aligned against 0.498 s with the function aligned to 64 instead).
+#if defined(__GNUC__) && !defined(__clang__)
+__attribute__((optimize("align-loops=64")))
+#endif
 void ChargeState::commit_flip(std::size_t i)
 {
     const std::size_t n = config_.size();

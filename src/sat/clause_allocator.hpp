@@ -1,11 +1,15 @@
 /// \file clause_allocator.hpp
-/// \brief Bump-pointer clause arena with 32-bit clause references.
+/// \brief The solver's clause memory: a bump-pointer arena of clauses with
+///        32-bit references, and one pool holding every watch list.
 ///
-/// Clauses live contiguously in one growable std::vector<std::uint32_t>; a
-/// ClauseRef is the word index of a clause header inside that arena. Compared
-/// to one heap vector per clause this removes a pointer chase per clause
-/// access in propagation/analysis, halves the reference width, and keeps
-/// clauses allocated together in the order the solver learns them.
+/// Clauses of three or more literals, and learnt binary clauses, live
+/// contiguously in one growable std::vector<std::uint32_t>; a ClauseRef is
+/// the word index of a clause header inside that arena. Compared to one heap
+/// vector per clause this removes a pointer chase per clause access in
+/// propagation/analysis, halves the reference width, and keeps clauses
+/// allocated together in the order the solver learns them. Binary problem
+/// clauses are not stored here at all: each is its two watchers in the
+/// WatchPool, tagged with binary_watch (see Solver).
 ///
 /// Per-clause layout (header_words = 3):
 ///
@@ -23,6 +27,17 @@
 /// new address. Compaction preserves clause contents, metadata and the order
 /// of all clause lists, so solver behaviour is bit-identical with or without
 /// a collection (see test_clause_allocator.cpp).
+///
+/// The WatchPool keeps the watch list of every literal as a span of one
+/// contiguous Watcher buffer instead of one heap vector per literal. A list
+/// that outgrows its span moves to the end of the buffer with half as much
+/// room again. Once the end is reached, the lists slide down in place over
+/// the holes the moves left (a pool laid out by reserve() also takes back
+/// room its lists do not use), and when that frees too little the buffer
+/// doubles. Every move copies a list in order, so the watchers of each
+/// literal are visited in exactly the order a vector per literal would
+/// give. Solver::reserve() lays the lists out from exact per-literal
+/// counts, so loading a counted formula moves nothing.
 
 #pragma once
 
@@ -41,6 +56,12 @@ namespace bestagon::sat
 using ClauseRef = std::uint32_t;
 
 inline constexpr ClauseRef clause_ref_undef = 0xFFFF'FFFFU;
+
+/// Tag bit of a reference that names a binary problem clause instead of an
+/// arena clause; arena references stay below it. A watcher carries the bare
+/// tag (its blocker is the clause's other literal); a reason carries the tag
+/// with the code of the clause's other, false literal in the low bits.
+inline constexpr ClauseRef binary_watch = 0x8000'0000U;
 
 namespace detail
 {
@@ -149,6 +170,113 @@ class ClauseAllocator
     std::vector<std::uint32_t> mem_;
     std::size_t wasted_{0};
     std::size_t num_clauses_{0};
+};
+
+/// One entry of a watch list: the watched clause and a literal of it whose
+/// truth makes visiting the clause unnecessary.
+struct Watcher
+{
+    ClauseRef cref;
+    Lit blocker;
+};
+
+/// The watch lists of all literals, as spans of one Watcher buffer (see the
+/// file comment). list() pointers are invalidated by push(), which may move
+/// any list, and by add_lists(); re-fetch them after either call.
+class WatchPool
+{
+  public:
+    /// Lays out one list per entry of \p capacities, each with exactly that
+    /// many slots, and keeps the usual spare room at the end for lists that
+    /// outgrow their span. Requires an empty pool.
+    void reserve(std::span<const std::uint32_t> capacities);
+
+    /// Adds empty lists until there are \p count of them.
+    void add_lists(std::size_t count);
+
+    [[nodiscard]] std::size_t num_lists() const noexcept { return lists_.size(); }
+
+    [[nodiscard]] Watcher* list(std::size_t l) noexcept
+    {
+        assert(l < lists_.size());
+        return mem_.data() + lists_[l].begin;
+    }
+    [[nodiscard]] const Watcher* list(std::size_t l) const noexcept
+    {
+        assert(l < lists_.size());
+        return mem_.data() + lists_[l].begin;
+    }
+    [[nodiscard]] std::uint32_t size(std::size_t l) const noexcept { return lists_[l].size; }
+
+    /// Drops the watchers of list \p l from position \p size on.
+    void truncate(std::size_t l, std::uint32_t size) noexcept
+    {
+        assert(size <= lists_[l].size);
+        live_ -= lists_[l].size - size;
+        lists_[l].size = size;
+    }
+
+    /// Appends \p w to list \p l; may move lists (see the class comment).
+    void push(std::size_t l, Watcher w)
+    {
+        auto& s = lists_[l];
+        if (s.size == s.cap)
+        {
+            grow(l);
+        }
+        mem_[lists_[l].begin + lists_[l].size++] = w;
+        ++live_;
+    }
+
+    /// Times a list outgrew its span and moved (introspection).
+    [[nodiscard]] std::uint64_t moves() const noexcept { return moves_; }
+
+  private:
+    struct Span
+    {
+        std::uint32_t begin{0};
+        std::uint32_t size{0};
+        std::uint32_t cap{0};
+    };
+
+    /// Moves list \p l to the end of the buffer with half as much room
+    /// again, squeezing first when the end is full and doubling the buffer
+    /// when that is not enough.
+    void grow(std::size_t l);
+    /// Slides every list down over the holes, in buffer order; with \p trim
+    /// each list keeps at most the room a move would give it.
+    void squeeze(bool trim);
+    /// Drops the order_ entries of lists that moved on since.
+    void drop_moved_from_order();
+
+    /// Spare room at the end after reserve(), as a fraction of the counted
+    /// watchers.
+    static constexpr std::size_t spare_divisor = 2;
+    /// The buffer is squeezed, then doubled, when less than this fraction
+    /// of it would be free after a move.
+    static constexpr std::size_t min_free_divisor = 16;
+    /// A squeeze runs only when at least this fraction of the buffer is
+    /// holes or room the lists do not use.
+    static constexpr std::size_t worth_squeezing_divisor = 4;
+
+    struct Placed
+    {
+        std::uint32_t list;
+        std::uint32_t begin;
+    };
+
+    std::vector<Watcher> mem_;
+    std::vector<Span> lists_;
+    /// Lists with room, in buffer order, each with the begin it had when
+    /// placed; entries of lists that moved on are stale until squeeze().
+    std::vector<Placed> order_;
+    std::size_t end_{0};        ///< first slot past the last list
+    std::size_t reserved_{0};   ///< sum of the lists' capacities
+    std::size_t live_{0};       ///< sum of the lists' sizes
+    /// Laid out by reserve(): trim the lists' room before growing, where an
+    /// unreserved pool doubles as a vector per list would.
+    bool reserved_by_count_{false};
+    std::uint64_t moves_{0};
 };
 
 }  // namespace bestagon::sat

@@ -8,19 +8,22 @@ namespace bestagon::sat
 namespace
 {
 
-/// Emits \p clause, weakened by ~guard when a guard literal is present.
-void emit_guarded(Solver& solver, const std::optional<Lit>& guard, std::vector<Lit> clause)
+/// Adds (a v b), weakened by ~guard when a guard literal is present.
+template <class Sink>
+void emit_pair(Sink& sink, const std::optional<Lit>& guard, Lit a, Lit b)
 {
     if (guard.has_value())
     {
-        clause.push_back(~*guard);
+        sink.add_clause({a, b, ~*guard});
     }
-    solver.add_clause(std::move(clause));
+    else
+    {
+        sink.add_clause({a, b});
+    }
 }
 
-}  // namespace
-
-void add_at_most_one(Solver& solver, std::span<const Lit> lits, std::optional<Lit> guard)
+template <class Sink>
+void at_most_one(Sink& sink, std::span<const Lit> lits, const std::optional<Lit>& guard)
 {
     const std::size_t n = lits.size();
     if (n <= 1)
@@ -33,7 +36,7 @@ void add_at_most_one(Solver& solver, std::span<const Lit> lits, std::optional<Li
         {
             for (std::size_t j = i + 1; j < n; ++j)
             {
-                emit_guarded(solver, guard, {~lits[i], ~lits[j]});
+                emit_pair(sink, guard, ~lits[i], ~lits[j]);
             }
         }
         return;
@@ -42,22 +45,54 @@ void add_at_most_one(Solver& solver, std::span<const Lit> lits, std::optional<Li
     std::vector<Lit> s(n - 1);
     for (auto& l : s)
     {
-        l = pos(solver.new_var());
+        l = pos(sink.new_var());
     }
-    emit_guarded(solver, guard, {~lits[0], s[0]});
+    emit_pair(sink, guard, ~lits[0], s[0]);
     for (std::size_t i = 1; i + 1 < n; ++i)
     {
-        emit_guarded(solver, guard, {~lits[i], s[i]});
-        emit_guarded(solver, guard, {~s[i - 1], s[i]});
-        emit_guarded(solver, guard, {~lits[i], ~s[i - 1]});
+        emit_pair(sink, guard, ~lits[i], s[i]);
+        emit_pair(sink, guard, ~s[i - 1], s[i]);
+        emit_pair(sink, guard, ~lits[i], ~s[i - 1]);
     }
-    emit_guarded(solver, guard, {~lits[n - 1], ~s[n - 2]});
+    emit_pair(sink, guard, ~lits[n - 1], ~s[n - 2]);
+}
+
+template <class Sink>
+void exactly_one(Sink& sink, std::span<const Lit> lits, const std::optional<Lit>& guard)
+{
+    if (guard.has_value())
+    {
+        std::vector<Lit> clause(lits.begin(), lits.end());
+        clause.push_back(~*guard);
+        sink.add_clause(clause);
+    }
+    else
+    {
+        sink.add_clause(lits);
+    }
+    at_most_one(sink, lits, guard);
+}
+
+}  // namespace
+
+void add_at_most_one(Solver& solver, std::span<const Lit> lits, std::optional<Lit> guard)
+{
+    at_most_one(solver, lits, guard);
+}
+
+void add_at_most_one(ClauseCounter& counter, std::span<const Lit> lits, std::optional<Lit> guard)
+{
+    at_most_one(counter, lits, guard);
 }
 
 void add_exactly_one(Solver& solver, std::span<const Lit> lits, std::optional<Lit> guard)
 {
-    emit_guarded(solver, guard, std::vector<Lit>(lits.begin(), lits.end()));
-    add_at_most_one(solver, lits, guard);
+    exactly_one(solver, lits, guard);
+}
+
+void add_exactly_one(ClauseCounter& counter, std::span<const Lit> lits, std::optional<Lit> guard)
+{
+    exactly_one(counter, lits, guard);
 }
 
 void add_at_most_k(Solver& solver, std::span<const Lit> lits, unsigned k)

@@ -15,7 +15,64 @@ namespace
 /// Budget checks (≈ decisions) between two reads of the deadline's clock.
 constexpr std::int64_t time_check_stride = 256;
 
+/// Sorts \p lits and, in place, drops duplicate literals and those
+/// \p value_of calls false. Returns the length of what is left, or -1 when
+/// a literal is true or the clause is a tautology.
+template <class ValueOf>
+std::ptrdiff_t simplify_clause(std::vector<Lit>& lits, const ValueOf& value_of)
+{
+    std::sort(lits.begin(), lits.end());
+    std::size_t kept = 0;
+    Lit prev = lit_undef;
+    for (std::size_t i = 0; i < lits.size(); ++i)
+    {
+        const Lit l = lits[i];
+        if (value_of(l) == LBool::true_ || l == ~prev)
+        {
+            return -1;
+        }
+        if (value_of(l) != LBool::false_ && l != prev)
+        {
+            lits[kept++] = l;  // kept <= i: only read slots are overwritten
+            prev = l;
+        }
+    }
+    return static_cast<std::ptrdiff_t>(kept);
+}
+
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// clause counter
+// ---------------------------------------------------------------------------
+
+void ClauseCounter::add_clause(std::span<const Lit> lits)
+{
+    tmp_.assign(lits.begin(), lits.end());
+    const auto size = simplify_clause(tmp_, [](Lit) { return LBool::undef; });
+    if (size == 1)
+    {
+        ++units_;
+    }
+    if (size < 2)
+    {
+        return;
+    }
+    for (std::size_t k = 0; k < 2; ++k)
+    {
+        const auto code = static_cast<std::size_t>((~tmp_[k]).x);
+        if (watchers_.size() <= code)
+        {
+            watchers_.resize(code + 1, 0);
+        }
+        ++watchers_[code];
+    }
+    if (size > 2)
+    {
+        arena_words_ += detail::clause_header_words + static_cast<std::size_t>(size);
+        ++arena_clauses_;
+    }
+}
 
 // ---------------------------------------------------------------------------
 // variable order heap
@@ -110,6 +167,25 @@ Solver::Solver()
     order_heap_.activity = &activity_;
 }
 
+void Solver::reserve(const ClauseCounter& counted)
+{
+    assert(num_vars() == 0);
+    const auto vars = static_cast<std::size_t>(counted.num_vars_);
+    assigns_.reserve(vars);
+    polarity_.reserve(vars);
+    activity_.reserve(vars);
+    reason_.reserve(vars);
+    level_.reserve(vars);
+    seen_.reserve(vars);
+    trail_.reserve(vars);
+    order_heap_.heap.reserve(vars);
+    order_heap_.indices.reserve(vars);
+    root_units_.reserve(counted.units_);
+    ca_.reserve_words(counted.arena_words_);
+    problem_clauses_.reserve(counted.arena_clauses_);
+    watches_.reserve(counted.watchers_);
+}
+
 Var Solver::new_var()
 {
     const Var v = static_cast<Var>(assigns_.size());
@@ -119,8 +195,7 @@ Var Solver::new_var()
     reason_.push_back(cref_undef);
     level_.push_back(0);
     seen_.push_back(0);
-    watches_.emplace_back();
-    watches_.emplace_back();
+    watches_.add_lists(2 * static_cast<std::size_t>(v) + 2);
     order_heap_.insert(v);
     return v;
 }
@@ -129,8 +204,8 @@ void Solver::attach_clause(CRef cr)
 {
     const auto c = ca_.view(cr);
     assert(c.size() >= 2);
-    watches_[static_cast<std::size_t>((~c.lit(0)).x)].push_back({cr, c.lit(1)});
-    watches_[static_cast<std::size_t>((~c.lit(1)).x)].push_back({cr, c.lit(0)});
+    watches_.push(static_cast<std::size_t>((~c.lit(0)).x), {cr, c.lit(1)});
+    watches_.push(static_cast<std::size_t>((~c.lit(1)).x), {cr, c.lit(0)});
 }
 
 void Solver::remove_clause(CRef cr)
@@ -143,53 +218,51 @@ void Solver::remove_clause(CRef cr)
     ++stats_.deleted_clauses;
 }
 
-bool Solver::add_clause(std::vector<Lit> lits)
+bool Solver::add_clause(std::span<const Lit> lits)
 {
     if (!ok_)
     {
         return false;
     }
     assert(decision_level() == 0);
+    assert(std::all_of(lits.begin(), lits.end(),
+                       [this](Lit l) { return l.var() >= 0 && l.var() < num_vars(); }));
 
     // simplify: sort, deduplicate, drop false literals, detect tautology
-    std::sort(lits.begin(), lits.end());
-    std::vector<Lit> out;
-    out.reserve(lits.size());
-    Lit prev = lit_undef;
-    for (const auto l : lits)
+    add_tmp_.assign(lits.begin(), lits.end());
+    const auto size = simplify_clause(add_tmp_, [this](Lit l) { return value(l); });
+    if (size < 0)
     {
-        assert(l.var() >= 0 && l.var() < num_vars());
-        if (value(l) == LBool::true_ || l == ~prev)
-        {
-            return true;  // satisfied or tautological
-        }
-        if (value(l) != LBool::false_ && l != prev)
-        {
-            out.push_back(l);
-            prev = l;
-        }
+        return true;  // satisfied or tautological
     }
-
-    if (out.empty())
+    if (size == 0)
     {
-        // record the original clause: it is not stored anywhere else, yet the
-        // formula snapshot needs it to remain unsatisfiable (all its literals
-        // are falsified by root-level propagation)
-        root_conflict_clauses_.push_back(lits);
+        // record the (sorted, untouched) clause: it is not stored anywhere
+        // else, yet the formula snapshot needs it to remain unsatisfiable
+        // (all its literals are falsified by root-level propagation)
+        root_conflict_clauses_.push_back(add_tmp_);
         ok_ = false;
         return false;
     }
-    if (out.size() == 1)
+    const Lit first = add_tmp_[0];
+    if (size == 1)
     {
-        root_units_.push_back(out[0]);
-        unchecked_enqueue(out[0], cref_undef);
+        root_units_.push_back(first);
+        unchecked_enqueue(first, cref_undef);
         ok_ = (propagate() == cref_undef);
         return ok_;
     }
 
-    const auto cr = ca_.alloc(out, false);
-    problem_clauses_.push_back(cr);
     ++num_problem_clauses_;
+    if (size == 2)
+    {
+        const Lit second = add_tmp_[1];
+        watches_.push(static_cast<std::size_t>((~first).x), {binary_watch, second});
+        watches_.push(static_cast<std::size_t>((~second).x), {binary_watch, first});
+        return true;
+    }
+    const auto cr = ca_.alloc(std::span<const Lit>{add_tmp_.data(), static_cast<std::size_t>(size)}, false);
+    problem_clauses_.push_back(cr);
     attach_clause(cr);
     return true;
 }
@@ -210,11 +283,14 @@ Solver::CRef Solver::propagate()
     {
         const Lit p = trail_[qhead_++];
         ++stats_.propagations;
-        auto& ws = watches_[static_cast<std::size_t>(p.x)];
+        const auto list = static_cast<std::size_t>(p.x);
+        const Lit false_lit = ~p;
+        // re-fetched after every push: a push may move any list
+        Watcher* ws = watches_.list(list);
 
         std::size_t i = 0;
         std::size_t j = 0;
-        const std::size_t n = ws.size();
+        const std::size_t n = watches_.size(list);
         while (i < n)
         {
             const Watcher w = ws[i];
@@ -224,6 +300,27 @@ Solver::CRef Solver::propagate()
                 ws[j++] = ws[i++];
                 continue;
             }
+            if (w.cref == binary_watch)
+            {
+                // the blocker is the clause's other literal: unit or conflicting
+                ws[j++] = ws[i++];
+                if (value(w.blocker) == LBool::false_)
+                {
+                    binary_conflict_[0] = w.blocker;
+                    binary_conflict_[1] = false_lit;
+                    conflict = binary_watch;
+                    qhead_ = trail_.size();
+                    while (i < n)
+                    {
+                        ws[j++] = ws[i++];
+                    }
+                }
+                else
+                {
+                    unchecked_enqueue(w.blocker, binary_watch | static_cast<CRef>(false_lit.x));
+                }
+                continue;
+            }
             auto c = ca_.view(w.cref);
             if (c.deleted())
             {
@@ -231,7 +328,6 @@ Solver::CRef Solver::propagate()
                 continue;
             }
             // make sure the false literal is lit(1)
-            const Lit false_lit = ~p;
             if (c.lit(0) == false_lit)
             {
                 c.swap_lits(0, 1);
@@ -253,7 +349,8 @@ Solver::CRef Solver::propagate()
                 if (value(c.lit(k)) != LBool::false_)
                 {
                     c.swap_lits(1, k);
-                    watches_[static_cast<std::size_t>((~c.lit(1)).x)].push_back({w.cref, first});
+                    watches_.push(static_cast<std::size_t>((~c.lit(1)).x), {w.cref, first});
+                    ws = watches_.list(list);
                     found = true;
                     break;
                 }
@@ -281,7 +378,7 @@ Solver::CRef Solver::propagate()
                 unchecked_enqueue(first, w.cref);
             }
         }
-        ws.resize(j);
+        watches_.truncate(list, static_cast<std::uint32_t>(j));
         if (conflict != cref_undef)
         {
             break;
@@ -350,33 +447,52 @@ void Solver::analyze(CRef conflict, std::vector<Lit>& out_learnt, int& out_btlev
     out_learnt.push_back(lit_undef);  // placeholder for the asserting literal
     std::size_t index = trail_.size();
 
+    const auto visit = [&](Lit q) {
+        const Var v = q.var();
+        if (seen_[static_cast<std::size_t>(v)] == 0 && level_[static_cast<std::size_t>(v)] > 0)
+        {
+            var_bump_activity(v);
+            seen_[static_cast<std::size_t>(v)] = 1;
+            if (level_[static_cast<std::size_t>(v)] >= decision_level())
+            {
+                ++path_count;
+            }
+            else
+            {
+                out_learnt.push_back(q);
+            }
+        }
+    };
+
     CRef cr = conflict;
     do
     {
         assert(cr != cref_undef);
-        const auto c = ca_.view(cr);
-        if (c.learnt())
+        if (is_binary(cr))
         {
-            cla_bump_activity(ca_.view(cr));
-        }
-        const std::uint32_t start = (p == lit_undef) ? 0 : 1;
-        const auto size = c.size();
-        for (std::uint32_t k = start; k < size; ++k)
-        {
-            const Lit q = c.lit(k);
-            const Var v = q.var();
-            if (seen_[static_cast<std::size_t>(v)] == 0 && level_[static_cast<std::size_t>(v)] > 0)
+            // the conflict's two literals; a reason's other, false literal
+            if (p == lit_undef)
             {
-                var_bump_activity(v);
-                seen_[static_cast<std::size_t>(v)] = 1;
-                if (level_[static_cast<std::size_t>(v)] >= decision_level())
-                {
-                    ++path_count;
-                }
-                else
-                {
-                    out_learnt.push_back(q);
-                }
+                visit(binary_conflict_[0]);
+                visit(binary_conflict_[1]);
+            }
+            else
+            {
+                visit(binary_other(cr));
+            }
+        }
+        else
+        {
+            const auto c = ca_.view(cr);
+            if (c.learnt())
+            {
+                cla_bump_activity(ca_.view(cr));
+            }
+            const std::uint32_t start = (p == lit_undef) ? 0 : 1;
+            const auto size = c.size();
+            for (std::uint32_t k = start; k < size; ++k)
+            {
+                visit(c.lit(k));
             }
         }
         // select next literal to look at
@@ -451,40 +567,53 @@ bool Solver::lit_redundant(Lit l, std::uint32_t abstract_levels)
     analyze_stack_.clear();
     analyze_stack_.push_back(l);
     const std::size_t top = analyze_toclear_.size();
+    // false: \p r is neither marked, at level 0 nor implied from marked levels
+    const auto implied = [&](Lit r) {
+        const Var v = r.var();
+        if (seen_[static_cast<std::size_t>(v)] != 0 || level_[static_cast<std::size_t>(v)] == 0)
+        {
+            return true;
+        }
+        const bool level_ok =
+            (abstract_levels & (1U << (static_cast<std::uint32_t>(level_[static_cast<std::size_t>(v)]) & 31U))) != 0;
+        if (reason_[static_cast<std::size_t>(v)] != cref_undef && level_ok)
+        {
+            seen_[static_cast<std::size_t>(v)] = 1;
+            analyze_stack_.push_back(r);
+            analyze_toclear_.push_back(r);
+            return true;
+        }
+        return false;
+    };
     while (!analyze_stack_.empty())
     {
         const Lit q = analyze_stack_.back();
         analyze_stack_.pop_back();
         const CRef cr = reason_[static_cast<std::size_t>(q.var())];
         assert(cr != cref_undef);
-        const auto c = ca_.view(cr);
-        const auto size = c.size();
-        for (std::uint32_t k = 1; k < size; ++k)
+        bool redundant = true;
+        if (is_binary(cr))
         {
-            const Lit r = c.lit(k);
-            const Var v = r.var();
-            if (seen_[static_cast<std::size_t>(v)] != 0 || level_[static_cast<std::size_t>(v)] == 0)
+            redundant = implied(binary_other(cr));
+        }
+        else
+        {
+            const auto c = ca_.view(cr);
+            const auto size = c.size();
+            for (std::uint32_t k = 1; k < size && redundant; ++k)
             {
-                continue;
+                redundant = implied(c.lit(k));
             }
-            const bool level_ok =
-                (abstract_levels & (1U << (static_cast<std::uint32_t>(level_[static_cast<std::size_t>(v)]) & 31U))) != 0;
-            if (reason_[static_cast<std::size_t>(v)] != cref_undef && level_ok)
+        }
+        if (!redundant)
+        {
+            // abort: literal not redundant; undo marks made here
+            for (std::size_t j = analyze_toclear_.size(); j > top; --j)
             {
-                seen_[static_cast<std::size_t>(v)] = 1;
-                analyze_stack_.push_back(r);
-                analyze_toclear_.push_back(r);
+                seen_[static_cast<std::size_t>(analyze_toclear_[j - 1].var())] = 0;
             }
-            else
-            {
-                // abort: literal not redundant; undo marks made here
-                for (std::size_t j = analyze_toclear_.size(); j > top; --j)
-                {
-                    seen_[static_cast<std::size_t>(analyze_toclear_[j - 1].var())] = 0;
-                }
-                analyze_toclear_.resize(top);
-                return false;
-            }
+            analyze_toclear_.resize(top);
+            return false;
         }
     }
     return true;
@@ -521,15 +650,25 @@ void Solver::analyze_final(Lit failed_assumption)
         }
         else
         {
-            const auto c = ca_.view(cr);
-            const auto size = c.size();
-            for (std::uint32_t k = 1; k < size; ++k)
-            {
-                const Var x = c.lit(k).var();
+            const auto mark = [&](Lit q) {
+                const Var x = q.var();
                 if (seen_[static_cast<std::size_t>(x)] == 0 && level_[static_cast<std::size_t>(x)] > 0)
                 {
                     seen_[static_cast<std::size_t>(x)] = 1;
                     to_clear.push_back(x);
+                }
+            };
+            if (is_binary(cr))
+            {
+                mark(binary_other(cr));
+            }
+            else
+            {
+                const auto c = ca_.view(cr);
+                const auto size = c.size();
+                for (std::uint32_t k = 1; k < size; ++k)
+                {
+                    mark(c.lit(k));
                 }
             }
         }
@@ -627,19 +766,25 @@ void Solver::garbage_collect()
     reloc_list(learnts_);
 
     // watcher lists: drop stale entries of deleted clauses, keep order
-    for (auto& ws : watches_)
+    for (std::size_t l = 0; l < watches_.num_lists(); ++l)
     {
-        std::size_t j = 0;
-        for (auto w : ws)
+        Watcher* ws = watches_.list(l);
+        const std::uint32_t n = watches_.size(l);
+        std::uint32_t j = 0;
+        for (std::uint32_t i = 0; i < n; ++i)
         {
-            if (ca_.view(w.cref).deleted())
+            auto w = ws[i];
+            if (w.cref != binary_watch)
             {
-                continue;
+                if (ca_.view(w.cref).deleted())
+                {
+                    continue;
+                }
+                w.cref = ca_.reloc(w.cref, to);
             }
-            w.cref = ca_.reloc(w.cref, to);
             ws[j++] = w;
         }
-        ws.resize(j);
+        watches_.truncate(l, j);
     }
 
     // reasons: live reasons are locked (never deleted); stale slots of
@@ -653,7 +798,10 @@ void Solver::garbage_collect()
         }
         if (value(v) != LBool::undef)
         {
-            r = ca_.reloc(r, to);
+            if (!is_binary(r))
+            {
+                r = ca_.reloc(r, to);
+            }
         }
         else
         {
@@ -827,6 +975,21 @@ std::vector<std::vector<Lit>> Solver::root_clauses() const
     for (const auto cr : problem_clauses_)
     {
         out.push_back(ca_.view(cr).lits());
+    }
+    // binary problem clauses, each once: from the list of its first literal's
+    // negation, where the blocker is its second literal
+    for (std::size_t l = 0; l < watches_.num_lists(); ++l)
+    {
+        Lit first{};
+        first.x = static_cast<std::int32_t>(l ^ 1U);
+        const Watcher* ws = watches_.list(l);
+        for (std::uint32_t i = 0; i < watches_.size(l); ++i)
+        {
+            if (ws[i].cref == binary_watch && first < ws[i].blocker)
+            {
+                out.push_back({first, ws[i].blocker});
+            }
+        }
     }
     return out;
 }

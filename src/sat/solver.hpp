@@ -11,9 +11,28 @@
 /// is supported, and every solve() call is bounded by the SolveLimits passed
 /// to that call and by nothing else.
 ///
-/// Clauses live in a bump-pointer arena (clause_allocator.hpp) addressed by
-/// 32-bit references; deleted clauses are compacted away by a deterministic
-/// garbage collector once the wasted fraction crosses a threshold.
+/// Clauses of three or more literals, and learnt binary clauses, live in a
+/// bump-pointer arena (clause_allocator.hpp) addressed by 32-bit references;
+/// deleted clauses are compacted away by a deterministic garbage collector
+/// once the wasted fraction crosses a threshold. A binary problem clause is
+/// only its two watchers: each carries the binary_watch tag and the other
+/// literal as its blocker, a reason names the other literal, and a binary
+/// conflict is kept as its two literals. Problem binaries are never deleted,
+/// so nothing else needs them. Learnt binaries stay in the arena because the
+/// learnt-clause reduction sorts and counts them with the other learnt
+/// clauses. All watch lists share one WatchPool.
+///
+/// The search trace (decisions, propagations, conflicts, learnt clauses and
+/// models) does not depend on where a clause is kept: watchers of a literal
+/// are visited in insertion order wherever they live, a binary conflict is
+/// analyzed as (blocker, false literal), the order the arena clause had at
+/// that point, and a binary reason contributes the one literal an arena
+/// reason would.
+///
+/// A formula whose clauses are known in advance can be counted first with a
+/// ClauseCounter and the solver sized once with reserve(): variables, arena
+/// words, problem clauses and every watch list then get exactly their final
+/// size, so loading the formula grows and copies nothing.
 
 #pragma once
 
@@ -22,6 +41,8 @@
 #include "sat/sat_types.hpp"
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 namespace bestagon::sat
@@ -41,11 +62,43 @@ struct SolveLimits
     core::RunBudget run{};
 };
 
+/// Counts what a formula will occupy in a Solver before it is loaded:
+/// feed it the same new_var()/add_clause() sequence, then pass it to
+/// Solver::reserve(). Clauses are simplified as Solver::add_clause() does
+/// on a solver without assignments, so the counts are exact unless a unit
+/// clause is added before the last clause (a unit's propagation can
+/// shorten later clauses; the solver then grows as usual).
+class ClauseCounter
+{
+  public:
+    Var new_var() { return num_vars_++; }
+
+    void add_clause(std::span<const Lit> lits);
+    void add_clause(std::initializer_list<Lit> lits)
+    {
+        add_clause(std::span<const Lit>{lits.begin(), lits.size()});
+    }
+
+  private:
+    friend class Solver;
+
+    int num_vars_{0};
+    std::size_t arena_words_{0};    ///< words of the clauses of 3+ literals
+    std::size_t arena_clauses_{0};  ///< clauses of 3+ literals
+    std::size_t units_{0};
+    std::vector<std::uint32_t> watchers_;  ///< per literal code
+    std::vector<Lit> tmp_;
+};
+
 /// CDCL SAT solver with incremental assumption-based solving.
 class Solver
 {
   public:
     Solver();
+
+    /// Sizes an empty solver for the formula \p counted describes, before
+    /// the formula is loaded (see ClauseCounter).
+    void reserve(const ClauseCounter& counted);
 
     /// Creates a fresh variable and returns it.
     Var new_var();
@@ -59,10 +112,14 @@ class Solver
     /// Adds a clause (disjunction of literals). Returns false if the clause
     /// makes the instance trivially unsatisfiable (e.g. empty after
     /// simplification against top-level assignments).
-    bool add_clause(std::vector<Lit> lits);
-    bool add_clause(Lit a) { return add_clause(std::vector<Lit>{a}); }
-    bool add_clause(Lit a, Lit b) { return add_clause(std::vector<Lit>{a, b}); }
-    bool add_clause(Lit a, Lit b, Lit c) { return add_clause(std::vector<Lit>{a, b, c}); }
+    bool add_clause(std::span<const Lit> lits);
+    bool add_clause(std::initializer_list<Lit> lits)
+    {
+        return add_clause(std::span<const Lit>{lits.begin(), lits.size()});
+    }
+    bool add_clause(Lit a) { return add_clause({a}); }
+    bool add_clause(Lit a, Lit b) { return add_clause({a, b}); }
+    bool add_clause(Lit a, Lit b, Lit c) { return add_clause({a, b, c}); }
 
     /// Solves the current formula under the given assumptions. Exceeding a
     /// limit yields Result::unknown; the stop token is polled at every
@@ -124,11 +181,18 @@ class Solver
     using CRef = ClauseRef;
     static constexpr CRef cref_undef = clause_ref_undef;
 
-    struct Watcher
+    /// True for a reason or conflict that names a binary problem clause.
+    [[nodiscard]] static bool is_binary(CRef r) noexcept
     {
-        CRef cref;
-        Lit blocker;
-    };
+        return r != cref_undef && (r & binary_watch) != 0;
+    }
+    /// The other, false literal of a binary reason.
+    [[nodiscard]] static Lit binary_other(CRef r) noexcept
+    {
+        Lit l{};
+        l.x = static_cast<std::int32_t>(r & ~binary_watch);
+        return l;
+    }
 
     struct VarOrderHeap
     {
@@ -195,7 +259,8 @@ class Solver
     std::vector<CRef> learnts_;
     std::size_t num_problem_clauses_{0};
 
-    std::vector<std::vector<Watcher>> watches_;  // indexed by literal code
+    WatchPool watches_;  // indexed by literal code
+    Lit binary_conflict_[2]{};  // (blocker, false literal) of a binary conflict
     std::vector<LBool> assigns_;
     std::vector<LBool> model_;
     std::vector<bool> polarity_;  // saved phases (true = last assigned false)
@@ -218,6 +283,8 @@ class Solver
     std::vector<std::vector<Lit>> root_conflict_clauses_;
 
     MemoryProofTracer* proof_{nullptr};
+
+    std::vector<Lit> add_tmp_;  // add_clause()'s simplified clause
 
     // temporaries for analyze()
     std::vector<std::uint8_t> seen_;

@@ -265,6 +265,31 @@ TEST(LintArena, RefetchedHandleFixturePasses)
         << "consuming before the alloc and re-fetching after it is the sanctioned pattern";
 }
 
+TEST(LintArena, WatchListPointerAcrossPushFixtureIsCaught)
+{
+    const auto report = lint_file(fixture("src/sat/a1_watch_list_across_push.cpp"));
+    EXPECT_EQ(count_id(report, CheckId::a_ref_across_alloc), 1U);
+}
+
+TEST(LintArena, WatchListPointerRefetchedAfterPushPasses)
+{
+    // the propagation loop's pattern: re-fetch the list after every push;
+    // an arena handle may outlive a push, and a list pointer an arena alloc
+    const std::string source = R"(
+        int f(WatchPool& pool, Arena& arena, unsigned lit, unsigned ref)
+        {
+            Watcher* ws = pool.list(lit);
+            const auto c = arena.view(ref);
+            pool.push(lit + 2, Watcher{ref, 1});
+            const int first = c[0];
+            ws = pool.list(lit);
+            arena.alloc(3);
+            return ws[0].blocker + first;
+        }
+    )";
+    EXPECT_EQ(lint_source("src/sat/f.cpp", source).active_count(), 0U);
+}
+
 TEST(LintArena, CheckOnlyAppliesInArenaDirs)
 {
     const std::string source = R"(

@@ -155,6 +155,52 @@ sat::Cnf hard_instance()
     return cnf;
 }
 
+/// Random pushes and truncations on a watch pool, sized or not, against a
+/// vector per list: every list must read back the same watchers in the
+/// same order through the moves, squeezes and growths they cause.
+TEST(WatchPool, ListsMatchAVectorPerListThroughMovesAndSqueezes)
+{
+    for (const bool sized : {false, true})
+    {
+        testkit::Rng rng{sized ? 0x5eedU : 0xfeedU};
+        constexpr std::size_t lists = 64;
+        std::vector<std::vector<sat::Watcher>> reference(lists);
+        sat::WatchPool pool;
+        if (sized)
+        {
+            pool.reserve(std::vector<std::uint32_t>(lists, 3));
+        }
+        pool.add_lists(lists);
+        for (std::uint32_t step = 0; step < 20000; ++step)
+        {
+            const auto l = static_cast<std::size_t>(rng.below(lists));
+            if (rng.chance(0.6))
+            {
+                const sat::Watcher w{step, Lit{static_cast<sat::Var>(step % 97), false}};
+                pool.push(l, w);
+                reference[l].push_back(w);
+            }
+            else
+            {
+                const auto keep = static_cast<std::uint32_t>(rng.below(reference[l].size() + 1));
+                pool.truncate(l, keep);
+                reference[l].resize(keep);
+            }
+        }
+        EXPECT_GT(pool.moves(), 0U);
+        for (std::size_t l = 0; l < lists; ++l)
+        {
+            ASSERT_EQ(pool.size(l), reference[l].size()) << l;
+            const auto* ws = pool.list(l);
+            for (std::size_t i = 0; i < reference[l].size(); ++i)
+            {
+                EXPECT_EQ(ws[i].cref, reference[l][i].cref) << l << ' ' << i;
+                EXPECT_EQ(ws[i].blocker, reference[l][i].blocker) << l << ' ' << i;
+            }
+        }
+    }
+}
+
 TEST(ClauseAllocator, GarbageCollectionPreservesSolvingState)
 {
     sat::Solver solver;

@@ -9,9 +9,17 @@
 #include "logic/tech_mapping.hpp"
 #include "phys/defect.hpp"
 
+#include "core/thread_pool.hpp"
+
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <functional>
+#include <optional>
 #include <sstream>
+#include <thread>
 #include <string>
 #include <utility>
 #include <vector>
@@ -439,8 +447,10 @@ TEST(ExactPD, ExplicitFanoutNetworkMapsToDrcCleanLayout)
 // --- work counters ------------------------------------------------------------
 
 /// The ladder as "WxH:S" / "WxH:U" tokens in exploration order, each
-/// followed by "/<conflicts>" with \p with_conflicts.
-std::string verdict_trace(const ExactPDStats& stats, bool with_conflicts = false)
+/// followed by "/<conflicts>" with \p with_conflicts, and by
+/// "/<decisions>/<propagations>" as well with \p with_trace.
+std::string verdict_trace(const ExactPDStats& stats, bool with_conflicts = false,
+                          bool with_trace = false)
 {
     std::ostringstream out;
     for (const auto& v : stats.size_verdicts)
@@ -449,9 +459,13 @@ std::string verdict_trace(const ExactPDStats& stats, bool with_conflicts = false
             << (v.result == sat::Result::satisfiable     ? 'S'
                 : v.result == sat::Result::unsatisfiable ? 'U'
                                                          : '?');
-        if (with_conflicts)
+        if (with_conflicts || with_trace)
         {
             out << '/' << v.conflicts;
+        }
+        if (with_trace)
+        {
+            out << '/' << v.decisions << '/' << v.propagations;
         }
     }
     return out.str();
@@ -495,18 +509,26 @@ TEST(WorkCounters, ExactPnrLadderOnMajority5R1)
     expect_pinned_ladder("majority_5_r1", 1561, "5x11:U 5x12:U 5x13:U 6x11:U 5x14:S");
 }
 
-/// Per-size conflicts of the multi-rung ladders: each size runs on its own
-/// solver, so every rung's count is pinned on its own.
+/// Per-size search traces of the multi-rung ladders, as
+/// "WxH:verdict/conflicts/decisions/propagations": each size runs on its own
+/// solver, so every rung's trace is pinned on its own, whichever thread
+/// decided it. The t and t_5 ladders are decided two rungs at a time after
+/// their first refutation.
 TEST(WorkCounters, ExactPnrConflictsPerRung)
 {
     for (const auto& [name, trace] : std::vector<std::pair<std::string, std::string>>{
-             {"par_check", "4x5:S/6"},
-             {"cm82a_5", "5x12:U/67 5x13:S/168"},
-             {"majority_5_r1", "5x11:U/30 5x12:U/149 5x13:U/887 6x11:U/40 5x14:S/455"}})
+             {"par_check", "4x5:S/6/25/487"},
+             {"cm82a_5", "5x12:U/67/430/22713 5x13:S/168/970/75378"},
+             {"majority_5_r1",
+              "5x11:U/30/53/6638 5x12:U/149/426/65896 5x13:U/887/2462/458997 "
+              "6x11:U/40/73/10973 5x14:S/455/2685/264121"},
+             {"t", "5x5:U/24/28/1211 6x5:U/27/33/1612 5x6:S/80/158/9696"},
+             {"t_5", "5x8:U/85/165/30351 5x9:U/927/2848/366348 6x8:U/150/418/49453 "
+                     "5x10:S/340/1872/149531"}})
     {
         ExactPDStats stats;
         ASSERT_TRUE(exact_physical_design(mapped_benchmark(name), {}, &stats).has_value()) << name;
-        EXPECT_EQ(verdict_trace(stats, /*with_conflicts=*/true), trace) << name;
+        EXPECT_EQ(verdict_trace(stats, /*with_conflicts=*/true, /*with_trace=*/true), trace) << name;
     }
 }
 
@@ -519,6 +541,189 @@ TEST(WorkCounters, ExactPnrEquivalenceCheckOnC17)
     EquivalenceStats stats;
     EXPECT_EQ(check_layout_equivalence(mapped, *layout, &stats), EquivalenceResult::equivalent);
     EXPECT_EQ(stats.conflicts, 12U);
+}
+
+// --- two rungs in flight --------------------------------------------------------
+
+/// Threads of this process (Linux), or 0 where that cannot be read.
+std::size_t thread_count()
+{
+    std::size_t n = 0;
+    std::error_code ec;
+    for (std::filesystem::directory_iterator it{"/proc/self/task", ec}, end; !ec && it != end;
+         it.increment(ec))
+    {
+        ++n;
+    }
+    return n;
+}
+
+/// Runs \p body on a core::ThreadPool worker: the calling thread takes item
+/// 0 and waits until a worker has run item 1.
+void on_pool_worker(const std::function<void()>& body)
+{
+    std::atomic<bool> done{false};
+    core::ThreadPool pool{1};
+    pool.run(
+        2,
+        [&](std::size_t) {
+            if (core::ThreadPool::inside_worker())
+            {
+                body();
+                done = true;
+                return;
+            }
+            const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds{60};
+            while (!done && std::chrono::steady_clock::now() < give_up)
+            {
+                std::this_thread::sleep_for(std::chrono::milliseconds{1});
+            }
+        },
+        2);
+    ASSERT_TRUE(done.load());
+}
+
+/// The one-at-a-time walk of the same call, from inside a pool worker.
+ExactPDStats sequential_walk(const logic::LogicNetwork& network, const ExactPDOptions& options,
+                             std::optional<GateLevelLayout>* layout = nullptr)
+{
+    ExactPDStats stats;
+    on_pool_worker([&] {
+        auto result = exact_physical_design(network, options, &stats);
+        if (layout != nullptr)
+        {
+            *layout = std::move(result);
+        }
+    });
+    return stats;
+}
+
+bool two_cpus()
+{
+    return core::resolve_thread_count(0) > 1;
+}
+
+TEST(ExactPDLadder, CallFromAPoolWorkerRunsOneRungAtATime)
+{
+    const auto mapped = mapped_benchmark("majority_5_r1");
+    ExactPDStats parallel;
+    ASSERT_TRUE(exact_physical_design(mapped, {}, &parallel).has_value());
+    EXPECT_EQ(parallel.rungs_in_flight, two_cpus() ? 2U : 1U);
+
+    std::optional<GateLevelLayout> layout;
+    const auto sequential = sequential_walk(mapped, {}, &layout);
+    ASSERT_TRUE(layout.has_value());
+    EXPECT_EQ(sequential.rungs_in_flight, 1U);
+    EXPECT_EQ(verdict_trace(sequential, true, true), verdict_trace(parallel, true, true));
+    EXPECT_EQ(sequential.total_conflicts, parallel.total_conflicts);
+}
+
+TEST(ExactPDLadder, CallerStopEndsBothRungsPromptly)
+{
+    const auto mapped = mapped_benchmark("majority_5_r1");
+    const auto threads_before = thread_count();
+    core::StopSource source;
+    ExactPDOptions opt;
+    opt.run.token = source.token();
+    // the first rung takes about a millisecond, the next two tens of them
+    std::thread stopper{[&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds{5});
+        source.request_stop();
+    }};
+    ExactPDStats stats;
+    const auto start = std::chrono::steady_clock::now();
+    const auto layout = exact_physical_design(mapped, opt, &stats);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    stopper.join();
+    EXPECT_FALSE(layout.has_value());
+    EXPECT_TRUE(stats.cancelled);
+    EXPECT_EQ(stats.message, "cancelled");
+    EXPECT_LT(elapsed, std::chrono::seconds{5});
+    // the helper was joined before the call returned
+    EXPECT_EQ(thread_count(), threads_before);
+}
+
+TEST(ExactPDLadder, ExpiredDeadlineEndsTheLadder)
+{
+    const auto mapped = mapped_benchmark("majority_5_r1");
+    ExactPDOptions opt;
+    opt.time_budget_ms = 5;
+    ExactPDStats stats;
+    const auto start = std::chrono::steady_clock::now();
+    const auto layout = exact_physical_design(mapped, opt, &stats);
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds{5});
+    EXPECT_FALSE(layout.has_value());
+    EXPECT_TRUE(stats.budget_exhausted);
+    EXPECT_FALSE(stats.cancelled);
+    EXPECT_EQ(stats.message, "time budget exhausted");
+}
+
+/// A conflict budget that cuts majority_5_r1's 5x13 rung (887 conflicts)
+/// but not the 5x14 winner (455): the ladder books the same verdicts as
+/// the one-at-a-time walk, the unknown one included.
+TEST(ExactPDLadder, ConflictCutBeforeTheWinnerMatchesTheSequentialWalk)
+{
+    const auto mapped = mapped_benchmark("majority_5_r1");
+    ExactPDOptions opt;
+    opt.conflicts_per_size = 600;
+    ExactPDStats stats;
+    const auto layout = exact_physical_design(mapped, opt, &stats);
+    ASSERT_TRUE(layout.has_value());
+    EXPECT_TRUE(stats.budget_exhausted);
+    EXPECT_EQ(verdict_trace(stats, true), "5x11:U/30 5x12:U/149 5x13:?/600 6x11:U/40 5x14:S/455");
+    const auto sequential = sequential_walk(mapped, opt);
+    EXPECT_EQ(verdict_trace(sequential, true, true), verdict_trace(stats, true, true));
+    EXPECT_EQ(sequential.budget_exhausted, stats.budget_exhausted);
+}
+
+/// Refuted rungs after the winner may have been decided by the helper, but
+/// only the ones up to the winner are certified and counted.
+TEST(ExactPDLadder, CertifiesTheRefutedRungsUpToTheWinner)
+{
+    const auto mapped = mapped_benchmark("t_5");
+    ExactPDOptions opt;
+    opt.certify_unsat = true;
+    ExactPDStats stats;
+    ASSERT_TRUE(exact_physical_design(mapped, opt, &stats).has_value());
+    EXPECT_EQ(verdict_trace(stats), "5x8:U 5x9:U 6x8:U 5x10:S");
+    EXPECT_EQ(stats.proofs_checked, 3U);
+    EXPECT_EQ(stats.proof_failures, 0U);
+}
+
+/// Defect-aware P&R runs on the same ladder: a blocked tile on a
+/// multi-rung ladder gives the sequential walk's verdicts and layout.
+TEST(ExactPDLadder, DefectSurfaceMatchesTheSequentialWalk)
+{
+    const auto mapped = mapped_benchmark("t");
+    phys::SurfaceDefect defect;
+    defect.site = tile_origin({2, 2});
+    defect.kind = phys::DefectKind::structural;
+    defect.charge = 0.0;
+    defect.exclusion_radius_nm = 1.0;
+    ExactPDOptions opt;
+    opt.defects.add(defect);
+
+    ExactPDStats stats;
+    const auto layout = exact_physical_design(mapped, opt, &stats);
+    ASSERT_TRUE(layout.has_value());
+    ASSERT_GT(stats.size_verdicts.size(), 1U);
+    for (const auto& tile : layout->all_tiles())
+    {
+        if (!layout->is_empty(tile))
+        {
+            EXPECT_FALSE(tile_blocked(tile, opt.defects));
+        }
+    }
+    std::optional<GateLevelLayout> sequential_layout;
+    const auto sequential = sequential_walk(mapped, opt, &sequential_layout);
+    ASSERT_TRUE(sequential_layout.has_value());
+    EXPECT_EQ(verdict_trace(sequential, true, true), verdict_trace(stats, true, true));
+    EXPECT_EQ(sequential_layout->width(), layout->width());
+    EXPECT_EQ(sequential_layout->height(), layout->height());
+    for (const auto& tile : layout->all_tiles())
+    {
+        EXPECT_EQ(sequential_layout->occupants(tile).size(), layout->occupants(tile).size());
+    }
 }
 
 }  // namespace
