@@ -1,11 +1,12 @@
 /// \file perf_micro.cpp
 /// \brief google-benchmark micro-benchmarks of the computational substrates:
-///        CDCL solving, exact/annealed ground states, NPN canonization,
-///        cut rewriting and exact physical design.
+///        CDCL solving, exact/annealed ground states, NPN canonization, cut
+///        enumeration, cut rewriting and exact physical design.
 
 #include "io/benchmarks.hpp"
 #include "layout/bestagon_library.hpp"
 #include "layout/exact_physical_design.hpp"
+#include "logic/cuts.hpp"
 #include "logic/npn.hpp"
 #include "logic/rewriting.hpp"
 #include "logic/tech_mapping.hpp"
@@ -111,6 +112,25 @@ void BM_RewriteBenchmark(benchmark::State& state)
     state.counters["gates_after"] = static_cast<double>(stats.gates_after);
 }
 BENCHMARK(BM_RewriteBenchmark);
+
+void BM_CutEnumeration(benchmark::State& state)
+{
+    const auto net = logic::strash(logic::to_xag(io::find_benchmark("xor5_majority")->build()));
+    std::size_t cuts = 0;
+    for (auto _ : state)
+    {
+        const logic::CutEnumeration enumeration{net};
+        cuts = 0;
+        for (const auto id : net.topological_order())
+        {
+            cuts += enumeration.cuts_of(id).size();
+        }
+        benchmark::DoNotOptimize(cuts);
+    }
+    // deterministic work, the same in every iteration
+    state.counters["cuts"] = static_cast<double>(cuts);
+}
+BENCHMARK(BM_CutEnumeration);
 
 void BM_ExactPhysicalDesign(benchmark::State& state)
 {

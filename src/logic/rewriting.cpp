@@ -7,6 +7,7 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace bestagon::logic
@@ -298,7 +299,7 @@ NodeId instantiate(LogicNetwork& target, const LogicNetwork& impl, const std::ve
 /// Rebuilds \p network, replacing the cone of \p root (over \p cut_leaves)
 /// by \p impl. Other nodes are recreated as-is; dead cone nodes are swept.
 LogicNetwork rebuild_with_replacement(const LogicNetwork& network, NodeId root,
-                                      const std::vector<NodeId>& cut_leaves, const LogicNetwork& impl)
+                                      std::span<const NodeId> cut_leaves, const LogicNetwork& impl)
 {
     LogicNetwork out;
     std::vector<NodeId> map(network.size(), LogicNetwork::invalid_node);
@@ -335,7 +336,7 @@ LogicNetwork rebuild_with_replacement(const LogicNetwork& network, NodeId root,
 /// inverted if output_negated.
 LogicNetwork adapt(const Cut& cut, const NpnTransform& t, const LogicNetwork& impl)
 {
-    const unsigned n = cut.function.num_vars();
+    const unsigned n = cut.num_leaves;
     LogicNetwork adapted;
     std::vector<NodeId> pi_ids;
     pi_ids.reserve(n);
@@ -432,7 +433,7 @@ class CandidateCosting
 
     /// Gate count of the network with the root's cone over \p leaves
     /// replaced by \p impl adapted through \p t.
-    std::size_t cost(const std::vector<NodeId>& leaves, const NpnTransform& t, const LogicNetwork& impl)
+    std::size_t cost(std::span<const NodeId> leaves, const NpnTransform& t, const LogicNetwork& impl)
     {
         builder_.truncate(base_size_);
         std::array<NodeId, max_cut_size> inputs{};
@@ -540,17 +541,17 @@ std::vector<RewriteCandidate> cost_candidates(const LogicNetwork& network, const
         for (std::size_t c = 0; c < node_cuts.size(); ++c)
         {
             const auto& cut = node_cuts[c];
-            if (cut.leaves.size() < 2)
+            if (cut.num_leaves < 2)
             {
                 continue;
             }
-            const auto canon = canonize_npn(cut.function);
+            const auto canon = canonize_npn(cut.function());
             const auto* impl = database.lookup(canon.canonical);
             if (impl == nullptr)
             {
                 continue;
             }
-            candidates.push_back({id, c, costing.cost(cut.leaves, canon.transform, *impl)});
+            candidates.push_back({id, c, costing.cost(cut.leaves(), canon.transform, *impl)});
         }
     }
     return candidates;
@@ -679,9 +680,9 @@ LogicNetwork rewrite(const LogicNetwork& network, NpnDatabase& database, Rewrite
         if (best != nullptr)
         {
             const auto& cut = cuts.cuts_of(best->root)[best->cut];
-            const auto canon = canonize_npn(cut.function);
+            const auto canon = canonize_npn(cut.function());
             const auto* impl = database.lookup(canon.canonical);
-            current = strash(rebuild_with_replacement(current, best->root, cut.leaves,
+            current = strash(rebuild_with_replacement(current, best->root, cut.leaves(),
                                                       adapt(cut, canon.transform, *impl)));
             assert(current.num_gates() == best_size);
             improved = true;

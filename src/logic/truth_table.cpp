@@ -137,6 +137,18 @@ TruthTable TruthTable::constant(unsigned num_vars, bool value)
     return tt;
 }
 
+TruthTable TruthTable::from_word(unsigned num_vars, std::uint64_t word)
+{
+    if (num_vars > 6)
+    {
+        throw std::invalid_argument{"TruthTable::from_word: more than 6 variables"};
+    }
+    TruthTable tt{num_vars};
+    tt.words_[0] = word;
+    tt.mask_off_excess();
+    return tt;
+}
+
 bool TruthTable::get_bit(std::uint64_t index) const
 {
     assert(index < num_bits());

@@ -35,6 +35,10 @@ class TruthTable
     /// Constant function.
     static TruthTable constant(unsigned num_vars, bool value);
 
+    /// The function of \p num_vars <= 6 variables whose 2^num_vars bits are
+    /// the low bits of \p word (higher bits of \p word are ignored).
+    static TruthTable from_word(unsigned num_vars, std::uint64_t word);
+
     [[nodiscard]] unsigned num_vars() const noexcept { return num_vars_; }
     [[nodiscard]] std::uint64_t num_bits() const noexcept { return 1ULL << num_vars_; }
 

@@ -25,6 +25,7 @@
 #include <cassert>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -245,7 +246,7 @@ inline NodeId instantiate(LogicNetwork& target, const LogicNetwork& impl, const 
 /// \p network with the cone of \p root over \p cut_leaves replaced by
 /// \p impl, swept.
 inline LogicNetwork rebuild_with_replacement(const LogicNetwork& network, NodeId root,
-                                             const std::vector<NodeId>& cut_leaves, const LogicNetwork& impl)
+                                             std::span<const NodeId> cut_leaves, const LogicNetwork& impl)
 {
     LogicNetwork out;
     std::unordered_map<NodeId, NodeId> map;
@@ -290,12 +291,12 @@ inline LogicNetwork adapt(const Cut& cut, const NpnTransform& t, const LogicNetw
 {
     LogicNetwork adapted;
     std::vector<NodeId> pi_ids;
-    for (unsigned i = 0; i < cut.function.num_vars(); ++i)
+    for (unsigned i = 0; i < cut.num_leaves; ++i)
     {
         pi_ids.push_back(adapted.create_pi());
     }
-    std::vector<NodeId> canon_inputs(cut.function.num_vars());
-    for (unsigned i = 0; i < cut.function.num_vars(); ++i)
+    std::vector<NodeId> canon_inputs(cut.num_leaves);
+    for (unsigned i = 0; i < cut.num_leaves; ++i)
     {
         NodeId sig = pi_ids[t.perm[i]];
         if ((t.input_flips >> i) & 1U)
@@ -336,17 +337,17 @@ inline std::vector<BuiltCandidate> build_candidates(const LogicNetwork& network,
         for (std::size_t c = 0; c < node_cuts.size(); ++c)
         {
             const auto& cut = node_cuts[c];
-            if (cut.leaves.size() < 2)
+            if (cut.num_leaves < 2)
             {
                 continue;
             }
-            const auto canon = canonize_npn(cut.function);
+            const auto canon = canonize_npn(cut.function());
             const auto* impl = database.lookup(canon.canonical);
             if (impl == nullptr)
             {
                 continue;
             }
-            auto built = reference::strash(reference::rebuild_with_replacement(network, id, cut.leaves, adapt(cut, canon.transform, *impl)));
+            auto built = reference::strash(reference::rebuild_with_replacement(network, id, cut.leaves(), adapt(cut, canon.transform, *impl)));
             const auto gates = built.num_gates();
             out.push_back(BuiltCandidate{RewriteCandidate{id, c, gates}, std::move(built)});
         }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 
 namespace
 {
@@ -29,6 +30,14 @@ TEST(TruthTable, ConstantsAndProjections)
     EXPECT_FALSE(comp);
     EXPECT_TRUE((~x0).is_projection(var, comp));
     EXPECT_TRUE(comp);
+}
+
+TEST(TruthTable, FromWordKeepsTheLowBits)
+{
+    EXPECT_EQ(TruthTable::from_word(2, 0xfff8), TruthTable::from_binary("1000"));
+    EXPECT_EQ(TruthTable::from_word(6, 0xf0f0f0f0f0f0f0f0ULL), TruthTable::nth_var(6, 2));
+    EXPECT_EQ(TruthTable::from_word(0, 3), TruthTable::constant(0, true));
+    EXPECT_THROW(static_cast<void>(TruthTable::from_word(7, 0)), std::invalid_argument);
 }
 
 TEST(TruthTable, BinaryStringRoundTrip)
