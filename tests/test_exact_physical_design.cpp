@@ -509,7 +509,7 @@ TEST(WorkCounters, ExactPnrLadderOnMajority5R1)
     expect_pinned_ladder("majority_5_r1", 1561, "5x11:U 5x12:U 5x13:U 6x11:U 5x14:S");
 }
 
-/// Per-size search traces of the multi-rung ladders, as
+/// Per-size search traces of all 14 Table-1 ladders, as
 /// "WxH:verdict/conflicts/decisions/propagations": each size runs on its own
 /// solver, so every rung's trace is pinned on its own, whichever thread
 /// decided it. The t and t_5 ladders are decided two rungs at a time after
@@ -517,6 +517,15 @@ TEST(WorkCounters, ExactPnrLadderOnMajority5R1)
 TEST(WorkCounters, ExactPnrConflictsPerRung)
 {
     for (const auto& [name, trace] : std::vector<std::pair<std::string, std::string>>{
+             {"c17", "5x8:S/20/118/3213"},
+             {"majority", "3x7:S/3/19/263"},
+             {"mux21", "3x6:S/1/9/142"},
+             {"newtag", "8x9:S/165/638/34474"},
+             {"par_gen", "3x4:S/3/11/131"},
+             {"xnor2", "2x3:S/0/2/17"},
+             {"xor2", "2x3:S/0/2/17"},
+             {"xor5_majority", "5x6:S/34/68/2224"},
+             {"xor5_r1", "5x6:S/6/29/547"},
              {"par_check", "4x5:S/6/25/487"},
              {"cm82a_5", "5x12:U/67/430/22713 5x13:S/168/970/75378"},
              {"majority_5_r1",
