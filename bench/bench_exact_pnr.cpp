@@ -146,6 +146,9 @@ BENCHMARK_CAPTURE(BM_ExactPnrLadder, par_check, std::string{"par_check"})
 BENCHMARK_CAPTURE(BM_ExactPnrLadder, c17, std::string{"c17"})
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime();
+BENCHMARK_CAPTURE(BM_ExactPnrLadder, xor5_r1, std::string{"xor5_r1"})
+    ->Unit(benchmark::kMillisecond)
+    ->MeasureProcessCPUTime();
 BENCHMARK_CAPTURE(BM_ExactPnrLadder, newtag, std::string{"newtag"})
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime();

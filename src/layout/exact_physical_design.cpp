@@ -226,14 +226,9 @@ class SizeEncoding
             trivially_unsat_ = true;
             return;
         }
-        // count the formula first, so the solver is sized once and loading
-        // it grows nothing
-        {
-            sat::ClauseCounter counter;
-            build(counter);
-            solver_.reserve(counter);
-        }
-        build(solver_);
+        // one pass into a buffer, one sized load; the buffer is freed
+        // before the solve
+        solver_.load(build());
     }
 
     /// Solves the size within \p limits. With \p certify, every UNSAT
@@ -362,6 +357,26 @@ class SizeEncoding
         return {net_.windows.lo[v], h_ - 1 - net_.windows.tail[v]};
     }
 
+    /// The rows [first, second) edge \p e may run a wire through: strictly
+    /// between its source's first row and its target's last.
+    [[nodiscard]] std::pair<unsigned, unsigned> wire_rows(std::size_t e) const
+    {
+        return {row_range(net_.edges[e].source).first + 1, row_range(net_.edges[e].target).second};
+    }
+
+    /// Calls \p f with each tile of rows [lo, hi), in tile order.
+    template <class F>
+    void for_rows(unsigned lo, unsigned hi, const F& f) const
+    {
+        for (unsigned x = 0; x < w_; ++x)
+        {
+            for (unsigned y = lo; y < hi; ++y)
+            {
+                f(static_cast<std::size_t>(x) * h_ + y);
+            }
+        }
+    }
+
     [[nodiscard]] sat::Var& place_var(NodeId v, std::size_t t)
     {
         return place_[static_cast<std::size_t>(v) * tiles_ + t];
@@ -395,8 +410,7 @@ class SizeEncoding
 
     /// Adds \p clause to \p sink, weakened by the group's guard in guarded
     /// mode.
-    template <class Sink>
-    void emit(Sink& sink, std::size_t group, std::span<const Lit> clause)
+    void emit(sat::ClauseBuffer& sink, std::size_t group, std::span<const Lit> clause)
     {
         if (!guarded_)
         {
@@ -407,29 +421,29 @@ class SizeEncoding
         guarded_clause_.push_back(~guards_[group]);
         sink.add_clause(guarded_clause_);
     }
-    template <class Sink>
-    void emit(Sink& sink, std::size_t group, std::initializer_list<Lit> clause)
+    void emit(sat::ClauseBuffer& sink, std::size_t group, std::initializer_list<Lit> clause)
     {
         emit(sink, group, std::span<const Lit>{clause.begin(), clause.size()});
     }
 
     /// trigger -> at least one of options (the AMO part is added separately).
-    template <class Sink>
-    void require_one_of(Sink& sink, std::size_t group, sat::Var trigger, const std::vector<Lit>& options)
+    void require_one_of(sat::ClauseBuffer& sink, std::size_t group, sat::Var trigger,
+                        const std::vector<Lit>& options)
     {
         one_of_.assign(1, ~sat::pos(trigger));
         one_of_.insert(one_of_.end(), options.begin(), options.end());
         emit(sink, group, one_of_);
     }
 
-    /// Creates the variables and emits the clauses of the size into \p sink:
-    /// the solver, or a ClauseCounter that sizes it. Both passes number the
-    /// variables alike and fill the same tables.
-    template <class Sink>
-    void build(Sink& sink)
+    /// Creates the variables, fills the tables and returns the clauses of
+    /// the size, in their fixed order. The loops of an edge run over the
+    /// rows [ulo, vhi] it can occupy, from its source's first row to its
+    /// target's last: no clause of the edge lies outside them.
+    sat::ClauseBuffer build()
     {
         const auto& nodes = net_.nodes;
         const auto& edges = net_.edges;
+        sat::ClauseBuffer sink;
 
         if (guarded_)
         {
@@ -515,7 +529,9 @@ class SizeEncoding
         {
             const auto u = edges[e].source;
             const auto v = edges[e].target;
-            for (unsigned y = 0; y < h_; ++y)
+            const unsigned ulo = row_range(u).first;
+            const unsigned vhi = row_range(v).second;
+            for (unsigned y = ulo; y <= vhi; ++y)
             {
                 for (unsigned x = 0; x < w_; ++x)
                 {
@@ -556,8 +572,7 @@ class SizeEncoding
             }
 
             // arc endpoints must carry the edge
-            for (std::size_t from = 0; from < tiles_; ++from)
-            {
+            for_rows(ulo, vhi, [&](std::size_t from) {
                 const auto down = down_neighbors(coord(from));
                 for (std::size_t d = 0; d < down.size(); ++d)
                 {
@@ -576,7 +591,7 @@ class SizeEncoding
                     push_if(clause, wire_var(e, to));
                     emit(sink, grp_routing, clause);
                 }
-            }
+            });
         }
 
         // arc capacity: each arc used by at most one edge
@@ -596,13 +611,9 @@ class SizeEncoding
         // wires and placed nodes never share a tile
         for (std::size_t e = 0; e < edges.size(); ++e)
         {
-            for (std::size_t t = 0; t < tiles_; ++t)
-            {
+            const auto rows = wire_rows(e);
+            for_rows(rows.first, rows.second, [&](std::size_t t) {
                 const auto wt = wire_var(e, t);
-                if (wt == absent)
-                {
-                    continue;
-                }
                 for (const auto v : nodes_in_row[t % h_])
                 {
                     if (const auto p = place_var(v, t); p != absent)
@@ -610,7 +621,7 @@ class SizeEncoding
                         emit(sink, grp_exclusivity, {~sat::pos(wt), ~sat::pos(p)});
                     }
                 }
-            }
+            });
         }
 
         // defect avoidance: unit clauses forbid any placement or wire on a
@@ -627,14 +638,15 @@ class SizeEncoding
         }
         for (std::size_t e = 0; e < edges.size(); ++e)
         {
-            for (std::size_t t = 0; t < tiles_; ++t)
-            {
-                if (const auto wt = wire_var(e, t); wt != absent && blocked_[t])
+            const auto rows = wire_rows(e);
+            for_rows(rows.first, rows.second, [&](std::size_t t) {
+                if (blocked_[t])
                 {
-                    emit(sink, grp_defects, {~sat::pos(wt)});
+                    emit(sink, grp_defects, {~sat::pos(wire_var(e, t))});
                 }
-            }
+            });
         }
+        return sink;
     }
 
     /// Reads the model off the solver and assembles the w x h gate-level

@@ -36,8 +36,8 @@
 /// room its lists do not use), and when that frees too little the buffer
 /// doubles. Every move copies a list in order, so the watchers of each
 /// literal are visited in exactly the order a vector per literal would
-/// give. Solver::reserve() lays the lists out from exact per-literal
-/// counts, so loading a counted formula moves nothing.
+/// give. Solver::load() lays the lists out from exact per-literal
+/// counts, so loading a buffered formula moves nothing.
 
 #pragma once
 

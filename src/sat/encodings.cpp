@@ -80,9 +80,9 @@ void add_at_most_one(Solver& solver, std::span<const Lit> lits, std::optional<Li
     at_most_one(solver, lits, guard);
 }
 
-void add_at_most_one(ClauseCounter& counter, std::span<const Lit> lits, std::optional<Lit> guard)
+void add_at_most_one(ClauseBuffer& buffer, std::span<const Lit> lits, std::optional<Lit> guard)
 {
-    at_most_one(counter, lits, guard);
+    at_most_one(buffer, lits, guard);
 }
 
 void add_exactly_one(Solver& solver, std::span<const Lit> lits, std::optional<Lit> guard)
@@ -90,9 +90,9 @@ void add_exactly_one(Solver& solver, std::span<const Lit> lits, std::optional<Li
     exactly_one(solver, lits, guard);
 }
 
-void add_exactly_one(ClauseCounter& counter, std::span<const Lit> lits, std::optional<Lit> guard)
+void add_exactly_one(ClauseBuffer& buffer, std::span<const Lit> lits, std::optional<Lit> guard)
 {
-    exactly_one(counter, lits, guard);
+    exactly_one(buffer, lits, guard);
 }
 
 void add_at_most_k(Solver& solver, std::span<const Lit> lits, unsigned k)

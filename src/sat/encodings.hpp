@@ -27,8 +27,8 @@ namespace bestagon::sat
 /// stay sound — a false guard satisfies all of their defining clauses.
 void add_at_most_one(Solver& solver, std::span<const Lit> lits,
                      std::optional<Lit> guard = std::nullopt);
-/// Counts the clauses and variables add_at_most_one() would add.
-void add_at_most_one(ClauseCounter& counter, std::span<const Lit> lits,
+/// Emits the same variables and clauses into a ClauseBuffer.
+void add_at_most_one(ClauseBuffer& buffer, std::span<const Lit> lits,
                      std::optional<Lit> guard = std::nullopt);
 
 /// Adds clauses enforcing that exactly one of \p lits is true; an empty
@@ -36,8 +36,8 @@ void add_at_most_one(ClauseCounter& counter, std::span<const Lit> lits,
 /// \p guard has the same semantics as in add_at_most_one().
 void add_exactly_one(Solver& solver, std::span<const Lit> lits,
                      std::optional<Lit> guard = std::nullopt);
-/// Counts the clauses and variables add_exactly_one() would add.
-void add_exactly_one(ClauseCounter& counter, std::span<const Lit> lits,
+/// Emits the same variables and clauses into a ClauseBuffer.
+void add_exactly_one(ClauseBuffer& buffer, std::span<const Lit> lits,
                      std::optional<Lit> guard = std::nullopt);
 
 /// Adds clauses enforcing that at most \p k of \p lits are true

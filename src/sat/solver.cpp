@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <numeric>
 
 namespace bestagon::sat
 {
@@ -19,7 +20,7 @@ constexpr std::int64_t time_check_stride = 256;
 /// \p value_of calls false. Returns the length of what is left, or -1 when
 /// a literal is true or the clause is a tautology.
 template <class ValueOf>
-std::ptrdiff_t simplify_clause(std::vector<Lit>& lits, const ValueOf& value_of)
+std::ptrdiff_t simplify_clause(std::span<Lit> lits, const ValueOf& value_of)
 {
     std::sort(lits.begin(), lits.end());
     std::size_t kept = 0;
@@ -43,35 +44,24 @@ std::ptrdiff_t simplify_clause(std::vector<Lit>& lits, const ValueOf& value_of)
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// clause counter
+// clause buffer
 // ---------------------------------------------------------------------------
 
-void ClauseCounter::add_clause(std::span<const Lit> lits)
+void ClauseBuffer::add_clause(std::span<const Lit> lits)
 {
-    tmp_.assign(lits.begin(), lits.end());
-    const auto size = simplify_clause(tmp_, [](Lit) { return LBool::undef; });
-    if (size == 1)
+    assert(std::all_of(lits.begin(), lits.end(),
+                       [this](Lit l) { return l.var() >= 0 && l.var() < num_vars_; }));
+    const auto begin = lits_.size();
+    lits_.insert(lits_.end(), lits.begin(), lits.end());
+    const auto size =
+        simplify_clause(std::span<Lit>{lits_}.subspan(begin), [](Lit) { return LBool::undef; });
+    if (size < 0)
     {
-        ++units_;
-    }
-    if (size < 2)
-    {
+        lits_.resize(begin);  // a tautology
         return;
     }
-    for (std::size_t k = 0; k < 2; ++k)
-    {
-        const auto code = static_cast<std::size_t>((~tmp_[k]).x);
-        if (watchers_.size() <= code)
-        {
-            watchers_.resize(code + 1, 0);
-        }
-        ++watchers_[code];
-    }
-    if (size > 2)
-    {
-        arena_words_ += detail::clause_header_words + static_cast<std::size_t>(size);
-        ++arena_clauses_;
-    }
+    lits_.resize(begin + static_cast<std::size_t>(size));
+    ends_.push_back(static_cast<std::uint32_t>(lits_.size()));
 }
 
 // ---------------------------------------------------------------------------
@@ -167,23 +157,68 @@ Solver::Solver()
     order_heap_.activity = &activity_;
 }
 
-void Solver::reserve(const ClauseCounter& counted)
+bool Solver::load(const ClauseBuffer& formula)
 {
-    assert(num_vars() == 0);
-    const auto vars = static_cast<std::size_t>(counted.num_vars_);
-    assigns_.reserve(vars);
-    polarity_.reserve(vars);
-    activity_.reserve(vars);
-    reason_.reserve(vars);
-    level_.reserve(vars);
-    seen_.reserve(vars);
+    assert(num_vars() == 0 && num_problem_clauses_ == 0 && ok_);
+    const auto vars = static_cast<std::size_t>(formula.num_vars());
+    const auto clauses = formula.num_clauses();
+
+    // the variables, as new_var() leaves them; with equal activities the
+    // order heap is the variables in creation order
+    assigns_.assign(vars, LBool::undef);
+    polarity_.assign(vars, true);
+    activity_.assign(vars, 0.0);
+    reason_.assign(vars, cref_undef);
+    level_.assign(vars, 0);
+    seen_.assign(vars, 0);
     trail_.reserve(vars);
-    order_heap_.heap.reserve(vars);
-    order_heap_.indices.reserve(vars);
-    root_units_.reserve(counted.units_);
-    ca_.reserve_words(counted.arena_words_);
-    problem_clauses_.reserve(counted.arena_clauses_);
-    watches_.reserve(counted.watchers_);
+    order_heap_.heap.resize(vars);
+    std::iota(order_heap_.heap.begin(), order_heap_.heap.end(), Var{0});
+    order_heap_.indices.resize(vars);
+    std::iota(order_heap_.indices.begin(), order_heap_.indices.end(), 0);
+
+    // one counting sweep: watchers per literal, arena words and clauses,
+    // units; exact unless a unit comes before the last clause (its
+    // propagation can shorten later clauses; the solver then grows as usual)
+    std::size_t arena_words = 0;
+    std::size_t arena_clauses = 0;
+    std::size_t units = 0;
+    {
+        std::vector<std::uint32_t> watchers(2 * vars, 0);
+        for (std::size_t i = 0; i < clauses; ++i)
+        {
+            const auto c = formula.clause(i);
+            if (c.size() < 2)
+            {
+                units += c.size();  // 1 for a unit, 0 for the empty clause
+                continue;
+            }
+            ++watchers[static_cast<std::size_t>((~c[0]).x)];
+            ++watchers[static_cast<std::size_t>((~c[1]).x)];
+            if (c.size() > 2)
+            {
+                arena_words += detail::clause_header_words + c.size();
+                ++arena_clauses;
+            }
+        }
+        watches_.reserve(watchers);
+    }  // the counts are freed before the arena is reserved
+    root_units_.reserve(units);
+    ca_.reserve_words(arena_words);
+    problem_clauses_.reserve(arena_clauses);
+
+    // the clauses, in order: already simplified up to the first unit or
+    // empty clause, through add_clause() from there on
+    std::size_t i = 0;
+    for (; i < clauses && formula.clause(i).size() >= 2; ++i)
+    {
+        store_clause(formula.clause(i));
+    }
+    for (; i < clauses; ++i)
+    {
+        add_clause(formula.clause(i));
+    }
+    return ok_;
 }
 
 Var Solver::new_var()
@@ -237,9 +272,11 @@ bool Solver::add_clause(std::span<const Lit> lits)
     }
     if (size == 0)
     {
-        // record the (sorted, untouched) clause: it is not stored anywhere
-        // else, yet the formula snapshot needs it to remain unsatisfiable
-        // (all its literals are falsified by root-level propagation)
+        // record the (sorted, untouched) clause without its duplicates, as
+        // a ClauseBuffer holds it: it is not stored anywhere else, yet the
+        // formula snapshot needs it to remain unsatisfiable (all its
+        // literals are falsified by root-level propagation)
+        add_tmp_.erase(std::unique(add_tmp_.begin(), add_tmp_.end()), add_tmp_.end());
         root_conflict_clauses_.push_back(add_tmp_);
         ok_ = false;
         return false;
@@ -253,18 +290,23 @@ bool Solver::add_clause(std::span<const Lit> lits)
         return ok_;
     }
 
+    store_clause(std::span<const Lit>{add_tmp_.data(), static_cast<std::size_t>(size)});
+    return true;
+}
+
+void Solver::store_clause(std::span<const Lit> lits)
+{
+    assert(lits.size() >= 2);
     ++num_problem_clauses_;
-    if (size == 2)
+    if (lits.size() == 2)
     {
-        const Lit second = add_tmp_[1];
-        watches_.push(static_cast<std::size_t>((~first).x), {binary_watch, second});
-        watches_.push(static_cast<std::size_t>((~second).x), {binary_watch, first});
-        return true;
+        watches_.push(static_cast<std::size_t>((~lits[0]).x), {binary_watch, lits[1]});
+        watches_.push(static_cast<std::size_t>((~lits[1]).x), {binary_watch, lits[0]});
+        return;
     }
-    const auto cr = ca_.alloc(std::span<const Lit>{add_tmp_.data(), static_cast<std::size_t>(size)}, false);
+    const auto cr = ca_.alloc(lits, false);
     problem_clauses_.push_back(cr);
     attach_clause(cr);
-    return true;
 }
 
 void Solver::unchecked_enqueue(Lit l, CRef from)

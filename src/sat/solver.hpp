@@ -29,10 +29,12 @@
 /// that point, and a binary reason contributes the one literal an arena
 /// reason would.
 ///
-/// A formula whose clauses are known in advance can be counted first with a
-/// ClauseCounter and the solver sized once with reserve(): variables, arena
-/// words, problem clauses and every watch list then get exactly their final
-/// size, so loading the formula grows and copies nothing.
+/// A formula whose clauses are known in advance can be emitted once into a
+/// ClauseBuffer and loaded with load(): one counting sweep over the buffer
+/// gives variables, arena words, problem clauses and every watch list
+/// exactly their final size, so loading the formula grows and copies
+/// nothing, and the solver ends up as the same new_var()/add_clause()
+/// sequence would leave it.
 
 #pragma once
 
@@ -62,16 +64,18 @@ struct SolveLimits
     core::RunBudget run{};
 };
 
-/// Counts what a formula will occupy in a Solver before it is loaded:
-/// feed it the same new_var()/add_clause() sequence, then pass it to
-/// Solver::reserve(). Clauses are simplified as Solver::add_clause() does
-/// on a solver without assignments, so the counts are exact unless a unit
-/// clause is added before the last clause (a unit's propagation can
-/// shorten later clauses; the solver then grows as usual).
-class ClauseCounter
+/// A formula as flat literals and clause ends, for Solver::load(). It
+/// takes the new_var()/add_clause() calls a solver takes and normalizes
+/// each clause as Solver::add_clause() does on a solver without
+/// assignments: literals sorted, duplicates dropped, a tautology dropped
+/// whole. Units and the empty clause are kept as they come.
+class ClauseBuffer
 {
   public:
     Var new_var() { return num_vars_++; }
+
+    [[nodiscard]] int num_vars() const noexcept { return num_vars_; }
+    [[nodiscard]] std::size_t num_clauses() const noexcept { return ends_.size(); }
 
     void add_clause(std::span<const Lit> lits);
     void add_clause(std::initializer_list<Lit> lits)
@@ -79,15 +83,17 @@ class ClauseCounter
         add_clause(std::span<const Lit>{lits.begin(), lits.size()});
     }
 
-  private:
-    friend class Solver;
+    /// The normalized literals of clause \p i, in insertion order.
+    [[nodiscard]] std::span<const Lit> clause(std::size_t i) const noexcept
+    {
+        const std::size_t begin = i == 0 ? 0 : ends_[i - 1];
+        return {lits_.data() + begin, ends_[i] - begin};
+    }
 
+  private:
     int num_vars_{0};
-    std::size_t arena_words_{0};    ///< words of the clauses of 3+ literals
-    std::size_t arena_clauses_{0};  ///< clauses of 3+ literals
-    std::size_t units_{0};
-    std::vector<std::uint32_t> watchers_;  ///< per literal code
-    std::vector<Lit> tmp_;
+    std::vector<Lit> lits_;
+    std::vector<std::uint32_t> ends_;  ///< one past each clause's last literal
 };
 
 /// CDCL SAT solver with incremental assumption-based solving.
@@ -96,9 +102,14 @@ class Solver
   public:
     Solver();
 
-    /// Sizes an empty solver for the formula \p counted describes, before
-    /// the formula is loaded (see ClauseCounter).
-    void reserve(const ClauseCounter& counted);
+    /// Loads \p formula into an empty solver: its variables, then its
+    /// clauses in order. Every per-variable array, the arena and each watch
+    /// list is sized once from one counting sweep over the buffer. From the
+    /// first unit or empty clause on, clauses go through add_clause(), which
+    /// simplifies them against the root assignments. The solver is left as
+    /// the same new_var()/add_clause() sequence leaves it. Returns false
+    /// when the formula is trivially unsatisfiable, as add_clause() does.
+    bool load(const ClauseBuffer& formula);
 
     /// Creates a fresh variable and returns it.
     Var new_var();
@@ -215,6 +226,8 @@ class Solver
     };
 
     // clause management
+    /// Stores a simplified clause of two or more literals and watches it.
+    void store_clause(std::span<const Lit> lits);
     void attach_clause(CRef cr);
     void remove_clause(CRef cr);
     void reduce_db();
