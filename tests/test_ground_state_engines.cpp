@@ -10,6 +10,7 @@
 
 #include "core/run_control.hpp"
 #include "layout/bestagon_library.hpp"
+#include "phys/defect.hpp"
 #include "phys/ground_state.hpp"
 #include "phys/ground_state_exact.hpp"
 #include "phys/operational.hpp"
@@ -219,6 +220,43 @@ TEST(WorkCounters, SignoffTiles)
     const auto verdict = bestagon::testkit::compare_golden(
         golden, std::string{BESTAGON_GOLDEN_DATA_DIR} + "/fig5_ground_states.txt.golden");
     EXPECT_TRUE(verdict.ok) << verdict.detail;
+}
+
+/// The OR tile's check with one charged defect (-1 e) 6.4 nm from its nearest
+/// dot, left of the input wires: every search starts from the defect background W_i, so the
+/// nodes, ground states (grand potential to 17 digits) and degeneracy below
+/// differ from the pristine pins above. The defect's field costs pattern 0
+/// its output, so the tile reads 3/4 correct here.
+TEST(WorkCounters, ExactEngineOnTheOrTileBesideAChargedDefect)
+{
+    DefectSurface surface;
+    SurfaceDefect defect;
+    defect.site = {8, 10, 0};
+    surface.add(defect);
+    SimulationParameters params;
+    params.num_threads = 1;
+    const auto result =
+        check_operational(library_tile(bestagon::logic::GateType::or2), params, surface);
+    ASSERT_FALSE(result.blocked);
+    EXPECT_FALSE(result.operational);
+    EXPECT_EQ(result.patterns_correct, 3U);
+
+    std::string searches;
+    for (const auto& pattern : result.details)
+    {
+        const auto& gs = pattern.ground_state;
+        EXPECT_TRUE(gs.complete);
+        std::array<char, 128> line{};
+        std::snprintf(line.data(), line.size(), "%llu %llu %s %.17g %llu\n",
+                      static_cast<unsigned long long>(pattern.pattern),
+                      static_cast<unsigned long long>(gs.nodes), config_string(gs.config).c_str(),
+                      gs.grand_potential, static_cast<unsigned long long>(gs.degeneracy));
+        searches += line.data();
+    }
+    EXPECT_EQ(searches, "0 31547 1010101010101001011111 -3.1886053656636899 1\n"
+                        "1 33827 0110101010101001011111 -3.1584930867909535 1\n"
+                        "2 32402 1010100110101001011111 -3.1587534414438916 1\n"
+                        "3 34186 0110100110101001011111 -3.1285376315720219 1\n");
 }
 
 TEST(WorkCounters, LimitedBudgetCountsTheSameNodes)
