@@ -60,8 +60,9 @@ void ChargeState::rebuild()
     // sequence of SiDBSystem::local_potential, so rebuilt values are
     // bit-identical to the naive evaluator's. The defect background W_i is
     // the summation's starting value (0.0 on a defect-free system); every
-    // incremental commit then carries it along for free, which is how all
-    // four ground-state engines see charged defects without any change.
+    // incremental commit then carries it along for free, which is how the
+    // annealer and the quench see charged defects without any change (the
+    // exact engine starts its own potentials from the same W_i).
     for (std::size_t i = 0; i < n; ++i)
     {
         double v = system_->external_potential(i);
@@ -80,13 +81,6 @@ void ChargeState::rebuild()
     }
 }
 
-// The two row loops are aligned to 64 bytes: left to where the link puts
-// the function, their placement moved the exact engine's time by about 5%
-// (Fig. 5 sign-off set-up, 12 alternating pairs: 0.475 s CPU with the loops
-// aligned against 0.498 s with the function aligned to 64 instead).
-#if defined(__GNUC__) && !defined(__clang__)
-__attribute__((optimize("align-loops=64")))
-#endif
 void ChargeState::commit_flip(std::size_t i)
 {
     const std::size_t n = config_.size();
@@ -94,10 +88,10 @@ void ChargeState::commit_flip(std::size_t i)
     double* v = v_.data();
     // Ascending-j row application with the flipped site skipped, as two
     // branch-free runs [0, i) and (i, n) the compiler can vectorize. Each
-    // v_j still receives exactly one +-V_ij per commit, in the update order
-    // the pre-kernel branch-and-bound used, so its branch/unwind float
-    // trajectories are preserved bit-for-bit. (Adding the zero diagonal
-    // instead of skipping it would not be: -0.0 + 0.0 is +0.0.)
+    // v_j still receives exactly one +-V_ij per commit, in ascending j, so
+    // the annealer's and the quench's float trajectories are those of the
+    // per-element loop bit for bit. (Adding the zero diagonal instead of
+    // skipping it would not be: -0.0 + 0.0 is +0.0.)
     if (config_[i] == 0)
     {
         for (std::size_t j = 0; j < i; ++j)

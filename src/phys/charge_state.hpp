@@ -1,6 +1,6 @@
 /// \file charge_state.hpp
-/// \brief The incremental charge-state kernel shared by every ground-state
-///        engine in the physical-simulation layer.
+/// \brief The incremental charge-state kernel of the physical-simulation
+///        layer: simulated annealing, the quench and the kernel oracle.
 ///
 /// Every decision the flow makes about a gate — operational checks,
 /// operational-domain sweeps, gate-designer scoring — bottoms out in
@@ -35,11 +35,7 @@
 ///  - `commit_flip(i)` applies `v_j += s * V_ij` for all j != i in ascending
 ///    j order (s = +1 when i becomes negative, -1 when it becomes neutral),
 ///    as two branch-free runs over `SiDBSystem::potential_row(i)` on either
-///    side of i — the same floating-point operation sequence the pre-kernel
-///    branch-and-bound performed, so its trajectories are unchanged.
-///    Committing the same flip twice replays the identical add/subtract
-///    pair, which makes the exact engine's branch/unwind discipline
-///    expressible directly on the kernel.
+///    side of i: each v_j receives exactly one +-V_ij per commit.
 ///  - Incremental updates accumulate at most ulp-level drift relative to a
 ///    fresh summation; `rebuild()` is the exact-resync hook for callers that
 ///    need naive-path fidelity at a decision boundary (e.g. the quench that
@@ -47,13 +43,13 @@
 ///    testkit oracle pins the drift below 1e-12 under long random move
 ///    sequences.
 ///
-/// The kernel deliberately does NOT track the grand potential across
-/// commits: engines that need exact energy bookkeeping across a
-/// branch/unwind pair (the exact search) save and restore their own
-/// partial sums, and reported energies always come from a fresh
-/// `SiDBSystem::grand_potential` evaluation. `grand_potential()` here is an
-/// O(n) identity over the cache (F = 1/2 sum_i v_i n_i + mu N) intended for
-/// diagnostics and tests.
+/// The exact engine does not use the kernel: its search keeps one
+/// local-potential array per depth and never undoes a flip (see
+/// ground_state_exact.cpp). The kernel deliberately does NOT track the
+/// grand potential across commits, and reported energies always come from
+/// a fresh `SiDBSystem::grand_potential` evaluation. `grand_potential()`
+/// here is an O(n) identity over the cache (F = 1/2 sum_i v_i n_i + mu N)
+/// intended for diagnostics and tests.
 
 #pragma once
 

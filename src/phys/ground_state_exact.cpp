@@ -1,11 +1,7 @@
 #include "phys/ground_state_exact.hpp"
 
-#include "phys/charge_state.hpp"
-
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <numeric>
 
 namespace bestagon::phys
 {
@@ -174,16 +170,33 @@ PopulationWindow compute_population_window(const SiDBSystem& system)
 namespace
 {
 
+/// Which testkit fault, if any, the search runs with.
+enum class SearchFault : std::uint8_t
+{
+    none,
+    /// the caller's (possibly wrong) window, no quenched seed
+    wrong_window,
+    /// the negative branch leaves the sites before the branching index
+    /// without the row update, no quenched seed
+    stale_prefix
+};
+
 // The branch-and-bound state, the precomputed population window its three
 // gates read and the stack of sites charged on the current path, which its
-// viability gate walks.
+// viability gate walks. The local potentials live in `potentials`, one array
+// of n per depth: slot 0 holds the defect background W_i, and a negative
+// branch at site k writes its child's potentials into slot k + 1 while a
+// neutral branch hands its child the parent's array. A node's descendants
+// only write slots above its own index, so every array on the current path
+// stays intact and nothing is ever unwound.
 struct SearchState
 {
     const SiDBSystem* system;
     double mu;
+    double stability_tolerance;
     std::size_t n;
-    ChargeState kernel;
-    double partial_f;
+    std::vector<double> potentials;  // (n + 1) * n
+    ChargeConfig config;             // the path's charges; sites >= index are 0
     double best_f;
     ChargeConfig best_config;
     std::uint64_t degeneracy;
@@ -193,11 +206,52 @@ struct SearchState
     const core::RunBudget* run;
     std::uint64_t nodes;
     bool stopped;
-
-    explicit SearchState(const SiDBSystem& sys) : kernel{sys} {}
+    bool stale_prefix;
 };
 
-void recurse(SearchState& s, std::size_t index)
+/// Optimistic completion bound of a node at \p index: every unassigned site
+/// can at best add min(0, mu + v_i) to \p partial_f.
+double completion_bound(const SearchState& s, const double* v, std::size_t index, double partial_f)
+{
+    double bound = partial_f;
+    for (std::size_t i = index; i < s.n; ++i)
+    {
+        bound += std::min(0.0, s.mu + v[i]);
+    }
+    return bound;
+}
+
+/// SiQAD physical validity of the path's configuration over its potentials
+/// \p v: population stability, then no single electron hop lowers F.
+bool physically_valid(const SearchState& s, const double* v)
+{
+    const double tol = s.stability_tolerance;
+    for (std::size_t i = 0; i < s.n; ++i)
+    {
+        const double level = s.mu + v[i];
+        if (s.config[i] != 0 ? level > tol : level < -tol)
+        {
+            return false;
+        }
+    }
+    for (const std::size_t i : s.charged)
+    {
+        const double* row = s.system->potential_row(i);
+        for (std::size_t j = 0; j < s.n; ++j)
+        {
+            if (s.config[j] == 0 && v[j] - v[i] - row[j] < -tol)
+            {
+                return false;
+            }
+        }
+    }
+    return true;
+}
+
+/// Visits the node at \p index whose local potentials are \p v, whose grand
+/// potential over the assigned sites is \p partial_f and whose completion
+/// bound its parent computed as \p bound.
+void recurse(SearchState& s, std::size_t index, const double* v, double partial_f, double bound)
 {
     if (s.stopped)
     {
@@ -210,20 +264,17 @@ void recurse(SearchState& s, std::size_t index)
     }
     if (index == s.n)
     {
-        if (s.partial_f <= s.best_f + s.tolerance)
+        if (partial_f <= s.best_f + s.tolerance && physically_valid(s, v))
         {
-            if (s.kernel.physically_valid())
+            if (partial_f < s.best_f - s.tolerance)
             {
-                if (s.partial_f < s.best_f - s.tolerance)
-                {
-                    s.best_f = s.partial_f;
-                    s.best_config = s.kernel.config();
-                    s.degeneracy = 1;
-                }
-                else
-                {
-                    ++s.degeneracy;
-                }
+                s.best_f = partial_f;
+                s.best_config = s.config;
+                s.degeneracy = 1;
+            }
+            else
+            {
+                ++s.degeneracy;
             }
         }
         return;
@@ -232,70 +283,103 @@ void recurse(SearchState& s, std::size_t index)
     // population-reachability gate (integer-only, no float effect): even
     // charging every remaining site cannot reach the window's minimum, so
     // every leaf below is population unstable
-    if (s.kernel.num_charges() + (s.n - index) < s.window->min_charges)
+    if (s.charged.size() + (s.n - index) < s.window->min_charges)
     {
         return;
-    }
-
-    // optimistic completion bound: every unassigned site can at best add
-    // min(0, mu + v_i)
-    double bound = s.partial_f;
-    for (std::size_t i = index; i < s.n; ++i)
-    {
-        bound += std::min(0.0, s.mu + s.kernel.local_potential(i));
     }
     if (bound > s.best_f + s.tolerance)
     {
         return;
     }
 
+    const bool neutral = s.window->status[index] != site_forced_negative;
     // branch: negative first, gated on the window — a forced-neutral site is
     // never charged, and the population never exceeds the window's maximum.
-    if (s.window->status[index] != site_forced_neutral &&
-        s.kernel.num_charges() < s.window->max_charges)
+    if (s.window->status[index] == site_forced_neutral ||
+        s.charged.size() >= s.window->max_charges)
     {
-        const double delta = s.mu + s.kernel.local_potential(index);
-        s.kernel.commit_flip(index);
-        s.partial_f += delta;
-        s.charged.push_back(index);
-        // viability: every charged site j <= index, read off the path's
-        // stack in ascending order, must keep mu + v_j <= 1e-12 after this
-        // charge; the neutral sites are never visited
-        bool viable = true;
-        for (const std::size_t j : s.charged)
+        // branch: neutral, unless the site is charged in every stable config
+        if (neutral)
         {
-            if (s.mu + s.kernel.local_potential(j) > 1e-12)
-            {
-                viable = false;
-                break;
-            }
+            recurse(s, index + 1, v, partial_f, completion_bound(s, v, index + 1, partial_f));
         }
-        if (viable)
-        {
-            recurse(s, index + 1);
-        }
-        s.charged.pop_back();
-        s.kernel.commit_flip(index);
-        s.partial_f -= delta;
+        return;
     }
 
-    // branch: neutral, unless the site is charged in every stable config
-    if (s.window->status[index] != site_forced_negative)
+    // One pass writes the child's potentials v_j + V_{index,j} (the site
+    // itself keeps v_index) and, over the sites after index in ascending
+    // order, sums both children's completion bounds: the negative child's
+    // over its own potentials, the neutral sibling's over the parent's.
+    const double mu = s.mu;
+    const std::size_t n = s.n;
+    const double delta = mu + v[index];
+    double* child = s.potentials.data() + (index + 1) * n;
+    const double* row = s.system->potential_row(index);
+    if (s.stale_prefix)
     {
-        recurse(s, index + 1);
+        std::copy(v, v + index, child);
+    }
+    else
+    {
+        for (std::size_t j = 0; j < index; ++j)
+        {
+            child[j] = v[j] + row[j];
+        }
+    }
+    child[index] = v[index];
+    double child_bound = partial_f + delta;
+    double sibling_bound = partial_f;
+    for (std::size_t j = index + 1; j < n; ++j)
+    {
+        const double c = v[j] + row[j];
+        child[j] = c;
+        child_bound += std::min(0.0, mu + c);
+        sibling_bound += std::min(0.0, mu + v[j]);
+    }
+
+    // viability: every charged site j <= index, read off the path's stack in
+    // ascending order, must keep mu + v_j <= 1e-12 after this charge; the
+    // neutral sites are never visited
+    s.charged.push_back(index);
+    bool viable = true;
+    for (const std::size_t j : s.charged)
+    {
+        if (mu + child[j] > 1e-12)
+        {
+            viable = false;
+            break;
+        }
+    }
+    if (viable)
+    {
+        s.config[index] = 1;
+        recurse(s, index + 1, child, partial_f + delta, child_bound);
+        s.config[index] = 0;
+    }
+    s.charged.pop_back();
+
+    if (neutral)
+    {
+        recurse(s, index + 1, v, partial_f, sibling_bound);
     }
 }
 
 GroundStateResult search_with_window(const SiDBSystem& system, double degeneracy_tolerance,
-                                     const PopulationWindow& window, bool seed_from_quench,
+                                     const PopulationWindow& window, SearchFault fault,
                                      const core::RunBudget& run)
 {
     const std::size_t n = system.size();
-    SearchState s{system};
+    SearchState s;
     s.system = &system;
     s.mu = system.parameters().mu_minus;
+    s.stability_tolerance = system.parameters().stability_tolerance;
     s.n = n;
-    s.partial_f = 0.0;
+    s.potentials.assign((n + 1) * n, 0.0);
+    for (std::size_t i = 0; i < n; ++i)
+    {
+        s.potentials[i] = system.external_potential(i);
+    }
+    s.config.assign(n, 0);
     s.best_f = std::numeric_limits<double>::infinity();
     s.degeneracy = 0;
     s.tolerance = degeneracy_tolerance;
@@ -304,13 +388,14 @@ GroundStateResult search_with_window(const SiDBSystem& system, double degeneracy
     s.run = &run;
     s.nodes = 0;
     s.stopped = false;
+    s.stale_prefix = fault == SearchFault::stale_prefix;
 
     // seed with a quenched all-negative start (the quenched seed is
     // population stable, so the window gates never exclude it and the
     // recursion re-encounters it).
-    // The testkit's wrong-window runs skip the seeding: it could silently
-    // hand the search the very ground state the mutant window prunes.
-    if (seed_from_quench)
+    // The testkit's fault runs skip the seeding: it could silently hand the
+    // search the very ground state the fault makes it miss.
+    if (fault == SearchFault::none)
     {
         ChargeConfig seed(n, 1);
         system.quench(seed);
@@ -321,7 +406,8 @@ GroundStateResult search_with_window(const SiDBSystem& system, double degeneracy
         }
     }
 
-    recurse(s, 0);
+    const double* root = s.potentials.data();
+    recurse(s, 0, root, 0.0, completion_bound(s, root, 0, 0.0));
 
     GroundStateResult result;
     result.config = s.best_config;
@@ -342,8 +428,8 @@ GroundStateResult search_with_window(const SiDBSystem& system, double degeneracy
 GroundStateResult exact_ground_state(const SiDBSystem& system, double degeneracy_tolerance,
                                      const core::RunBudget& run)
 {
-    return search_with_window(system, degeneracy_tolerance, compute_population_window(system), true,
-                              run);
+    return search_with_window(system, degeneracy_tolerance, compute_population_window(system),
+                              SearchFault::none, run);
 }
 
 GroundStateResult exact_ground_state(const SiDBSystem& system, const core::RunBudget& run)
@@ -356,7 +442,16 @@ GroundStateResult testkit_exact_ground_state_with_window(const SiDBSystem& syste
                                                          const PopulationWindow& window,
                                                          const core::RunBudget& run)
 {
-    return search_with_window(system, degeneracy_tolerance, window, false, run);
+    return search_with_window(system, degeneracy_tolerance, window, SearchFault::wrong_window,
+                              run);
+}
+
+GroundStateResult testkit_exact_ground_state_stale_potentials(const SiDBSystem& system,
+                                                              double degeneracy_tolerance,
+                                                              const core::RunBudget& run)
+{
+    return search_with_window(system, degeneracy_tolerance, compute_population_window(system),
+                              SearchFault::stale_prefix, run);
 }
 
 }  // namespace bestagon::phys

@@ -36,6 +36,11 @@
 /// its energy and the degeneracy count are exact. The viability gate walks a
 /// stack of the sites charged on the current path, and every reported energy
 /// is a fresh `SiDBSystem::grand_potential` evaluation of the configuration.
+///
+/// The search keeps one local-potential array per depth, starting from the
+/// defect background W_i. A negative branch writes its child's potentials
+/// and both children's completion bounds in one pass; a neutral branch
+/// reuses its parent's array. Nothing is undone on the way back up.
 
 #pragma once
 
@@ -101,5 +106,15 @@ inline constexpr std::uint8_t site_forced_neutral = 2;
 testkit_exact_ground_state_with_window(const SiDBSystem& system, double degeneracy_tolerance,
                                        const PopulationWindow& window,
                                        const core::RunBudget& run = {});
+
+/// **Testkit-only fault hook**: runs the search with a negative branch that
+/// leaves the sites before the branching index without the row update, so
+/// they never see a charge placed after them, and without the quenched-seed
+/// bound. The `stale_exact_potentials` mutant models a descent that copies
+/// only part of the parent's potentials forward; the differential oracle
+/// proves the fault is detected. Production code must never call this.
+[[nodiscard]] GroundStateResult
+testkit_exact_ground_state_stale_potentials(const SiDBSystem& system, double degeneracy_tolerance,
+                                            const core::RunBudget& run = {});
 
 }  // namespace bestagon::phys

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
+#include <new>
 
 namespace bestagon::sat
 {
@@ -77,7 +79,7 @@ void WatchPool::reserve(std::span<const std::uint32_t> capacities)
     end_ = begin;
     reserved_ = begin;
     reserved_by_count_ = true;
-    mem_.resize(end_ + end_ / spare_divisor);
+    allocate(end_ + end_ / spare_divisor, 0);
 }
 
 void WatchPool::add_lists(std::size_t count)
@@ -101,7 +103,7 @@ void WatchPool::squeeze(bool trim)
         {
             continue;
         }
-        std::copy_n(mem_.data() + s.begin, s.size, mem_.data() + to);
+        std::copy_n(mem_.get() + s.begin, s.size, mem_.get() + to);
         s.begin = to;
         if (trim)
         {
@@ -116,6 +118,22 @@ void WatchPool::squeeze(bool trim)
     order_.resize(kept);
     end_ = to;
     reserved_ = to;
+}
+
+void WatchPool::allocate(std::size_t size, std::size_t keep)
+{
+    // raw storage, as a vector's resize() would zero every slot, spare room
+    // included; Watcher is an implicit-lifetime aggregate, so writing a slot
+    // is all it takes. The copy is bytewise: a list's unused room within
+    // the kept slots was never written.
+    std::unique_ptr<Watcher, FreeBuffer> fresh{
+        static_cast<Watcher*>(::operator new(size * sizeof(Watcher)))};
+    if (keep > 0)
+    {
+        std::memcpy(fresh.get(), mem_.get(), keep * sizeof(Watcher));
+    }
+    mem_ = std::move(fresh);
+    mem_size_ = size;
 }
 
 void WatchPool::drop_moved_from_order()
@@ -139,9 +157,9 @@ void WatchPool::grow(std::size_t l)
     // its formula, then also takes back the room beyond what a move would
     // give each list; double the buffer when what is free after that
     // would not last a while
-    const std::size_t slack = mem_.size() / min_free_divisor;
-    const auto short_of_room = [&] { return end_ + cap + slack > mem_.size(); };
-    if (short_of_room() && live_ + cap + mem_.size() / worth_squeezing_divisor <= mem_.size())
+    const std::size_t slack = mem_size_ / min_free_divisor;
+    const auto short_of_room = [&] { return end_ + cap + slack > mem_size_; };
+    if (short_of_room() && live_ + cap + mem_size_ / worth_squeezing_divisor <= mem_size_)
     {
         squeeze(false);
         if (short_of_room() && reserved_by_count_)
@@ -156,12 +174,11 @@ void WatchPool::grow(std::size_t l)
         {
             squeeze(false);  // the holes are not carried into the new buffer
         }
-        mem_.reserve(size);  // exactly: resize() alone could round up
-        mem_.resize(size);
+        allocate(size, end_);
     }
     auto& s = lists_[l];
-    assert(end_ + cap <= mem_.size());
-    std::copy_n(mem_.data() + s.begin, s.size, mem_.data() + end_);
+    assert(end_ + cap <= mem_size_);
+    std::copy_n(mem_.get() + s.begin, s.size, mem_.get() + end_);
     reserved_ += cap - s.cap;
     s.begin = static_cast<std::uint32_t>(end_);
     s.cap = cap;

@@ -46,6 +46,8 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -199,12 +201,12 @@ class WatchPool
     [[nodiscard]] Watcher* list(std::size_t l) noexcept
     {
         assert(l < lists_.size());
-        return mem_.data() + lists_[l].begin;
+        return mem_.get() + lists_[l].begin;
     }
     [[nodiscard]] const Watcher* list(std::size_t l) const noexcept
     {
         assert(l < lists_.size());
-        return mem_.data() + lists_[l].begin;
+        return mem_.get() + lists_[l].begin;
     }
     [[nodiscard]] std::uint32_t size(std::size_t l) const noexcept { return lists_[l].size; }
 
@@ -224,7 +226,7 @@ class WatchPool
         {
             grow(l);
         }
-        mem_[lists_[l].begin + lists_[l].size++] = w;
+        mem_.get()[lists_[l].begin + lists_[l].size++] = w;
         ++live_;
     }
 
@@ -248,6 +250,10 @@ class WatchPool
     void squeeze(bool trim);
     /// Drops the order_ entries of lists that moved on since.
     void drop_moved_from_order();
+    /// Replaces the buffer by one of \p size slots that starts with the
+    /// first \p keep slots of the old one. The other slots are left
+    /// unwritten: push() writes a slot before anything reads it.
+    void allocate(std::size_t size, std::size_t keep);
 
     /// Spare room at the end after reserve(), as a fraction of the counted
     /// watchers.
@@ -265,7 +271,13 @@ class WatchPool
         std::uint32_t begin;
     };
 
-    std::vector<Watcher> mem_;
+    struct FreeBuffer
+    {
+        void operator()(Watcher* buffer) const noexcept { ::operator delete(buffer); }
+    };
+
+    std::unique_ptr<Watcher, FreeBuffer> mem_;
+    std::size_t mem_size_{0};   ///< slots in mem_
     std::vector<Span> lists_;
     /// Lists with room, in buffer order, each with the begin it had when
     /// placed; entries of lists that moved on are stale until squeeze().

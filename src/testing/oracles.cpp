@@ -404,6 +404,11 @@ OracleVerdict ground_state_differential(const std::vector<phys::SiDBSite>& canva
         exact = phys::testkit_exact_ground_state_with_window(
             system, system.parameters().energy_tolerance, window);
     }
+    else if (fault == GroundStateFault::stale_exact_potentials)
+    {
+        exact = phys::testkit_exact_ground_state_stale_potentials(
+            system, system.parameters().energy_tolerance);
+    }
     else
     {
         exact = phys::exact_ground_state(system);

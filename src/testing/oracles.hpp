@@ -111,7 +111,11 @@ enum class GroundStateFault : std::uint8_t
     shift_exact_energy,     ///< misreport the brute-force minimum by +10 meV
     /// Narrow the exact engine's population window so it prunes the true
     /// ground state — models an unsound bound derivation.
-    shrink_exact_population_window
+    shrink_exact_population_window,
+    /// Leave the sites before the exact engine's branching index without the
+    /// row update of the charge placed there — models a descent that copies
+    /// only part of the parent's potentials forward.
+    stale_exact_potentials
 };
 
 /// Runs both ground-state engines on the canvas with brute_force_ground_state

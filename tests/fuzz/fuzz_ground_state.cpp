@@ -89,4 +89,32 @@ TEST(FuzzGroundState, OracleCatchesSeededMutations)
     EXPECT_NE(shrunk.detail.find("exact engine"), std::string::npos) << shrunk.detail;
 }
 
+/// Mutation coverage of the exact engine's descent: with the sites before the
+/// branching index left without the row update, the oracle must fail on the
+/// suite's random canvases. A canvas with few charges may not show the fault,
+/// so the test asks for most canvases, not for a fixed one.
+TEST(FuzzGroundState, OracleCatchesStaleExactPotentials)
+{
+    const auto budget = testkit::fuzz_budget(0x6d0'0001, 40);
+    const phys::SimulationParameters sim_params{};
+    std::uint64_t caught = 0;
+    for (std::uint64_t i = 0; i < budget.iterations; ++i)
+    {
+        const auto seed = testkit::case_seed(budget.base_seed, i);
+        testkit::Rng rng{seed};
+        const auto canvas = testkit::random_sidb_canvas(rng);
+        const auto stale = testkit::ground_state_differential(
+            canvas, seeded(sim_params, seed), anneal_for_fuzzing(), 1e-6,
+            testkit::GroundStateFault::stale_exact_potentials);
+        if (!stale.ok)
+        {
+            EXPECT_NE(stale.detail.find("exact engine"), std::string::npos) << stale.detail;
+            ++caught;
+        }
+    }
+    EXPECT_GE(caught, budget.iterations / 2)
+        << "oracle missed stale exact-engine potentials on " << budget.iterations - caught
+        << " of " << budget.iterations << " canvases (base seed " << budget.base_seed << ')';
+}
+
 }  // namespace

@@ -291,7 +291,7 @@ TEST(ChargeState, RowUpdatesAreBitExactToThePerElementLoops)
                         state.commit_flip(i);
                         ref.flip(i);
                         break;
-                    case 1:  // flip and flip back: the search's branch/unwind pair
+                    case 1:  // flip and flip back: the same row added, then subtracted
                         state.commit_flip(i);
                         ref.flip(i);
                         expect_bit_exact(step);

@@ -208,6 +208,36 @@ TEST(TestkitOracles, GroundStateHappyPathOnFixedCanvas)
     EXPECT_TRUE(verdict.ok) << verdict.detail;
 }
 
+/// The exact engine's descent writes each child's potentials in one pass; a
+/// descent that leaves the sites before the branching index stale must be
+/// caught by the oracle on the canvases the CI ground-state stress step draws
+/// first (its pinned seed), while the sound engine passes on the same ones.
+TEST(TestkitOracles, GroundStateCatchesStaleExactPotentialsAtTheCiSeed)
+{
+    constexpr std::uint64_t ci_seed = 0xbe57a605;
+    constexpr std::uint64_t cases = 16;
+    std::uint64_t caught = 0;
+    for (std::uint64_t i = 0; i < cases; ++i)
+    {
+        const auto seed = testkit::case_seed(ci_seed, i);
+        testkit::Rng rng{seed};
+        const auto canvas = testkit::random_sidb_canvas(rng);
+        phys::SimulationParameters params;
+        params.anneal_seed = seed;
+        const auto sound = testkit::ground_state_differential(canvas, params, {});
+        EXPECT_TRUE(sound.ok) << "case " << i << ": " << sound.detail;
+        const auto stale = testkit::ground_state_differential(
+            canvas, params, {}, 1e-6, testkit::GroundStateFault::stale_exact_potentials);
+        if (!stale.ok)
+        {
+            EXPECT_NE(stale.detail.find("exact engine"), std::string::npos) << stale.detail;
+            ++caught;
+        }
+    }
+    // 13 of the 16 at this seed
+    EXPECT_GE(caught, cases / 2);
+}
+
 TEST(TestkitOracles, BruteForceGroundStateCountsDegeneracyAndRejectsLargeSystems)
 {
     const phys::SimulationParameters params;
