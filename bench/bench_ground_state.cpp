@@ -1,21 +1,18 @@
 /// \file bench_ground_state.cpp
 /// \brief Ground-state engine benchmarks (results: BENCH_ground_state.json).
 ///
-/// Three questions, mirroring DESIGN.md section 10:
+/// Two questions, mirroring DESIGN.md section 10:
 ///  1. GroundStateExact/sites:n — single exact ground-state call on dense
 ///     synthetic canvases, with its search nodes (`nodes`, deterministic).
 ///     The population window keeps the search tractable up to sites:40.
 ///  2. CheckOperationalDefaultExact — the production check_operational on
-///     the Bestagon 2-input OR tile under the default engine
-///     (automatic -> exact). The `operational` counter records the verdict.
-///  3. GroundStateSimAnneal — the heuristic engine at production effort, for
-///     the cost picture when an inexact answer is acceptable.
+///     the Bestagon 2-input OR tile. The `operational` counter records the
+///     verdict.
 
 #include "layout/bestagon_library.hpp"
 #include "phys/ground_state.hpp"
 #include "phys/ground_state_exact.hpp"
 #include "phys/operational.hpp"
-#include "phys/simanneal.hpp"
 
 #include <benchmark/benchmark.h>
 
@@ -34,7 +31,7 @@ namespace layout = bestagon::layout;
 namespace logic = bestagon::logic;
 
 /// Dense random canvas in a box scaling with sqrt(n), as in the engine
-/// tests — the fixed salt keeps both engines on the same canvas per size.
+/// tests — the fixed salt keeps every run on the same canvas per size.
 std::vector<SiDBSite> synthetic_canvas(std::size_t n)
 {
     std::mt19937_64 rng{0xca11'ab1eULL + 4};
@@ -82,18 +79,6 @@ void BM_GroundStateExact(benchmark::State& state)
     state.counters["nodes"] = static_cast<double>(nodes);
 }
 
-void BM_GroundStateSimAnneal(benchmark::State& state)
-{
-    SimulationParameters params;
-    params.num_threads = 1;  // isolate single-thread engine cost
-    const SiDBSystem system{synthetic_canvas(static_cast<std::size_t>(state.range(0))), params};
-    for (auto _ : state)
-    {
-        const auto gs = simulated_annealing(system);
-        benchmark::DoNotOptimize(gs);
-    }
-}
-
 void BM_CheckOperationalDefaultExact(benchmark::State& state)
 {
     const auto& design = bestagon_or_design();
@@ -102,7 +87,6 @@ void BM_CheckOperationalDefaultExact(benchmark::State& state)
     bool ok = false;
     for (auto _ : state)
     {
-        // params.engine picks the engine (default: exact)
         const auto result = check_operational(design, params);
         ok = result.operational;
         benchmark::DoNotOptimize(result);
@@ -113,7 +97,5 @@ void BM_CheckOperationalDefaultExact(benchmark::State& state)
 }  // namespace
 
 BENCHMARK(BM_GroundStateExact)->Arg(12)->Arg(20)->Arg(28)->Arg(40)->ArgName("sites")
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_GroundStateSimAnneal)->Arg(20)->Arg(40)->ArgName("sites")
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_CheckOperationalDefaultExact)->Unit(benchmark::kMillisecond);

@@ -3,9 +3,9 @@
 ///        at mu = -0.32 eV, eps_r = 5.6, lambda_TF = 5 nm. For every library
 ///        design, every input pattern is simulated with the exact
 ///        ground-state engine and the truth table is compared against the
-///        intended function. (The paper signs off with SimAnneal; at its
-///        default parameters it reaches the exact ground state on all 80
-///        patterns, pinned by the WorkCounters.SignoffTiles test.)
+///        intended function. (The paper signs off with SiQAD's SimAnneal; the
+///        exact engine's ground states of all 80 patterns are pinned by the
+///        WorkCounters.SignoffTiles test.)
 
 #include "layout/bestagon_library.hpp"
 #include "phys/operational.hpp"

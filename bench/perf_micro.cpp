@@ -1,6 +1,6 @@
 /// \file perf_micro.cpp
 /// \brief google-benchmark micro-benchmarks of the computational substrates:
-///        CDCL solving, exact/annealed ground states, NPN canonization, cut
+///        CDCL solving, exact ground states, NPN canonization, cut
 ///        enumeration, cut rewriting and exact physical design.
 
 #include "io/benchmarks.hpp"
@@ -11,8 +11,6 @@
 #include "logic/rewriting.hpp"
 #include "logic/tech_mapping.hpp"
 #include "phys/ground_state_exact.hpp"
-#include "phys/simanneal.hpp"
-
 #include "sat/solver.hpp"
 
 #include <benchmark/benchmark.h>
@@ -82,21 +80,6 @@ void BM_ExactGroundState(benchmark::State& state)
     }
 }
 BENCHMARK(BM_ExactGroundState);
-
-void BM_SimAnnealGroundState(benchmark::State& state)
-{
-    const auto& lib = layout::BestagonLibrary::instance();
-    const auto* wire = lib.lookup(logic::GateType::buf, layout::Port::nw, std::nullopt,
-                                  layout::Port::sw, std::nullopt);
-    const auto sites = wire->design.instance_sites(1);
-    phys::SimulationParameters params;
-    const phys::SiDBSystem system{sites, params};
-    for (auto _ : state)
-    {
-        benchmark::DoNotOptimize(phys::simulated_annealing(system));
-    }
-}
-BENCHMARK(BM_SimAnnealGroundState);
 
 void BM_RewriteBenchmark(benchmark::State& state)
 {

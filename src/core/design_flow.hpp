@@ -52,11 +52,10 @@ struct FlowOptions
     /// ships pre-validated designs; turn on for parameter studies).
     bool validate_gates{false};
 
-    /// Physical model, engine and thread count for step (7b).
+    /// Physical model and thread count for step (7b).
     /// sim_params.num_threads fans the independent tile checks out across
     /// workers (0 = hardware concurrency, 1 = serial); results are
-    /// thread-count invariant. sim_params.engine picks the ground-state
-    /// engine (Engine::exact by default).
+    /// thread-count invariant.
     phys::SimulationParameters sim_params{};
 
     // ------------------------------------------------------------------

@@ -3,9 +3,10 @@
 ///        steady-clock deadlines and per-stage diagnostics.
 ///
 /// The flow chains open-ended search procedures (SAT-based exact physical
-/// design, simulated annealing, stochastic gate design, operational-domain
-/// sweeps) whose runtimes are unbounded in practice. Run control makes every
-/// one of them interruptible without sacrificing determinism:
+/// design, exact ground-state search, stochastic gate design,
+/// operational-domain sweeps) whose runtimes are unbounded in practice. Run
+/// control makes every one of them interruptible without sacrificing
+/// determinism:
 ///
 ///  - `StopSource` / `StopToken` form a thread-safe cancellation channel.
 ///    Engines poll the token at their loop heads and between independent

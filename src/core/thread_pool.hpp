@@ -3,8 +3,8 @@
 ///        physical-simulation layer.
 ///
 /// The simulation stack fans out over *independent* ground-state searches at
-/// four points (input patterns, operational-domain grid points, candidate
-/// canvases, annealing instances). All of them funnel through
+/// five points (input patterns, operational-domain grid points, candidate
+/// canvases, defect samples, library tiles). All of them funnel through
 /// `parallel_for`, which dispatches index-addressed work onto a shared
 /// lazily-created pool. Determinism rules:
 ///

@@ -61,8 +61,8 @@ void ChargeState::rebuild()
     // bit-identical to the naive evaluator's. The defect background W_i is
     // the summation's starting value (0.0 on a defect-free system); every
     // incremental commit then carries it along for free, which is how the
-    // annealer and the quench see charged defects without any change (the
-    // exact engine starts its own potentials from the same W_i).
+    // quench sees charged defects without any change (the exact engine
+    // starts its own potentials from the same W_i).
     for (std::size_t i = 0; i < n; ++i)
     {
         double v = system_->external_potential(i);
@@ -89,9 +89,9 @@ void ChargeState::commit_flip(std::size_t i)
     // Ascending-j row application with the flipped site skipped, as two
     // branch-free runs [0, i) and (i, n) the compiler can vectorize. Each
     // v_j still receives exactly one +-V_ij per commit, in ascending j, so
-    // the annealer's and the quench's float trajectories are those of the
-    // per-element loop bit for bit. (Adding the zero diagonal instead of
-    // skipping it would not be: -0.0 + 0.0 is +0.0.)
+    // the quench's float trajectory is that of the per-element loop bit
+    // for bit. (Adding the zero diagonal instead of skipping it would not
+    // be: -0.0 + 0.0 is +0.0.)
     if (config_[i] == 0)
     {
         for (std::size_t j = 0; j < i; ++j)

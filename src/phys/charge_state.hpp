@@ -1,6 +1,6 @@
 /// \file charge_state.hpp
 /// \brief The incremental charge-state kernel of the physical-simulation
-///        layer: simulated annealing, the quench and the kernel oracle.
+///        layer: the quench, the stability checks and the kernel oracle.
 ///
 /// Every decision the flow makes about a gate — operational checks,
 /// operational-domain sweeps, gate-designer scoring — bottoms out in
@@ -38,10 +38,9 @@
 ///    side of i: each v_j receives exactly one +-V_ij per commit.
 ///  - Incremental updates accumulate at most ulp-level drift relative to a
 ///    fresh summation; `rebuild()` is the exact-resync hook for callers that
-///    need naive-path fidelity at a decision boundary (e.g. the quench that
-///    follows an annealing schedule). The `charge_state_differential`
-///    testkit oracle pins the drift below 1e-12 under long random move
-///    sequences.
+///    need naive-path fidelity at a decision boundary. The
+///    `charge_state_differential` testkit oracle pins the drift below 1e-12
+///    under long random move sequences.
 ///
 /// The exact engine does not use the kernel: its search keeps one
 /// local-potential array per depth and never undoes a flip (see

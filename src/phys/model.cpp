@@ -42,7 +42,18 @@ SiDBSystem::SiDBSystem(std::vector<SiDBSite> sites, const SimulationParameters& 
     {
         for (std::size_t j = i + 1; j < n; ++j)
         {
-            const double v = screened_coulomb(distance_nm(sites_[i], sites_[j]), params_);
+            const double r = distance_nm(sites_[i], sites_[j]);
+            if (!(r > 0.0))
+            {
+                // two dots on one position: V_ij would be +inf and every
+                // energy and stability check meaningless
+                const auto& s = sites_[i];
+                std::ostringstream out;
+                out << "SiDBSystem: sites " << i << " and " << j << " coincide at (" << s.n
+                    << ", " << s.m << ", " << s.l << ")";
+                throw std::invalid_argument{out.str()};
+            }
+            const double v = screened_coulomb(r, params_);
             potentials_[i * n + j] = v;
             potentials_[j * n + i] = v;
         }

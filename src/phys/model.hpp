@@ -27,23 +27,6 @@ namespace bestagon::phys
 /// Coulomb constant e / (4 pi eps_0) in eV nm.
 inline constexpr double coulomb_k = 1.43996448;
 
-/// Ground-state engine, selected by SimulationParameters::engine — the one
-/// knob every simulation entry point (check_operational, operational-domain
-/// sweeps, defect yield sweeps, gate-designer scoring, flow validation)
-/// reads through find_ground_state.
-///
-/// Two engines, one complete and one heuristic:
-///  - `exact`: the population-bounded branch-and-bound
-///    (ground_state_exact.hpp) — the default. Guaranteed global minimum and
-///    exact degeneracy count.
-///  - `simanneal`: SiQAD-style simulated annealing (simanneal.hpp) — a
-///    physically valid result without an optimality certificate.
-enum class Engine : std::uint8_t
-{
-    simanneal,  ///< simulated annealing (heuristic)
-    exact       ///< population-bounded exact search (the default)
-};
-
 /// Physical simulation parameters (defaults per the paper's Fig. 5).
 struct SimulationParameters
 {
@@ -53,29 +36,21 @@ struct SimulationParameters
 
     /// Worker threads for the independent fan-out points of the simulation
     /// stack (input patterns in check_operational, grid points in
-    /// compute_operational_domain, restarts in design_gate, annealing
-    /// instances in simulated_annealing).
-    /// 0 = hardware concurrency, 1 = plain serial execution. Results are
-    /// identical for every value — parallel work is index-addressed and
-    /// seeds are derived deterministically per work item.
+    /// compute_operational_domain, restarts in design_gate, library tiles in
+    /// the flow's gate validation). 0 = hardware concurrency, 1 = plain
+    /// serial execution. Results are identical for every value — parallel
+    /// work is index-addressed and seeds are derived deterministically per
+    /// work item.
     unsigned num_threads{0};
-
-    /// Ground-state engine of every search run with these parameters.
-    Engine engine{Engine::exact};
-
-    /// Base seed of the stochastic engine (simanneal): instance i anneals
-    /// on the stream core::derive_seed(anneal_seed, i).
-    std::uint64_t anneal_seed{0x5eed};
 
     /// Numerical tolerance of the stability checks and the greedy quench:
     /// a move only counts as downhill when it lowers F by more than this, so
     /// a quenched configuration is always physically valid under the same
-    /// tolerance. Shared by SiDBSystem, ChargeState and every engine.
+    /// tolerance. Shared by SiDBSystem, ChargeState and the exact engine.
     double stability_tolerance{1e-9};
 
     /// Energy window (in eV) within which two configurations count as
-    /// degenerate — the exact engine's degeneracy_tolerance and the accuracy
-    /// bar the differential oracles hold the heuristic engine to.
+    /// degenerate — the exact engine's degeneracy_tolerance.
     double energy_tolerance{1e-6};
 };
 
@@ -108,6 +83,8 @@ class DefectSurface;  // defect.hpp
 class SiDBSystem
 {
   public:
+    /// Throws std::invalid_argument when two sites coincide (their Coulomb
+    /// term would be singular), naming both indices.
     SiDBSystem(std::vector<SiDBSite> sites, const SimulationParameters& params);
 
     /// Evaluating constructor with a defect surface: charged defects
@@ -193,15 +170,13 @@ struct GroundStateResult
     double grand_potential{0.0};   ///< F of that configuration
     double electrostatic{0.0};     ///< electrostatic part, in eV
     /// Number of physically valid configurations within energy_tolerance of
-    /// the minimum. The exact engine reports the true count; simanneal
-    /// reports the number of *distinct* tying configurations its instances
-    /// visited — a lower bound on the true degeneracy, never an exact count.
+    /// the minimum (the true count when the search is complete).
     std::uint64_t degeneracy{1};
     bool complete{false};          ///< true if the search space was covered exhaustively
     bool cancelled{false};         ///< the search was cut by a run budget (result is partial)
     /// Branch-and-bound nodes visited by the exact engine, counted on every
     /// run — a deterministic work counter, the same under any run budget
-    /// that does not stop the search. 0 for simanneal.
+    /// that does not stop the search.
     std::uint64_t nodes{0};
 };
 

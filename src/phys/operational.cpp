@@ -189,8 +189,6 @@ PatternResult simulate_gate_pattern(const GateInstanceCache& cache, std::uint64_
 
     const SiDBSystem system = cache.instantiate(pattern);
     result.sites = system.sites();
-    // engine dispatch (incl. the stochastic engine's seed/thread wiring)
-    // lives in one place: find_ground_state runs params.engine
     result.ground_state = find_ground_state(system, run);
     if (result.ground_state.config.size() != system.size())
     {

@@ -159,8 +159,8 @@ struct PatternResult
     bool evaluated{false};  ///< false when the pattern was skipped by a stop
 };
 
-/// Simulates one input pattern of \p design on the engine params.engine
-/// selects and reads the outputs. Convenience wrapper that builds a
+/// Simulates one input pattern of \p design with find_ground_state and
+/// reads the outputs. Convenience wrapper that builds a
 /// single-use GateInstanceCache; loops over patterns should build the cache
 /// once and use the overload below. Throws std::invalid_argument when
 /// \p pattern >= 2^num_inputs.

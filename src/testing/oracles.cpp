@@ -1,6 +1,5 @@
 #include "testing/oracles.hpp"
 
-#include "core/thread_pool.hpp"
 #include "layout/design_rules.hpp"
 #include "layout/equivalence_checking.hpp"
 #include "layout/scalable_physical_design.hpp"
@@ -20,7 +19,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <random>
 #include <sstream>
 #include <stdexcept>
 
@@ -268,57 +266,6 @@ OracleVerdict check_exact_ground_state(const phys::SiDBSystem& system,
     return {};
 }
 
-/// simanneal's contract against the brute-force reference: validity,
-/// self-consistent energy, never beating the minimum, accuracy within
-/// tolerance, and the degeneracy lower bound.
-OracleVerdict check_annealed_ground_state(const phys::SiDBSystem& system,
-                                          const phys::GroundStateResult& reference,
-                                          const phys::GroundStateResult& annealed,
-                                          double tolerance_ev)
-{
-    if (annealed.config.size() != system.size())
-    {
-        return fail("simanneal returned a configuration of the wrong size");
-    }
-    if (!system.physically_valid(annealed.config))
-    {
-        return fail("simanneal configuration is not physically valid (population or "
-                    "configuration stability violated)");
-    }
-    std::ostringstream out;
-    const double recomputed = system.grand_potential(annealed.config);
-    if (std::abs(recomputed - annealed.grand_potential) > 1e-9)
-    {
-        out << "simanneal misreports its own energy: config evaluates to " << recomputed
-            << " eV but " << annealed.grand_potential << " eV was reported";
-        return fail(out.str());
-    }
-    if (annealed.grand_potential < reference.grand_potential - 1e-9)
-    {
-        out << "simanneal energy " << annealed.grand_potential
-            << " eV beats the brute-force minimum " << reference.grand_potential << " eV";
-        return fail(out.str());
-    }
-    if (annealed.grand_potential > reference.grand_potential + tolerance_ev)
-    {
-        out << "simanneal missed the ground state: " << annealed.grand_potential << " eV vs "
-            << reference.grand_potential << " eV brute force (" << system.size() << " dots)";
-        return fail(out.str());
-    }
-    // distinct-configuration degeneracy is a lower bound on the true count,
-    // but only when the annealer actually sits on the minimum (otherwise
-    // its tolerance window is shifted upward and may cover configurations
-    // the true count excludes)
-    if (annealed.grand_potential <= reference.grand_potential + 1e-9 &&
-        annealed.degeneracy > reference.degeneracy)
-    {
-        out << "simanneal reports degeneracy " << annealed.degeneracy
-            << " above the true count " << reference.degeneracy;
-        return fail(out.str());
-    }
-    return {};
-}
-
 }  // namespace
 
 phys::GroundStateResult brute_force_ground_state(const phys::SiDBSystem& system)
@@ -367,8 +314,7 @@ phys::GroundStateResult brute_force_ground_state(const phys::SiDBSystem& system)
 
 OracleVerdict ground_state_differential(const std::vector<phys::SiDBSite>& canvas,
                                         const phys::SimulationParameters& sim_params,
-                                        const phys::SimAnnealParameters& anneal_params,
-                                        double tolerance_ev, GroundStateFault fault)
+                                        GroundStateFault fault)
 {
     const phys::SiDBSystem system{canvas, sim_params};
     auto reference = brute_force_ground_state(system);
@@ -377,7 +323,6 @@ OracleVerdict ground_state_differential(const std::vector<phys::SiDBSite>& canva
         reference.grand_potential += 0.010;
     }
 
-    // --- exact engine: claims the exact minimum and degeneracy -------------
     phys::GroundStateResult exact;
     if (fault == GroundStateFault::shrink_exact_population_window)
     {
@@ -413,22 +358,7 @@ OracleVerdict ground_state_differential(const std::vector<phys::SiDBSite>& canva
     {
         exact = phys::exact_ground_state(system);
     }
-    if (auto verdict = check_exact_ground_state(system, reference, exact); !verdict)
-    {
-        return verdict;
-    }
-
-    // --- heuristic engine --------------------------------------------------
-    auto simanneal = phys::simulated_annealing(system, anneal_params);
-    if (fault == GroundStateFault::corrupt_anneal_config)
-    {
-        if (simanneal.config.empty())
-        {
-            return fail("corrupt_anneal_config needs a non-empty canvas");
-        }
-        simanneal.config[0] ^= 1U;
-    }
-    return check_annealed_ground_state(system, reference, simanneal, tolerance_ev);
+    return check_exact_ground_state(system, reference, exact);
 }
 
 namespace
@@ -437,7 +367,7 @@ namespace
 /// Pre-refactor naive quench: greedy descent evaluating a fresh O(n)
 /// local-potential sum at every decision — the exact SiDBSystem::quench
 /// code before the charge-state kernel refactor. Kept as the reference the
-/// kernel-backed engines are differenced against.
+/// kernel-backed quench is differenced against.
 void naive_quench(const phys::SiDBSystem& system, phys::ChargeConfig& config)
 {
     const std::size_t n = system.size();
@@ -483,82 +413,10 @@ void naive_quench(const phys::SiDBSystem& system, phys::ChargeConfig& config)
     }
 }
 
-/// Pre-refactor naive annealing instance: identical RNG stream and move
-/// logic to phys::simulated_annealing, but every proposal pays fresh O(n)
-/// local-potential sums and the trailing quench is the naive one.
-std::pair<phys::ChargeConfig, double> naive_anneal_instance(const phys::SiDBSystem& system,
-                                                            const phys::SimAnnealParameters& params,
-                                                            std::uint64_t seed)
-{
-    const std::size_t n = system.size();
-    std::mt19937_64 rng{seed};
-    std::uniform_real_distribution<double> uni{0.0, 1.0};
-
-    phys::ChargeConfig config(n, 0);
-    for (auto& c : config)
-    {
-        c = (rng() & 1) != 0 ? 1 : 0;
-    }
-    double temperature = params.initial_temperature;
-    for (unsigned step = 0; step < params.steps_per_instance; ++step)
-    {
-        // mirrors the production proposal loop exactly: an invalid hop is a
-        // rejected proposal (no fall-through to a flip, no acceptance draw)
-        const bool do_hop = (rng() & 3U) == 0;
-        const std::size_t i = rng() % n;
-        std::size_t hop_to = n;
-        bool rejected = false;
-        double delta = 0.0;
-        if (do_hop)
-        {
-            if (config[i] == 0)
-            {
-                rejected = true;
-            }
-            else
-            {
-                const std::size_t j = rng() % n;
-                if (config[j] == 0 && j != i)
-                {
-                    hop_to = j;
-                    delta = system.local_potential(config, j) - system.local_potential(config, i) -
-                            system.potential(i, j);
-                }
-                else
-                {
-                    rejected = true;
-                }
-            }
-        }
-        else
-        {
-            const double v = system.local_potential(config, i);
-            delta = config[i] == 0 ? (system.parameters().mu_minus + v)
-                                   : -(system.parameters().mu_minus + v);
-        }
-        if (!rejected && (delta <= 0.0 || uni(rng) < std::exp(-delta / temperature)))
-        {
-            if (hop_to != n)
-            {
-                config[i] = 0;
-                config[hop_to] = 1;
-            }
-            else
-            {
-                config[i] ^= 1;
-            }
-        }
-        temperature *= params.cooling_rate;
-    }
-    naive_quench(system, config);
-    return {std::move(config), system.grand_potential(config)};
-}
-
 }  // namespace
 
 OracleVerdict charge_state_differential(const std::vector<phys::SiDBSite>& canvas,
                                         const phys::SimulationParameters& sim_params,
-                                        const phys::SimAnnealParameters& anneal_params,
                                         std::uint64_t seed, unsigned num_moves, double tolerance,
                                         ChargeStateFault fault)
 {
@@ -682,34 +540,7 @@ OracleVerdict charge_state_differential(const std::vector<phys::SiDBSite>& canva
                     "pre-refactor naive quench");
     }
 
-    // --- 2b. kernel-backed anneal vs. the naive reference --------------------
-    const auto production = phys::simulated_annealing(system, anneal_params);
-    phys::GroundStateResult reference;
-    reference.grand_potential = std::numeric_limits<double>::infinity();
-    for (unsigned inst = 0; inst < anneal_params.num_instances; ++inst)
-    {
-        auto [config, f] = naive_anneal_instance(
-            system, anneal_params, core::derive_seed(sim_params.anneal_seed, inst));
-        if (f < reference.grand_potential)
-        {
-            reference.grand_potential = f;
-            reference.config = std::move(config);
-        }
-    }
-    if (std::abs(production.grand_potential - reference.grand_potential) > tolerance)
-    {
-        out << "kernel-backed simulated annealing found " << production.grand_potential
-            << " eV but the pre-refactor naive path found " << reference.grand_potential
-            << " eV (" << n << " dots) — a move decision diverged";
-        return fail(out.str());
-    }
-    if (production.config != reference.config)
-    {
-        return fail("kernel-backed simulated annealing returned a different configuration than "
-                    "the pre-refactor naive path at equal energy");
-    }
-
-    // --- 2c. kernel-backed exact engine vs. naive brute-force enumeration ----
+    // --- 2b. exact engine vs. naive brute-force enumeration -----------------
     if (n <= 14)
     {
         return check_exact_ground_state(system, brute_force_ground_state(system),

@@ -6,11 +6,9 @@
 ///     model-checked against every clause, UNSAT answers carry a DRAT proof
 ///     certified by the independent backward checker and are additionally
 ///     refuted or confirmed by an exhaustive sweep (instances <= 20 vars).
-///  2. Ground-state engines vs. 2^n brute force on small canvases: the
+///  2. The ground-state engine vs. 2^n brute force on small canvases: the
 ///     population-bounded exact engine must find the exact minimum and
-///     degeneracy, the heuristic (simanneal) must be accurate within
-///     tolerance (the exact-vs-heuristic split of the SiDB simulation
-///     literature).
+///     degeneracy.
 ///  3. Exact vs. scalable placement & routing — both layouts must pass
 ///     SAT-based equivalence checking against the specification network;
 ///     the exact engine additionally DRAT-certifies every refuted size and
@@ -34,7 +32,6 @@
 #include "layout/exact_physical_design.hpp"
 #include "phys/model.hpp"
 #include "phys/operational.hpp"
-#include "phys/simanneal.hpp"
 #include "sat/dimacs.hpp"
 
 #include <cstdint>
@@ -89,7 +86,7 @@ struct SatOracleStats
                                              SatFault fault = SatFault::none,
                                              SatOracleStats* stats = nullptr);
 
-// --- 2. ground states: exact/simanneal vs. brute force ----------------------
+// --- 2. ground states: exact engine vs. brute force -------------------------
 
 /// Largest system brute_force_ground_state enumerates (2^18 configurations).
 inline constexpr std::size_t max_brute_force_sites = 18;
@@ -107,8 +104,7 @@ inline constexpr std::size_t max_brute_force_sites = 18;
 enum class GroundStateFault : std::uint8_t
 {
     none,
-    corrupt_anneal_config,  ///< flip the charge of site 0 in simanneal's answer
-    shift_exact_energy,     ///< misreport the brute-force minimum by +10 meV
+    shift_exact_energy,  ///< misreport the brute-force minimum by +10 meV
     /// Narrow the exact engine's population window so it prunes the true
     /// ground state — models an unsound bound derivation.
     shrink_exact_population_window,
@@ -118,25 +114,14 @@ enum class GroundStateFault : std::uint8_t
     stale_exact_potentials
 };
 
-/// Runs both ground-state engines on the canvas with brute_force_ground_state
-/// as the reference:
-///
-///  - the *exact* engine (population-bounded search) must report a complete
-///    search of a physically valid configuration at the minimum (the
-///    reference's configuration with a bit-identical energy, or on a
-///    degenerate canvas another one within energy_tolerance) and the same
-///    degeneracy count — it claims exactness, so any divergence is a bug;
-///  - the *heuristic* engine (simanneal with \p anneal_params, seeded by
-///    sim_params.anneal_seed) must return a
-///    physically valid configuration that (a) reports an energy consistent
-///    with itself, (b) never beats the reference minimum, (c) reaches it
-///    within \p tolerance_ev, and (d) — when it does find the minimum —
-///    reports a distinct-configuration degeneracy that does not exceed the
-///    true count (the documented lower-bound contract).
+/// Runs the exact engine (population-bounded search) on the canvas with
+/// brute_force_ground_state as the reference: it must report a complete
+/// search of a physically valid configuration at the minimum (the
+/// reference's configuration with a bit-identical energy, or on a degenerate
+/// canvas another one within energy_tolerance) and the same degeneracy count
+/// — it claims exactness, so any divergence is a bug.
 [[nodiscard]] OracleVerdict ground_state_differential(const std::vector<phys::SiDBSite>& canvas,
                                                       const phys::SimulationParameters& sim_params,
-                                                      const phys::SimAnnealParameters& anneal_params,
-                                                      double tolerance_ev = 1e-6,
                                                       GroundStateFault fault = GroundStateFault::none);
 
 // --- 2b. charge-state kernel: incremental cache vs. naive evaluation --------
@@ -156,12 +141,10 @@ enum class ChargeStateFault : std::uint8_t
 ///     SiDBSystem::local_potential sum within \p tolerance, the kernel's
 ///     O(n) cached grand potential must match the naive pairwise sum, and a
 ///     rebuild() must restore bit-exact agreement.
-///  2. *Engine fidelity*: the kernel-backed quench, simulated annealing and
-///     exact engines are cross-checked against pre-refactor naive reference
-///     implementations kept here (fresh local-potential sums at every
-///     decision): quench and anneal must reproduce the naive accept/reject
-///     trajectory (identical configurations, energies within \p tolerance)
-///     and the exact ground state must pass the same check against
+///  2. *Engine fidelity*: the kernel-backed quench is cross-checked against
+///     the pre-refactor naive quench kept here (fresh local-potential sums
+///     at every decision) and must reproduce its descent trajectory, and
+///     the exact ground state must pass the same check against
 ///     brute_force_ground_state as in ground_state_differential when the
 ///     canvas has at most 14 sites.
 ///  3. With ChargeStateFault::skip_cache_update, one mid-sequence commit
@@ -169,8 +152,8 @@ enum class ChargeStateFault : std::uint8_t
 ///     (mutation coverage for the oracle itself).
 [[nodiscard]] OracleVerdict charge_state_differential(
     const std::vector<phys::SiDBSite>& canvas, const phys::SimulationParameters& sim_params,
-    const phys::SimAnnealParameters& anneal_params, std::uint64_t seed, unsigned num_moves = 256,
-    double tolerance = 1e-12, ChargeStateFault fault = ChargeStateFault::none);
+    std::uint64_t seed, unsigned num_moves = 256, double tolerance = 1e-12,
+    ChargeStateFault fault = ChargeStateFault::none);
 
 // --- 2c. defects: external potentials, blocking, yield sweep -----------------
 

@@ -1,8 +1,8 @@
 /// \file fuzz_charge_state.cpp
 /// \brief Differential fuzzing of the incremental charge-state kernel: cached
 ///        local potentials vs. fresh naive sums under random committed move
-///        sequences, and the kernel-backed engines vs. pre-refactor naive
-///        reference implementations.
+///        sequences, the kernel-backed quench vs. the pre-refactor naive
+///        quench, and the exact engine vs. brute force.
 
 #include "testing/oracles.hpp"
 #include "testing/random.hpp"
@@ -15,20 +15,6 @@ namespace
 
 using namespace bestagon;
 
-phys::SimAnnealParameters anneal_for_fuzzing()
-{
-    phys::SimAnnealParameters params;
-    params.num_instances = 8;  // trajectory fidelity is per instance; 8 streams suffice
-    return params;
-}
-
-/// \p params with simanneal seeded from \p seed.
-phys::SimulationParameters seeded(phys::SimulationParameters params, std::uint64_t seed)
-{
-    params.anneal_seed = seed;
-    return params;
-}
-
 TEST(FuzzChargeState, CacheMatchesNaiveOnRandomMoveSequences)
 {
     const auto budget = testkit::fuzz_budget(0xcace'0001, 30);
@@ -38,8 +24,7 @@ TEST(FuzzChargeState, CacheMatchesNaiveOnRandomMoveSequences)
         const auto seed = testkit::case_seed(budget.base_seed, i);
         testkit::Rng rng{seed};
         const auto canvas = testkit::random_sidb_canvas(rng);
-        const auto verdict = testkit::charge_state_differential(canvas, seeded(sim_params, seed),
-                                                                anneal_for_fuzzing(), seed);
+        const auto verdict = testkit::charge_state_differential(canvas, sim_params, seed);
         ASSERT_TRUE(verdict.ok) << verdict.detail << '\n'
                                 << testkit::reproducer("charge-state", budget.base_seed, i);
     }
@@ -59,8 +44,7 @@ TEST(FuzzChargeState, SparseCanvasesAtTheSecondCalibrationPoint)
         const auto seed = testkit::case_seed(budget.base_seed, i);
         testkit::Rng rng{seed};
         const auto canvas = testkit::random_sidb_canvas(rng, options);
-        const auto verdict = testkit::charge_state_differential(canvas, seeded(sim_params, seed),
-                                                                anneal_for_fuzzing(), seed);
+        const auto verdict = testkit::charge_state_differential(canvas, sim_params, seed);
         ASSERT_TRUE(verdict.ok) << verdict.detail << '\n'
                                 << testkit::reproducer("charge-state-sparse", budget.base_seed, i);
     }
@@ -74,8 +58,7 @@ TEST(FuzzChargeState, OracleCatchesSkippedCacheUpdate)
     const phys::SimulationParameters sim_params{};
 
     const auto mutant = testkit::charge_state_differential(
-        canvas, seeded(sim_params, 0xbad5eed), anneal_for_fuzzing(), 0xbad5eed, 64, 1e-12,
-        testkit::ChargeStateFault::skip_cache_update);
+        canvas, sim_params, 0xbad5eed, 64, 1e-12, testkit::ChargeStateFault::skip_cache_update);
     ASSERT_FALSE(mutant.ok) << "oracle missed a skipped cache update";
     EXPECT_NE(mutant.detail.find("drifted"), std::string::npos) << mutant.detail;
 }

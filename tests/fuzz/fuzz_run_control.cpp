@@ -60,8 +60,9 @@ TEST(FuzzRunControl, CutRunsStayWellFormed)
         const auto spec = testkit::random_network(rng, small_networks());
         auto options = budgeted_flow_options();
         options.validate_gates = rng.chance(0.5);
-        options.sim_params.engine =
-            rng.chance(0.5) ? phys::Engine::exact : phys::Engine::simanneal;
+        // this draw once picked the ground-state engine; it stays so every
+        // later draw, and with it each seed's case, is unchanged
+        static_cast<void>(rng.chance(0.5));
 
         core::StopSource source;
         std::thread watchdog;

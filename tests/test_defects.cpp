@@ -13,7 +13,6 @@
 #include "phys/defect_sweep.hpp"
 #include "phys/ground_state_exact.hpp"
 #include "phys/operational.hpp"
-#include "phys/simanneal.hpp"
 #include "testing/oracles.hpp"
 
 #include <gtest/gtest.h>
@@ -184,14 +183,6 @@ TEST(ParameterValidation, SimulationParametersRejectNonPhysicalValues)
     p.epsilon_r = -1.0;
     EXPECT_THROW(static_cast<void>(check_operational(vertical_wire(), p)),
                  std::invalid_argument);
-}
-
-TEST(ParameterValidation, HeuristicEnginesRejectNonPositiveTemperatures)
-{
-    const SiDBSystem system{{{0, 0, 0}, {4, 0, 0}}, SimulationParameters{}};
-    SimAnnealParameters anneal;
-    anneal.initial_temperature = 0.0;
-    EXPECT_THROW(static_cast<void>(simulated_annealing(system, anneal)), std::invalid_argument);
 }
 
 // --- defect-aware simulation -------------------------------------------------

@@ -36,27 +36,23 @@ TEST(DesignFlow, Xor2EndToEnd)
 
 TEST(DesignFlow, ValidateGatesStepChecksEveryDistinctTileInUse)
 {
-    for (const auto engine : {phys::Engine::exact, phys::Engine::simanneal})
+    FlowOptions opt;
+    opt.validate_gates = true;
+    opt.sim_params.num_threads = 4;
+    const auto result = core::run_design_flow(io::find_benchmark("xor2")->build(), opt);
+    ASSERT_TRUE(result.success());
+    ASSERT_FALSE(result.apply_stats.implementations_used.empty());
+    ASSERT_EQ(result.gate_validation.size(), result.apply_stats.implementations_used.size());
+    for (std::size_t i = 0; i < result.gate_validation.size(); ++i)
     {
-        FlowOptions opt;
-        opt.validate_gates = true;
-        opt.sim_params.engine = engine;
-        opt.sim_params.num_threads = 4;
-        const auto result = core::run_design_flow(io::find_benchmark("xor2")->build(), opt);
-        ASSERT_TRUE(result.success());
-        ASSERT_FALSE(result.apply_stats.implementations_used.empty());
-        ASSERT_EQ(result.gate_validation.size(), result.apply_stats.implementations_used.size());
-        for (std::size_t i = 0; i < result.gate_validation.size(); ++i)
+        const auto& v = result.gate_validation[i];
+        EXPECT_EQ(v.name, result.apply_stats.implementations_used[i]->design.name);
+        EXPECT_TRUE(v.evaluated) << v.name;
+        EXPECT_GT(v.patterns_total, 0U);
+        // a pre-validated library tile must re-validate at the calibration point
+        if (result.apply_stats.implementations_used[i]->simulation_validated)
         {
-            const auto& v = result.gate_validation[i];
-            EXPECT_EQ(v.name, result.apply_stats.implementations_used[i]->design.name);
-            EXPECT_TRUE(v.evaluated) << v.name;
-            EXPECT_GT(v.patterns_total, 0U);
-            // a pre-validated library tile must re-validate at the calibration point
-            if (result.apply_stats.implementations_used[i]->simulation_validated)
-            {
-                EXPECT_TRUE(v.operational) << v.name;
-            }
+            EXPECT_TRUE(v.operational) << v.name;
         }
     }
 

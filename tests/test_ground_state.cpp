@@ -1,5 +1,4 @@
 #include "phys/ground_state_exact.hpp"
-#include "phys/simanneal.hpp"
 #include "testing/oracles.hpp"
 
 #include <gtest/gtest.h>
@@ -93,34 +92,6 @@ TEST(ExactGroundState, GroundStateIsAlwaysPhysicallyValid)
         const auto gs = exact_ground_state(sys);
         EXPECT_TRUE(sys.physically_valid(gs.config));
     }
-}
-
-TEST(SimAnneal, FindsGroundStateOfSmallSystems)
-{
-    std::mt19937 rng{2718};
-    SimulationParameters p;
-    p.mu_minus = -0.32;
-    for (int iter = 0; iter < 10; ++iter)
-    {
-        const auto sites = random_sites(5 + rng() % 5, rng);
-        p.anneal_seed = 1000 + static_cast<std::uint64_t>(iter);
-        const SiDBSystem sys{sites, p};
-        const auto exact = exact_ground_state(sys);
-        const auto heuristic = simulated_annealing(sys);
-        EXPECT_TRUE(sys.physically_valid(heuristic.config));
-        // the annealer must reach the exact ground state on these sizes
-        EXPECT_NEAR(heuristic.grand_potential, exact.grand_potential, 1e-9) << "iter " << iter;
-        EXPECT_FALSE(heuristic.complete);
-    }
-}
-
-TEST(SimAnneal, EmptySystem)
-{
-    SimulationParameters p;
-    const SiDBSystem sys{{}, p};
-    const auto gs = simulated_annealing(sys);
-    EXPECT_EQ(gs.grand_potential, 0.0);
-    EXPECT_TRUE(gs.config.empty());
 }
 
 }  // namespace

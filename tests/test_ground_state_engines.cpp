@@ -2,9 +2,8 @@
 /// \brief Tier-1 coverage of the ground-state engines: the population-bounded
 ///        exact engine (against 2^n brute force, and on dense canvases past
 ///        brute force's reach), the pinned ground states and work counters of
-///        the Fig. 5 tiles, the degeneracy lower bound of simanneal, and the
-///        common engine-selection surface (SimulationParameters::engine /
-///        find_ground_state). Structure mirrors test_charge_state.cpp:
+///        the Fig. 5 tiles, and the simulation stack's entry point
+///        find_ground_state. Structure mirrors test_charge_state.cpp:
 ///        edge cases first (n = 0, n = 1, forced populations, cancellation),
 ///        then differential properties on random canvases.
 
@@ -14,7 +13,6 @@
 #include "phys/ground_state.hpp"
 #include "phys/ground_state_exact.hpp"
 #include "phys/operational.hpp"
-#include "phys/simanneal.hpp"
 #include "testing/golden.hpp"
 #include "testing/oracles.hpp"
 
@@ -171,10 +169,8 @@ TEST(WorkCounters, ExactEngineOnTheNorTile)
 /// thread, as bench/flow's `signoff` workload runs them, and the ground-state
 /// search nodes of every pattern summed. The same searches pin every pattern's
 /// ground state (config, grand potential to 17 digits, degeneracy, nodes) in
-/// a golden, and SimAnneal at its default parameters must reach each pinned
-/// grand potential: the reason it is the heuristic the stack keeps. Every
-/// design's `simulation_validated` flag must equal its check's verdict (the
-/// crossing's is false).
+/// a golden. Every design's `simulation_validated` flag must equal its
+/// check's verdict (the crossing's is false).
 TEST(WorkCounters, SignoffTiles)
 {
     const auto& library = bestagon::layout::BestagonLibrary::instance();
@@ -197,7 +193,6 @@ TEST(WorkCounters, SignoffTiles)
         const auto result = check_operational(design, params);
         // the library's flag is this check's verdict
         EXPECT_EQ(designs[d]->simulation_validated, result.operational) << d << ' ' << design.name;
-        const GateInstanceCache cache{design, params};
         for (const auto& pattern : result.details)
         {
             const auto& gs = pattern.ground_state;
@@ -210,10 +205,6 @@ TEST(WorkCounters, SignoffTiles)
                           static_cast<unsigned long long>(gs.degeneracy),
                           static_cast<unsigned long long>(gs.nodes));
             golden += line.data();
-
-            const auto annealed = simulated_annealing(cache.instantiate(pattern.pattern));
-            EXPECT_NEAR(annealed.grand_potential, gs.grand_potential, 1e-6)
-                << design.name << " pattern " << pattern.pattern;
         }
     }
     EXPECT_EQ(nodes, 18610084U);
@@ -410,29 +401,10 @@ TEST(ExactEngine, CancelledMidSearch)
     EXPECT_TRUE(sys.physically_valid(gs.config));
 }
 
-// --- stochastic degeneracy lower bound --------------------------------------
+// --- entry point ------------------------------------------------------------
 
-/// A bistable BDL pair has true degeneracy 2; every instance of a stochastic
-/// engine lands on one of the two minima, so the distinct-configuration
-/// count must reach exactly 2 (the hardcoded-1 regression) and never exceed
-/// the exact count.
-TEST(SimAnneal, DegeneracyIsDistinctConfigurationLowerBound)
-{
-    SimulationParameters p;
-    p.mu_minus = -0.32;
-    const SiDBSystem sys{{{0, 0, 0}, {1, 0, 0}}, p};
-    const auto reference = exact_ground_state(sys);
-    ASSERT_EQ(reference.degeneracy, 2U);
-
-    const auto annealed = simulated_annealing(sys);
-    EXPECT_NEAR(annealed.grand_potential, reference.grand_potential, 1e-9);
-    EXPECT_EQ(annealed.degeneracy, 2U);  // 16 instances: both minima visited
-}
-
-// --- engine selection surface -----------------------------------------------
-
-/// find_ground_state must dispatch to the engine SimulationParameters::engine
-/// names, with simanneal seeded from SimulationParameters::anneal_seed.
+/// find_ground_state, the entry point of the whole simulation stack, must
+/// return exactly what the exact engine does.
 TEST(EngineSelection, FindGroundStateMatchesDirectEngineCalls)
 {
     std::mt19937 rng{7777};
@@ -440,19 +412,13 @@ TEST(EngineSelection, FindGroundStateMatchesDirectEngineCalls)
     p.mu_minus = -0.32;
     const SiDBSystem sys{random_sites(8, rng), p};
 
-    const auto exact = find_ground_state(sys);  // default: Engine::exact
+    const auto exact = find_ground_state(sys);
     const auto exact_direct = exact_ground_state(sys);
     EXPECT_EQ(exact.config, exact_direct.config);
     EXPECT_EQ(exact.grand_potential, exact_direct.grand_potential);
     EXPECT_EQ(exact.degeneracy, exact_direct.degeneracy);
+    EXPECT_EQ(exact.nodes, exact_direct.nodes);
     EXPECT_TRUE(exact.complete);
-
-    p.engine = Engine::simanneal;
-    const SiDBSystem annealing_sys{sys.sites(), p};
-    const auto annealed = find_ground_state(annealing_sys);
-    const auto annealed_direct = simulated_annealing(sys);
-    EXPECT_EQ(annealed.config, annealed_direct.config);
-    EXPECT_EQ(annealed.grand_potential, annealed_direct.grand_potential);
 }
 
 }  // namespace

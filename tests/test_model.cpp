@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace
 {
 
@@ -102,6 +105,33 @@ TEST(Model, QuenchReachesValidConfiguration)
     ChargeConfig cfg2{0, 0, 0, 0};
     sys.quench(cfg2);
     EXPECT_TRUE(sys.physically_valid(cfg2));
+}
+
+/// Two dots on one position would make V_ij = +inf, and every energy and
+/// stability verdict on the system meaningless: the constructor rejects the
+/// pair and names both indices, wherever in the list they stand.
+TEST(Model, CoincidentSitesAreRejected)
+{
+    const SimulationParameters p;
+    try
+    {
+        const SiDBSystem sys{{{0, 0, 0}, {0, 0, 0}, {10, 0, 0}}, p};
+        ADD_FAILURE() << "coincident sites were accepted";
+    }
+    catch (const std::invalid_argument& e)
+    {
+        EXPECT_NE(std::string{e.what()}.find("sites 0 and 1"), std::string::npos) << e.what();
+    }
+    try
+    {
+        const SiDBSystem sys{{{4, 2, 1}, {10, 0, 0}, {7, 1, 0}, {10, 0, 0}}, p};
+        ADD_FAILURE() << "coincident sites were accepted";
+    }
+    catch (const std::invalid_argument& e)
+    {
+        EXPECT_NE(std::string{e.what()}.find("sites 1 and 3"), std::string::npos) << e.what();
+    }
+    EXPECT_NO_THROW(SiDBSystem({{0, 0, 0}, {0, 0, 1}, {10, 0, 0}}, p));
 }
 
 }  // namespace

@@ -66,15 +66,6 @@ TEST(Operational, VerticalWireIsOperationalAtBothMuValues)
     }
 }
 
-TEST(Operational, WireAlsoPassesWithSimAnneal)
-{
-    SimulationParameters p;
-    p.mu_minus = -0.32;
-    p.engine = Engine::simanneal;
-    const auto result = check_operational(vertical_wire(), p);
-    EXPECT_TRUE(result.operational);
-}
-
 TEST(Operational, BrokenWireIsDetected)
 {
     auto d = vertical_wire();

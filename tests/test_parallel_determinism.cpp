@@ -6,12 +6,8 @@
 #include "phys/defect_sweep.hpp"
 #include "phys/gate_designer.hpp"
 #include "phys/operational_domain.hpp"
-#include "phys/simanneal.hpp"
 
 #include <gtest/gtest.h>
-
-#include <cmath>
-#include <limits>
 
 namespace
 {
@@ -60,21 +56,17 @@ void expect_identical(const OperationalResult& a, const OperationalResult& b)
 TEST(ParallelDeterminism, CheckOperationalMatchesSerial)
 {
     const auto design = vertical_wire();
-    for (const auto engine : {Engine::simanneal, Engine::exact})
+    SimulationParameters serial;
+    serial.num_threads = 1;
+    const auto reference = check_operational(design, serial);
+    for (const unsigned threads : {2U, 4U, 8U})
     {
-        SimulationParameters serial;
-        serial.num_threads = 1;
-        serial.engine = engine;
-        const auto reference = check_operational(design, serial);
-        for (const unsigned threads : {2U, 4U, 8U})
-        {
-            SimulationParameters parallel = serial;
-            parallel.num_threads = threads;
-            expect_identical(reference, check_operational(design, parallel));
-        }
-        // repeated runs are stable too
-        expect_identical(reference, check_operational(design, serial));
+        SimulationParameters parallel = serial;
+        parallel.num_threads = threads;
+        expect_identical(reference, check_operational(design, parallel));
     }
+    // repeated runs are stable too
+    expect_identical(reference, check_operational(design, serial));
 }
 
 TEST(ParallelDeterminism, OperationalDomainMatchesSerial)
@@ -180,52 +172,6 @@ TEST(ParallelDeterminism, DesignGateRestartZeroReproducesSingleRestartTrajectory
     EXPECT_EQ(b->restart_used, 0U);
     EXPECT_EQ(b->canvas, a->canvas);
     EXPECT_EQ(b->iterations_used, a->iterations_used);
-}
-
-TEST(ParallelDeterminism, SimAnnealMatchesSerialForAnyThreadCount)
-{
-    SimulationParameters p;
-    p.mu_minus = -0.32;
-    p.num_threads = 1;
-    // a 10-site BDL chain
-    std::vector<SiDBSite> sites;
-    for (int k = 0; k < 5; ++k)
-    {
-        const int m = 1 + 4 * k;
-        sites.push_back({15, m, 0});
-        sites.push_back({15, m + 1, 0});
-    }
-    const SiDBSystem sys{sites, p};
-
-    const auto reference = simulated_annealing(sys);
-    EXPECT_TRUE(sys.physically_valid(reference.config));
-
-    for (const unsigned threads : {2U, 4U, 8U})
-    {
-        SimulationParameters parallel = p;
-        parallel.num_threads = threads;
-        const auto result = simulated_annealing(SiDBSystem{sites, parallel});
-        EXPECT_EQ(result.config, reference.config);
-        EXPECT_EQ(result.grand_potential, reference.grand_potential);
-        EXPECT_EQ(result.electrostatic, reference.electrostatic);
-    }
-    // and across repeated runs with the same seed
-    const auto again = simulated_annealing(sys);
-    EXPECT_EQ(again.config, reference.config);
-    EXPECT_EQ(again.grand_potential, reference.grand_potential);
-}
-
-TEST(ParallelDeterminism, SimAnnealZeroInstancesIsWellDefined)
-{
-    SimulationParameters p;
-    const SiDBSystem sys{{{0, 0, 0}, {5, 3, 1}}, p};
-    SimAnnealParameters params;
-    params.num_instances = 0;  // used to evaluate the energy of an empty config
-    const auto result = simulated_annealing(sys, params);
-    EXPECT_TRUE(result.config.empty());
-    EXPECT_TRUE(std::isinf(result.grand_potential));
-    EXPECT_EQ(result.electrostatic, 0.0);
-    EXPECT_FALSE(result.complete);
 }
 
 TEST(ParallelDeterminism, ExcessiveInputArityIsRejectedNotOverflowed)

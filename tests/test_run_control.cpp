@@ -14,7 +14,6 @@
 #include "phys/ground_state_exact.hpp"
 #include "phys/operational.hpp"
 #include "phys/operational_domain.hpp"
-#include "phys/simanneal.hpp"
 #include "sat/dimacs.hpp"
 #include "sat/solver.hpp"
 #include "testing/oracles.hpp"
@@ -374,28 +373,6 @@ TEST(RunControl, WellFormedVerilogRecordsParseStage)
 
 // --- physical-simulation engines -------------------------------------------
 
-TEST(RunControl, SimannealCancellationStaysWellFormed)
-{
-    phys::SimulationParameters params;
-    params.mu_minus = -0.32;
-    std::vector<phys::SiDBSite> sites;
-    for (int n = 0; n < 8; ++n)
-    {
-        sites.push_back({3 * n, (n % 3) * 2, n % 2});
-    }
-    const phys::SiDBSystem system{sites, params};
-
-    const auto cancelled = phys::simulated_annealing(system, {}, tripped_budget());
-    EXPECT_TRUE(cancelled.cancelled);
-
-    // an unlimited budget is bit-identical to the plain call
-    const auto plain = phys::simulated_annealing(system);
-    const auto unlimited = phys::simulated_annealing(system, {}, RunBudget{});
-    EXPECT_FALSE(unlimited.cancelled);
-    EXPECT_EQ(plain.grand_potential, unlimited.grand_potential);
-    EXPECT_EQ(plain.config, unlimited.config);
-}
-
 TEST(RunControl, ExactCancellationReportsIncomplete)
 {
     phys::SimulationParameters params;
@@ -432,23 +409,6 @@ TEST(RunControl, OperationalCheckCancellationKeepsPatternIndices)
         EXPECT_EQ(result.details[p].pattern, p) << "skipped slots keep their pattern index";
         EXPECT_FALSE(result.details[p].evaluated);
     }
-}
-
-TEST(RunControl, PatternCutBeforeAnyConfigurationStaysUnevaluated)
-{
-    // a tripped budget skips every annealing instance, so the search returns
-    // no configuration at all; the readout must not index into it
-    const auto& lib = layout::BestagonLibrary::instance();
-    const auto* wire = lib.lookup(logic::GateType::buf, layout::Port::nw, std::nullopt,
-                                  layout::Port::sw, std::nullopt);
-    ASSERT_NE(wire, nullptr);
-    phys::SimulationParameters params;
-    params.engine = phys::Engine::simanneal;
-    const auto result = phys::simulate_gate_pattern(wire->design, 0, params, tripped_budget());
-    EXPECT_TRUE(result.ground_state.cancelled);
-    EXPECT_FALSE(result.evaluated);
-    EXPECT_FALSE(result.correct);
-    EXPECT_TRUE(result.output_states.empty());
 }
 
 TEST(RunControl, OperationalDomainCancellationKeepsCoordinates)

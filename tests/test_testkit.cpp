@@ -202,9 +202,7 @@ TEST(TestkitOracles, SatHappyPathOnFixedFormulas)
 TEST(TestkitOracles, GroundStateHappyPathOnFixedCanvas)
 {
     const std::vector<phys::SiDBSite> canvas{{0, 0, 0}, {4, 1, 0}, {8, 2, 1}, {2, 3, 0}};
-    phys::SimulationParameters params;
-    params.anneal_seed = 0x7e57;
-    const auto verdict = testkit::ground_state_differential(canvas, params, {});
+    const auto verdict = testkit::ground_state_differential(canvas, phys::SimulationParameters{});
     EXPECT_TRUE(verdict.ok) << verdict.detail;
 }
 
@@ -222,12 +220,11 @@ TEST(TestkitOracles, GroundStateCatchesStaleExactPotentialsAtTheCiSeed)
         const auto seed = testkit::case_seed(ci_seed, i);
         testkit::Rng rng{seed};
         const auto canvas = testkit::random_sidb_canvas(rng);
-        phys::SimulationParameters params;
-        params.anneal_seed = seed;
-        const auto sound = testkit::ground_state_differential(canvas, params, {});
+        const phys::SimulationParameters params;
+        const auto sound = testkit::ground_state_differential(canvas, params);
         EXPECT_TRUE(sound.ok) << "case " << i << ": " << sound.detail;
         const auto stale = testkit::ground_state_differential(
-            canvas, params, {}, 1e-6, testkit::GroundStateFault::stale_exact_potentials);
+            canvas, params, testkit::GroundStateFault::stale_exact_potentials);
         if (!stale.ok)
         {
             EXPECT_NE(stale.detail.find("exact engine"), std::string::npos) << stale.detail;
